@@ -25,7 +25,7 @@ __all__ = [
     "DirichletProblem", "DirichletSolver", "forward_solve", "w12_norm",
     "dn_pairing", "alessandrini_check", "AlessandriniReport",
     "FamilySpec", "CauchyDistanceReport", "cauchy_distance",
-    "boundary_mode", "dn_norm_over_family",
+    "boundary_mode", "dn_norm_over_family", "solve_pair",
 ]
 
 _THETA_FLOOR = 1e-3
@@ -365,6 +365,15 @@ class CauchyDistanceReport:
         self.d_hat = max(self.d_hat, rec["value"])
 
 
+def solve_pair(q1, q2, params: PhaseParams, domain: DomainSpec, tol: float = 1e-10,
+               max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
+    """(u1, u2): the holomorphic oscillating solution for q1 and the
+    antiholomorphic one for q2; FixedPointDivergenceError if either diverges."""
+    s1 = solve_f(q1, params, domain, "holomorphic", tol=tol, max_iter=max_iter)
+    s2 = solve_f(q2, params, domain, "antiholomorphic", tol=tol, max_iter=max_iter)
+    return assemble_u(s1), assemble_u(s2)
+
+
 def cauchy_distance(q1, q2, domain: DomainSpec, family: FamilySpec) -> CauchyDistanceReport:
     """Max over the family of |int U (q1 - q2) V dm| with both solutions
     normalized in discrete W^{1,2}.  A lower bound on the true supremum,
@@ -381,15 +390,11 @@ def cauchy_distance(q1, q2, domain: DomainSpec, family: FamilySpec) -> CauchyDis
 
     def one_pair(args):
         z0, tau = args
-        params = PhaseParams(tau, z0)
         try:
-            s1 = solve_f(q1, params, domain, "holomorphic",
-                         tol=family.tol, max_iter=family.max_iter)
-            s2 = solve_f(q2, params, domain, "antiholomorphic",
-                         tol=family.tol, max_iter=family.max_iter)
+            u1, u2 = solve_pair(q1, q2, PhaseParams(tau, z0), domain,
+                                tol=family.tol, max_iter=family.max_iter)
         except FixedPointDivergenceError as e:
             return ("skip", z0, tau, str(e))
-        u1, u2 = assemble_u(s1), assemble_u(s2)
         n1, n2 = w12_norm(u1, domain), w12_norm(u2, domain)
         val = abs(complex((u1[m] * dq[m] * u2[m]).sum() * grid.cell_measure))
         return ("ok", z0, tau, val / (n1 * n2))

@@ -37,6 +37,8 @@ class _SPipeline:
                  phase_type: str, phase_sign: int = +1):
         if phase_type not in PHASE_TYPES:
             raise BklabError(f"phase_type must be one of {PHASE_TYPES}")
+        if phase_sign not in (1, -1):
+            raise BklabError(f"phase_sign must be +1 or -1, got {phase_sign!r}")
         grid = domain.grid
         params.validate_for(grid)
         q = grid.check_field(np.asarray(q, dtype=complex))
@@ -46,11 +48,8 @@ class _SPipeline:
         self.phase_sign = int(phase_sign)
         self.params = params
         self.q_masked = domain.restrict(q)
-        P = np.exp(1j * params.tau * params.phase_field(grid))
-        if self.phase_sign < 0:
-            P = np.conj(P)
-        self.P = P               # inner weight
-        self.Pc = np.conj(P)     # outer weight
+        self.P = params.weight(grid, self.phase_sign)   # inner weight
+        self.Pc = np.conj(self.P)                        # outer weight
         self.plan = get_plan(grid)
         self.mask = domain.mask
 

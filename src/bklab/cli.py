@@ -49,26 +49,45 @@ def _write_csv(path, header, rows):
             f.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _parse_numbers(spec: str, sep: str, what: str, count: int = 0, kind=float) -> list:
+    """Split `spec` on `sep` into finite numbers, exactly `count` of them if
+    count > 0; anything else is a configuration error (exit 2)."""
+    try:
+        vals = [kind(s) for s in spec.split(sep) if s]
+    except ValueError:
+        vals = []
+    if not vals or (count and len(vals) != count) or not all(map(math.isfinite, vals)):
+        raise BklabError(f"malformed {what} {spec!r}")
+    return vals
+
+
 def _parse_taus(spec: str) -> list[float]:
-    """'4:256' = geometric sweep with ratio 2; otherwise comma list."""
+    """'4:256' = geometric sweep with ratio 2; otherwise comma list.  The
+    sweep must be non-empty with every tau above 0."""
     if ":" in spec:
-        lo, hi = (float(s) for s in spec.split(":", 1))
+        lo, hi = _parse_numbers(spec, ":", "tau range", 2)
         out = []
         t = lo
-        while t <= hi * (1 + 1e-12):
+        while 0 < t <= hi * (1 + 1e-12):
             out.append(t)
             t *= 2.0
-        return out
-    return [float(s) for s in spec.split(",") if s]
+    else:
+        out = _parse_numbers(spec, ",", "tau list")
+    if not out or min(out) <= 0:
+        raise BklabError(f"tau sweep {spec!r} must be non-empty with every tau above 0")
+    return out
 
 
 def _parse_z0(spec: str) -> complex:
-    x, y = (float(s) for s in spec.split(","))
-    return complex(x, y)
+    return complex(*_parse_numbers(spec, ",", "z0", 2))
 
 
-def _load_domain_arg(path) -> DomainSpec:
-    return load_domain(path)
+def _load_field_on(path, domain: DomainSpec | None) -> tuple[np.ndarray, Grid]:
+    """Load a field file; with a domain, the field must live on its grid."""
+    field, grid = load_field(path)
+    if domain is not None and (grid.N, grid.L) != (domain.grid.N, domain.grid.L):
+        raise BklabError(f"{path}: field grid does not match the domain grid")
+    return field, grid
 
 
 def _ensure_outdir(ns) -> str:
@@ -81,10 +100,10 @@ def _ensure_outdir(ns) -> str:
 # subcommands
 
 def cmd_lorentz_norm(ns) -> int:
-    field, grid = load_field(ns.field)
+    domain = load_domain(ns.domain) if ns.domain else None
+    field, grid = _load_field_on(ns.field, domain)
     idx = LorentzIndex(ns.p, math.inf if ns.q in ("inf", "Inf") else float(ns.q),
                        normed=not ns.seminormed)
-    domain = _load_domain_arg(ns.domain) if ns.domain else None
     if ns.s is not None:
         val = bessel_norm(field, ns.s, idx, grid, domain)
     else:
@@ -143,14 +162,12 @@ def cmd_stationary_phase(ns) -> int:
 
 def cmd_carleman_sweep(ns) -> int:
     out = _ensure_outdir(ns)
-    domain = _load_domain_arg(ns.domain)
+    domain = load_domain(ns.domain)
     grid = domain.grid
     if ns.a == "one":
         a = np.ones((grid.N, grid.N), dtype=complex)
     else:
-        a, agrid = load_field(ns.a)
-        if (agrid.N, agrid.L) != (grid.N, grid.L):
-            raise BklabError("field grid does not match the domain grid")
+        a, _ = _load_field_on(ns.a, domain)
     rec = carleman_sweep(a, _parse_taus(ns.tau), domain, _parse_z0(ns.z0),
                          mode=ns.mode)
     if rec.insufficient:
@@ -183,10 +200,8 @@ def cmd_carleman_sweep(ns) -> int:
 
 def cmd_bukhgeim(ns) -> int:
     out = _ensure_outdir(ns)
-    q, grid = load_field(ns.q)
-    domain = _load_domain_arg(ns.domain)
-    if (domain.grid.N, domain.grid.L) != (grid.N, grid.L):
-        raise BklabError("field grid does not match the domain grid")
+    domain = load_domain(ns.domain)
+    q, grid = _load_field_on(ns.q, domain)
     params = PhaseParams(ns.tau, _parse_z0(ns.z0))
     phase = "antiholomorphic" if ns.phase == "anti" else "holomorphic"
     sol = solve_f(q, params, domain, phase, tol=ns.tol)
@@ -208,12 +223,10 @@ def cmd_bukhgeim(ns) -> int:
 
 def cmd_cauchy_distance(ns) -> int:
     out = _ensure_outdir(ns)
-    q1, grid = load_field(ns.q1)
-    q2, grid2 = load_field(ns.q2)
-    if (grid2.N, grid2.L) != (grid.N, grid.L):
-        raise BklabError("q1 and q2 live on different grids")
-    domain = _load_domain_arg(ns.domain)
-    nx, ny = (int(s) for s in ns.z0_grid.split("x"))
+    domain = load_domain(ns.domain)
+    q1, _ = _load_field_on(ns.q1, domain)
+    q2, _ = _load_field_on(ns.q2, domain)
+    nx, ny = _parse_numbers(ns.z0_grid, "x", "z0 grid", 2, int)
     lattice = recon.make_z0_lattice(domain, max(nx, ny))
     fam = FamilySpec(tuple(lattice), tuple(_parse_taus(ns.taus)),
                      fd_modes=ns.fd_modes)
@@ -238,28 +251,24 @@ def cmd_cauchy_distance(ns) -> int:
 
 def cmd_reconstruct(ns) -> int:
     out = _ensure_outdir(ns)
-    q, grid = load_field(ns.q)
-    domain = _load_domain_arg(ns.domain)
-    if (domain.grid.N, domain.grid.L) != (grid.N, grid.L):
-        raise BklabError("field grid does not match the domain grid")
+    domain = load_domain(ns.domain)
+    q, grid = _load_field_on(ns.q, domain)
     taus = _parse_taus(ns.tau)
     lattice = recon.make_z0_lattice(domain, ns.lattice)
     forms = ("interior", "boundary") if ns.form == "both" else (ns.form,)
     metrics: dict = {"taus": taus, "forms": list(forms), "errors": {}}
     sweep_err: dict = {f: [] for f in forms}
-    for form in forms:
-        fn = recon.reconstruct_interior if form == "interior" else recon.reconstruct_boundary
-        for tau in taus:
-            res = fn(q, tau, lattice, grid, domain)
+    for tau in taus:
+        for res in recon.reconstruct(q, tau, lattice, grid, domain, forms):
             errs = res.errors()
-            metrics["errors"].setdefault(form, {})[repr(tau)] = errs
-            sweep_err[form].append(errs["sup"])
+            metrics["errors"].setdefault(res.form, {})[repr(tau)] = errs
+            sweep_err[res.form].append(errs["sup"])
             if tau == taus[-1]:
                 fld = np.zeros((grid.N, grid.N), dtype=complex)
                 for z, v in zip(res.z0, res.values):
                     iy, ix = recon._cell_index(grid, complex(z))
                     fld[iy, ix] = v
-                save_field(os.path.join(out, f"recon_{form}.bkfld"), fld, grid)
+                save_field(os.path.join(out, f"recon_{res.form}.bkfld"), fld, grid)
     with open(os.path.join(out, "recon_metrics.json"), "w") as f:
         json.dump(metrics, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -287,10 +296,7 @@ def _field_from_spec(spec: dict, grid: Grid, domain: DomainSpec) -> np.ndarray:
                              complex(spec["amplitude"]))
         return domain.restrict(f)
     if kind == "field":
-        f, g = load_field(spec["path"])
-        if (g.N, g.L) != (grid.N, grid.L):
-            raise BklabError("potential grid does not match the domain grid")
-        return f
+        return _load_field_on(spec["path"], domain)[0]
     raise BklabError(f"unknown potential spec type {kind!r}")
 
 

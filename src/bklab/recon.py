@@ -16,17 +16,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import FamilySpec, cauchy_distance, interp_bilinear, w12_norm
-from .bukhgeim import assemble_u, solve_f
+from .boundary import (FamilySpec, cauchy_distance, interp_bilinear, solve_pair,
+                       w12_norm)
+from .bukhgeim import solve_f
 from .errors import BklabError, FixedPointDivergenceError
 from .grid import DomainSpec, Grid, PhaseParams
 from .lorentz import LorentzIndex, lorentz_norm
 from .stationary import smooth
-from .util import fit_loglog, parallel_map
+from .util import parallel_map
 
 __all__ = [
     "ReconstructionResult", "StabilityRecord", "StabilityConfig",
-    "make_z0_lattice", "bump_field", "reconstruct_interior",
+    "make_z0_lattice", "bump_field", "reconstruct", "reconstruct_interior",
     "reconstruct_boundary", "reconstruct_pairing", "stability_experiment",
     "calibrate_exponential_rate",
 ]
@@ -110,39 +111,67 @@ def _check_lattice(domain: DomainSpec, lattice: np.ndarray):
             raise BklabError(f"lattice point {z} is not >= 5h inside the boundary")
 
 
-def _with_baseline(q, tau, grid, lattice):
-    sm = smooth(q, tau, grid)
-    return np.array([sm[_cell_index(grid, complex(z))] for z in lattice])
+def _interior_value(sol, q) -> complex:
+    grid, m = sol.domain.grid, sol.domain.mask
+    P = sol.params.weight(grid, +1)
+    return (2 * sol.params.tau / np.pi) * complex(
+        (P[m] * q[m] * sol.f[m]).sum() * grid.cell_measure)
+
+
+def _boundary_value(sol, q) -> complex:
+    d = sol.domain
+    Gb = interp_bilinear(d.grid, sol.inner_transform, d.nodes)
+    return (sol.params.tau / np.pi) * complex(np.sum(np.conj(d.normals) * Gb * d.weights))
+
+
+_FORMS = {"interior": _interior_value, "boundary": _boundary_value}
+
+
+def _lattice_results(forms, target, tau, lattice, grid: Grid, domain: DomainSpec,
+                     point_values) -> list[ReconstructionResult]:
+    """The one per-point loop: `point_values(params)` returns one value per
+    form; a diverged fixed point marks the point failed in every form."""
+    lattice = np.asarray(lattice, dtype=complex)
+    _check_lattice(domain, lattice)
+
+    def one(z0):
+        try:
+            return point_values(PhaseParams(tau, complex(z0))), True
+        except FixedPointDivergenceError:
+            return (np.nan + 0j,) * len(forms), False
+
+    out = parallel_map(one, list(lattice))
+    okv = np.array([o for _, o in out])
+    truth = np.array([target[_cell_index(grid, complex(z))] for z in lattice])
+    sm = smooth(target, tau, grid)
+    baseline = np.array([sm[_cell_index(grid, complex(z))] for z in lattice])
+    return [ReconstructionResult(
+                form, tau, lattice, np.array([v[i] for v, _ in out]), okv, truth,
+                baseline, {"lattice_measure": domain.measure / max(1, lattice.size)})
+            for i, form in enumerate(forms)]
+
+
+def reconstruct(q, tau: float, lattice, grid: Grid, domain: DomainSpec,
+                forms=("interior", "boundary"),
+                tol: float = 1e-10) -> list[ReconstructionResult]:
+    """q(z0) by each requested form ('interior', 'boundary'), all evaluated
+    from the one holomorphic fixed point solved per lattice point.  Returns
+    one result per form, in the order given."""
+    if not forms or not set(forms) <= set(_FORMS):
+        raise BklabError(f"forms must be a non-empty selection of {tuple(_FORMS)}")
+    q = grid.check_field(np.asarray(q, dtype=complex))
+
+    def values(params):
+        sol = solve_f(q, params, domain, "holomorphic", tol=tol)
+        return tuple(_FORMS[f](sol, q) for f in forms)
+    return _lattice_results(tuple(forms), q, tau, lattice, grid, domain, values)
 
 
 def reconstruct_interior(q, tau: float, lattice, grid: Grid,
                          domain: DomainSpec, tol: float = 1e-10) -> ReconstructionResult:
     """q(z0) by the interior quadrature (2 tau/pi) int e^{i tau R} q f dm,
     f the oscillating correction solved per lattice point."""
-    lattice = np.asarray(lattice, dtype=complex)
-    _check_lattice(domain, lattice)
-    q = grid.check_field(np.asarray(q, dtype=complex))
-    m = domain.mask
-    h2 = grid.cell_measure
-
-    def one(z0):
-        params = PhaseParams(tau, complex(z0))
-        try:
-            sol = solve_f(q, params, domain, "holomorphic", tol=tol)
-        except FixedPointDivergenceError:
-            return (np.nan + 0j, False)
-        P = params.weight(grid, +1)
-        val = (2 * tau / np.pi) * complex((P[m] * q[m] * sol.f[m]).sum() * h2)
-        return (val, True)
-
-    out = parallel_map(one, list(lattice))
-    values = np.array([v for v, _ in out])
-    okv = np.array([o for _, o in out])
-    truth = np.array([q[_cell_index(grid, complex(z))] for z in lattice])
-    return ReconstructionResult(
-        "interior", tau, lattice, values, okv, truth,
-        _with_baseline(q, tau, grid, lattice),
-        {"lattice_measure": domain.measure / max(1, lattice.size)})
+    return reconstruct(q, tau, lattice, grid, domain, ("interior",), tol)[0]
 
 
 def reconstruct_boundary(q, tau: float, lattice, grid: Grid,
@@ -150,62 +179,23 @@ def reconstruct_boundary(q, tau: float, lattice, grid: Grid,
     """q(z0) from boundary data of the oscillating solution: the phase-
     cancelled form (tau/pi) int conj(eta) G dsigma with G the inner
     transform interpolated at the quadrature nodes."""
-    lattice = np.asarray(lattice, dtype=complex)
-    _check_lattice(domain, lattice)
-    q = grid.check_field(np.asarray(q, dtype=complex))
-
-    def one(z0):
-        params = PhaseParams(tau, complex(z0))
-        try:
-            sol = solve_f(q, params, domain, "holomorphic", tol=tol)
-        except FixedPointDivergenceError:
-            return (np.nan + 0j, False)
-        Gb = interp_bilinear(grid, sol.inner_transform, domain.nodes)
-        val = (tau / np.pi) * complex(
-            np.sum(np.conj(domain.normals) * Gb * domain.weights))
-        return (val, True)
-
-    out = parallel_map(one, list(lattice))
-    values = np.array([v for v, _ in out])
-    okv = np.array([o for _, o in out])
-    truth = np.array([q[_cell_index(grid, complex(z))] for z in lattice])
-    return ReconstructionResult(
-        "boundary", tau, lattice, values, okv, truth,
-        _with_baseline(q, tau, grid, lattice),
-        {"lattice_measure": domain.measure / max(1, lattice.size)})
+    return reconstruct(q, tau, lattice, grid, domain, ("boundary",), tol)[0]
 
 
 def reconstruct_pairing(q1, q2, tau: float, lattice, grid: Grid,
                         domain: DomainSpec, tol: float = 1e-10) -> ReconstructionResult:
     """(q1 - q2)(z0) from the two-solution pairing
     (2 tau/pi) int u1 (q1 - q2) u2 dm with opposite phase types."""
-    lattice = np.asarray(lattice, dtype=complex)
-    _check_lattice(domain, lattice)
     q1 = grid.check_field(np.asarray(q1, dtype=complex))
     q2 = grid.check_field(np.asarray(q2, dtype=complex))
     dq = q1 - q2
     m = domain.mask
     h2 = grid.cell_measure
 
-    def one(z0):
-        params = PhaseParams(tau, complex(z0))
-        try:
-            s1 = solve_f(q1, params, domain, "holomorphic", tol=tol)
-            s2 = solve_f(q2, params, domain, "antiholomorphic", tol=tol)
-        except FixedPointDivergenceError:
-            return (np.nan + 0j, False)
-        u1, u2 = assemble_u(s1), assemble_u(s2)
-        val = (2 * tau / np.pi) * complex((u1[m] * dq[m] * u2[m]).sum() * h2)
-        return (val, True)
-
-    out = parallel_map(one, list(lattice))
-    values = np.array([v for v, _ in out])
-    okv = np.array([o for _, o in out])
-    truth = np.array([dq[_cell_index(grid, complex(z))] for z in lattice])
-    return ReconstructionResult(
-        "pairing", tau, lattice, values, okv, truth,
-        _with_baseline(dq, tau, grid, lattice),
-        {"lattice_measure": domain.measure / max(1, lattice.size)})
+    def values(params):
+        u1, u2 = solve_pair(q1, q2, params, domain, tol=tol)
+        return ((2 * tau / np.pi) * complex((u1[m] * dq[m] * u2[m]).sum() * h2),)
+    return _lattice_results(("pairing",), dq, tau, lattice, grid, domain, values)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +259,7 @@ def stability_experiment(pairs, domain: DomainSpec,
     lattice = make_z0_lattice(domain, config.lattice_n)
     fam = FamilySpec(tuple(lattice), tuple(config.family_taus),
                      fd_modes=config.fd_modes)
+    rl = make_z0_lattice(domain, config.recon_lattice_n)
     records = []
     for q1, q2 in pairs:
         q1 = grid.check_field(np.asarray(q1, dtype=complex))
@@ -291,7 +282,6 @@ def stability_experiment(pairs, domain: DomainSpec,
             continue
         tau = math.log(1.0 / d_hat) / (2.0 * B)
         tau = float(np.clip(tau, config.tau_min, 0.98 * guard))
-        rl = make_z0_lattice(domain, config.recon_lattice_n)
         try:
             rec = reconstruct_pairing(q1, q2, tau, rl, grid, domain)
             pairing_l2 = rec.errors()["l2"]
@@ -315,6 +305,3 @@ def stability_trend(records: list[StabilityRecord]) -> float:
         raise BklabError("need at least 3 usable records for a trend")
     return spearman_rank([r[0] for r in rows], [r[1] for r in rows])
 
-
-def decay_slope(taus, values) -> float:
-    return fit_loglog(taus, values).slope

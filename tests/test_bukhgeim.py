@@ -7,7 +7,7 @@ from bklab import (Disk, LorentzIndex, PhaseParams, apply_S, assemble_u,
                    bessel_norm, carleman_sweep, make_domain,
                    make_grid, pde_residual, solve_f)
 from bklab.bukhgeim import apply_S_dense, dbar_u, solve_f_dense
-from bklab.errors import (AliasingGuardError,
+from bklab.errors import (AliasingGuardError, BklabError,
                           FixedPointDivergenceError, GridError)
 from bklab.recon import bump_field
 from bklab.util import fit_loglog
@@ -135,6 +135,11 @@ class TestSolveF:
         a = solve_f(q.real.astype(complex), params, d, "holomorphic", phase_sign=-1)
         b = solve_f(q.real.astype(complex), params, d, "antiholomorphic", phase_sign=+1)
         assert np.abs(a.f - np.conj(b.f)).max() <= 1e-12
+
+    def test_phase_sign_must_be_unit(self, disk_bump):
+        g, d, q = disk_bump
+        with pytest.raises(BklabError):
+            solve_f(q, PhaseParams(8.0, Z0), d, phase_sign=2)
 
 
 class TestAssembleU:

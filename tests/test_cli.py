@@ -6,18 +6,26 @@ import sys
 import numpy as np
 import pytest
 
-from bklab import Disk, make_domain, make_grid, save_domain, save_field
+from bklab import (Disk, cli, load_domain, make_domain, make_grid, recon,
+                   save_domain, save_field)
 from bklab.recon import bump_field
 from bklab.svgplot import parse_svg_data
 
 
-def run_cli(args, env_extra=None, cwd=None):
+def run_cli(args, env_extra=None, cwd=None, timeout=None):
     env = dict(os.environ)
     env.setdefault("BKLAB_THREADS", "1")
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "bklab.cli", *args],
-                          capture_output=True, text=True, env=env, cwd=cwd)
+                          capture_output=True, text=True, env=env, cwd=cwd,
+                          timeout=timeout)
+
+
+def assert_config_error(r):
+    """Exit 2 with the one-line JSON error on stderr."""
+    assert r.returncode == 2, (r.returncode, r.stderr)
+    assert "error" in json.loads(r.stderr)
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +67,40 @@ class TestBasics:
                      "--p", "2", "--q", "inf", "--s", "0.25"])
         assert r.returncode == 0, r.stderr
         float(r.stdout.strip())
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("cmd", [
+        ["carleman-sweep", "--tau", "0:4"],
+        ["carleman-sweep", "--tau", "4:2"],
+        ["carleman-sweep", "--tau", "1:inf"],
+        ["carleman-sweep", "--z0", "0.1"],
+        ["reconstruct", "--q", "{ws}/q.bkfld", "--tau", "4:2"],
+        ["bukhgeim", "--q", "{ws}/q.bkfld", "--tau", "8", "--z0", "0.1"],
+        ["cauchy-distance", "--q1", "{ws}/q.bkfld", "--q2", "{ws}/q2.bkfld",
+         "--z0-grid", "3"],
+    ])
+    def test_malformed_arguments_exit_2(self, workspace, tmp_path, cmd):
+        args = [a.replace("{ws}", str(workspace)) for a in cmd]
+        r = run_cli([*args, "--domain", str(workspace / "disk.json"),
+                     "--out-dir", str(tmp_path)], timeout=60)
+        assert_config_error(r)
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_field_grid_must_match_domain(self, workspace, tmp_path):
+        g = make_grid(1.5, 64)
+        for name in ("q1", "q2"):
+            save_field(tmp_path / f"{name}.bkfld",
+                       bump_field(g, 0.1j, 0.4, 0.5 if name == "q1" else 0.6), g)
+        domain = str(workspace / "disk.json")
+        assert_config_error(run_cli(
+            ["cauchy-distance", "--q1", str(tmp_path / "q1.bkfld"),
+             "--q2", str(tmp_path / "q2.bkfld"), "--domain", domain,
+             "--out-dir", str(tmp_path)], timeout=120))
+        assert not (tmp_path / "cauchy_distance.json").exists()
+        assert_config_error(run_cli(
+            ["lorentz-norm", "--field", str(tmp_path / "q1.bkfld"), "--p", "2",
+             "--q", "1", "--domain", domain], timeout=60))
 
 
 class TestSweeps:
@@ -137,6 +179,35 @@ class TestSolvers:
         assert (out / "recon_boundary.bkfld").exists()
         metrics = json.loads((out / "recon_metrics.json").read_text())
         assert set(metrics["errors"]) == {"interior", "boundary"}
+
+
+    def test_both_forms_share_one_solve(self, workspace, tmp_path, monkeypatch,
+                                        capsys):
+        monkeypatch.setenv("BKLAB_THREADS", "1")
+        solves = []
+        solve_f = recon.solve_f
+
+        def counting(q, params, *args, **kwargs):
+            solves.append(params)
+            return solve_f(q, params, *args, **kwargs)
+        monkeypatch.setattr(recon, "solve_f", counting)
+        args = ["reconstruct", "--q", str(workspace / "q.bkfld"),
+                "--domain", str(workspace / "disk.json"), "--tau", "8,16"]
+        assert cli.main([*args, "--form", "both", "--out-dir", str(tmp_path / "both")]) == 0
+        lattice = recon.make_z0_lattice(load_domain(workspace / "disk.json"), 3)
+        assert len(solves) == len(set(solves)) == 2 * lattice.size
+
+        def columns(path):
+            header, *rows = (ln.split(",") for ln in path.read_text().splitlines())
+            return {name: [r[i] for r in rows] for i, name in enumerate(header)}
+        both = columns(tmp_path / "both" / "recon_sweep.csv")
+        for form in ("interior", "boundary"):
+            out = tmp_path / form
+            assert cli.main([*args, "--form", form, "--out-dir", str(out)]) == 0
+            col = f"sup_err_{form}"
+            assert columns(out / "recon_sweep.csv")[col] == both[col]
+            assert ((out / f"recon_{form}.bkfld").read_bytes()
+                    == (tmp_path / "both" / f"recon_{form}.bkfld").read_bytes())
 
 
 class TestStabilityCli:
