@@ -22,8 +22,8 @@ from .cauchy import (ConvolutionPlan, get_plan, cauchy, conj_cauchy,
                      wirtinger, beurling, boundary_cauchy, ibp_check)
 from .cutoffs import (CutoffBundle, build_h1, build_h2, tune_h2,
                       annulus_kernel_norms)
-from .stationary import (GaussianKernel, kernel_multiplier, smooth,
-                         kernel_dft_check, phase_holder_check)
+from .stationary import (kernel_multiplier, smooth, kernel_dft_check,
+                         phase_holder_check)
 from .bukhgeim import (BukhgeimSolution, SweepRecord, apply_S, solve_f,
                        assemble_u, pde_residual, carleman_sweep)
 from .boundary import (DirichletProblem, forward_solve, dn_pairing,

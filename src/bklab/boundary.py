@@ -297,18 +297,12 @@ def load_trace(path, domain: DomainSpec):
     s = np.array([r[0] for r in rows])
     v = np.array([complex(r[1], r[2]) for r in rows])
     per = domain.perimeter
-    from scipy.spatial import cKDTree
-    tree = cKDTree(np.column_stack([domain.nodes.real, domain.nodes.imag]))
-    s_nodes = domain.node_arclength()
+    s_wrap = np.concatenate([s - per, s, s + per])
+    v_wrap = np.concatenate([v, v, v])
 
     def g(z):
-        z = np.asarray(z, dtype=complex)
-        _, j = tree.query(np.column_stack([z.ravel().real, z.ravel().imag]))
-        sz = s_nodes[j]
-        sp = np.concatenate([s - per, s, s + per])
-        vp = np.concatenate([v, v, v])
-        out = np.interp(sz, sp, vp.real) + 1j * np.interp(sz, sp, vp.imag)
-        return out.reshape(z.shape)
+        sz = domain.arclength_at(z)
+        return np.interp(sz, s_wrap, v_wrap.real) + 1j * np.interp(sz, s_wrap, v_wrap.imag)
     return g
 
 
@@ -322,15 +316,10 @@ def boundary_mode(domain: DomainSpec, k: int):
         def g(z):
             return np.exp(1j * k * np.angle(np.asarray(z, dtype=complex) - c))
         return g
-    from scipy.spatial import cKDTree
-    tree = cKDTree(np.column_stack([domain.nodes.real, domain.nodes.imag]))
-    s = domain.node_arclength()
     per = domain.perimeter
 
     def g(z):
-        z = np.asarray(z, dtype=complex)
-        _, j = tree.query(np.column_stack([z.real, z.imag]))
-        return np.exp(2j * np.pi * k * s[j] / per)
+        return np.exp(2j * np.pi * k * domain.arclength_at(z) / per)
     return g
 
 
@@ -374,6 +363,17 @@ def solve_pair(q1, q2, params: PhaseParams, domain: DomainSpec, tol: float = 1e-
     return assemble_u(s1), assemble_u(s2)
 
 
+def _mode_lifts(domain: DomainSpec, q, modes: int) -> list[tuple[np.ndarray, float]]:
+    """(U_k, ||U_k||_{W^{1,2}}) for the q-lifts of the trigonometric data
+    k = 1..modes, all solved with one factorization."""
+    solver = DirichletSolver(domain, q)
+    lifts = []
+    for k in range(1, modes + 1):
+        U = solver.solve(boundary_mode(domain, k)).U
+        lifts.append((U, w12_norm(U, domain)))
+    return lifts
+
+
 def cauchy_distance(q1, q2, domain: DomainSpec, family: FamilySpec) -> CauchyDistanceReport:
     """Max over the family of |int U (q1 - q2) V dm| with both solutions
     normalized in discrete W^{1,2}.  A lower bound on the true supremum,
@@ -407,20 +407,12 @@ def cauchy_distance(q1, q2, domain: DomainSpec, family: FamilySpec) -> CauchyDis
         else:
             report.skipped.append({"z0": res[1], "tau": res[2], "reason": res[3]})
     if family.fd_modes > 0:
-        solver1 = DirichletSolver(domain, q1)
-        solver2 = DirichletSolver(domain, q2)
-        sols1 = [solver1.solve(boundary_mode(domain, k))
-                 for k in range(1, family.fd_modes + 1)]
-        sols2 = [solver2.solve(boundary_mode(domain, k))
-                 for k in range(1, family.fd_modes + 1)]
-        for j, Pj in enumerate(sols1, start=1):
-            nj = w12_norm(Pj.U, domain)
-            for k, Pk in enumerate(sols2, start=1):
-                nk = w12_norm(Pk.U, domain)
-                val = abs(complex((Pj.U[m] * dq[m] * Pk.U[m]).sum()
-                                  * grid.cell_measure))
-                report.add({"kind": "fd", "modes": (j, k),
-                            "value": val / (nj * nk)})
+        lifts1 = _mode_lifts(domain, q1, family.fd_modes)
+        lifts2 = _mode_lifts(domain, q2, family.fd_modes)
+        for j, (Uj, nj) in enumerate(lifts1, start=1):
+            for k, (Vk, nk) in enumerate(lifts2, start=1):
+                val = abs(complex((Uj[m] * dq[m] * Vk[m]).sum() * grid.cell_measure))
+                report.add({"kind": "fd", "modes": (j, k), "value": val / (nj * nk)})
     return report
 
 
@@ -428,23 +420,16 @@ def dn_norm_over_family(q1, q2, domain: DomainSpec, modes: int = 8) -> float:
     """max |((Lambda_1 - Lambda_2) u_j, v_k)| over the trigonometric trace
     family, normalized by quotient-norm surrogates (the smallest W^{1,2}
     norm among the harmonic, q1- and q2-lifts of each trace)."""
-    solver0 = DirichletSolver(domain, np.zeros_like(q1))
-    solver1 = DirichletSolver(domain, q1)
-    solver2 = DirichletSolver(domain, q2)
     dq = domain.restrict(np.asarray(q1, complex) - np.asarray(q2, complex))
     m = domain.mask
     h2 = domain.grid.cell_measure
+    lifts0 = _mode_lifts(domain, np.zeros_like(q1), modes)
+    lifts1 = _mode_lifts(domain, q1, modes)
+    lifts2 = _mode_lifts(domain, q2, modes)
+    qn = [min(n0, n1, n2) for (_, n0), (_, n1), (_, n2) in zip(lifts0, lifts1, lifts2)]
     best = 0.0
-    lifts = []
-    for k in range(1, modes + 1):
-        g = boundary_mode(domain, k)
-        U1 = solver1.solve(g).U
-        U2 = solver2.solve(g).U
-        U0 = solver0.solve(g).U
-        qn = min(w12_norm(U0, domain), w12_norm(U1, domain), w12_norm(U2, domain))
-        lifts.append((U1, U2, qn))
-    for (U1j, _, nj) in lifts:
-        for (_, V2k, nk) in lifts:
+    for (U1j, _), nj in zip(lifts1, qn):
+        for (V2k, _), nk in zip(lifts2, qn):
             val = abs(complex((U1j[m] * dq[m] * V2k[m]).sum() * h2))
             best = max(best, val / (nj * nk))
     return best

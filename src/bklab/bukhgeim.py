@@ -172,9 +172,8 @@ def dbar_u(sol: BukhgeimSolution) -> np.ndarray:
     of the oscillatory field.  (Holomorphic phase type.)"""
     if sol.phase_type != "holomorphic":
         raise BklabError("dbar_u uses the holomorphic-phase fixed point")
-    grid = sol.domain.grid
-    dz = np.conj(grid.Z - sol.params.z0)
-    anti = np.exp(-1j * sol.phase_sign * sol.params.tau * dz * dz)
+    anti = oscillating_phase(sol.params, sol.domain.grid, "antiholomorphic",
+                             -sol.phase_sign)
     return -0.25 * anti * sol.inner_transform
 
 
@@ -231,6 +230,7 @@ def carleman_sweep(a_or_q, taus, domain: DomainSpec, z0: complex,
     if mode not in ("field", "operator"):
         raise BklabError(f"unknown sweep mode {mode!r}")
     grid = domain.grid
+    grid.cell_index(z0)
     a = grid.check_field(np.asarray(a_or_q, dtype=complex))
     guard = grid.aliasing_guard()
     taus = sorted(float(t) for t in taus)

@@ -83,8 +83,11 @@ def _parse_z0(spec: str) -> complex:
 
 
 def _load_field_on(path, domain: DomainSpec | None) -> tuple[np.ndarray, Grid]:
-    """Load a field file; with a domain, the field must live on its grid."""
+    """Load a field file, which must be finite everywhere; with a domain, the
+    field must live on its grid."""
     field, grid = load_field(path)
+    if not np.isfinite(field).all():
+        raise BklabError(f"{path}: field contains NaN or infinite samples")
     if domain is not None and (grid.N, grid.L) != (domain.grid.N, domain.grid.L):
         raise BklabError(f"{path}: field grid does not match the domain grid")
     return field, grid
@@ -102,8 +105,8 @@ def _ensure_outdir(ns) -> str:
 def cmd_lorentz_norm(ns) -> int:
     domain = load_domain(ns.domain) if ns.domain else None
     field, grid = _load_field_on(ns.field, domain)
-    idx = LorentzIndex(ns.p, math.inf if ns.q in ("inf", "Inf") else float(ns.q),
-                       normed=not ns.seminormed)
+    q = math.inf if ns.q in ("inf", "Inf") else _parse_numbers(ns.q, ",", "q index", 1)[0]
+    idx = LorentzIndex(ns.p, q, normed=not ns.seminormed)
     if ns.s is not None:
         val = bessel_norm(field, ns.s, idx, grid, domain)
     else:
@@ -137,7 +140,7 @@ def cmd_cauchy_selftest(ns) -> int:
 
 def cmd_stationary_phase(ns) -> int:
     out = _ensure_outdir(ns)
-    field, grid = load_field(ns.field)
+    field, grid = _load_field_on(ns.field, None)
     taus = _parse_taus(f"{ns.tau_min}:{ns.tau_max}")
     h2 = grid.cell_measure
     hnorm = math.sqrt(3 * math.pi / 2) if ns.norm is None else ns.norm
@@ -266,8 +269,7 @@ def cmd_reconstruct(ns) -> int:
             if tau == taus[-1]:
                 fld = np.zeros((grid.N, grid.N), dtype=complex)
                 for z, v in zip(res.z0, res.values):
-                    iy, ix = recon._cell_index(grid, complex(z))
-                    fld[iy, ix] = v
+                    fld[grid.cell_index(z)] = v
                 save_field(os.path.join(out, f"recon_{res.form}.bkfld"), fld, grid)
     with open(os.path.join(out, "recon_metrics.json"), "w") as f:
         json.dump(metrics, f, indent=2, sort_keys=True)

@@ -271,17 +271,8 @@ def annulus_kernel_norms(grid: Grid, domain: DomainSpec, z0: complex,
     w1[region] = 1.0 / W[region]
     w2 = np.zeros_like(W)
     w2[region] = 1.0 / W[region] ** 2
-    sub = _SubMask(domain, region)
-    return (lorentz_norm(w1, _L21, domain=sub),
-            lorentz_norm(w2, _L21, domain=sub))
-
-
-class _SubMask:
-    """Duck-typed domain view restricting the mask (norms only)."""
-
-    def __init__(self, domain: DomainSpec, mask: np.ndarray):
-        self.grid = domain.grid
-        self.mask = mask
+    return (lorentz_norm(w1, _L21, domain=domain),
+            lorentz_norm(w2, _L21, domain=domain))
 
 
 def annulus_kernel_bounds(area: float, rho: float) -> tuple[float, float]:

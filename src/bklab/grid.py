@@ -63,15 +63,21 @@ class Grid:
     def Z(self) -> np.ndarray:
         return self.X + 1j * self.Y
 
-    def zeros(self) -> np.ndarray:
-        return np.zeros((self.N, self.N), dtype=complex)
-
     def check_field(self, field: np.ndarray) -> np.ndarray:
         field = np.asarray(field)
         if field.shape != (self.N, self.N):
             raise GridError(
                 f"field shape {field.shape} does not match grid {(self.N, self.N)}")
         return field
+
+    def cell_index(self, z: complex) -> tuple[int, int]:
+        """(iy, ix) of the cell containing z; GridError outside [-L, L]^2."""
+        z = complex(z)
+        if not (abs(z.real) <= self.L and abs(z.imag) <= self.L):
+            raise GridError(f"point {z} lies outside the grid square of half-width {self.L}")
+        ix = min(round((z.real + self.L) / self.h - 0.5), self.N - 1)
+        iy = min(round((z.imag + self.L) / self.h - 0.5), self.N - 1)
+        return iy, ix
 
     def aliasing_guard(self) -> float:
         """Largest admissible tau: pi*N/(8 L^2)."""
@@ -90,6 +96,7 @@ class PhaseParams:
             raise BklabError(f"tau must be positive, got {self.tau}")
 
     def validate_for(self, grid: Grid) -> "PhaseParams":
+        grid.cell_index(self.z0)
         guard = grid.aliasing_guard()
         if self.tau > guard * (1 + 1e-12):
             raise AliasingGuardError(
@@ -165,10 +172,6 @@ class DomainSpec:
     def measure(self) -> float:
         return self.grid.cell_measure * int(self.mask.sum())
 
-    @property
-    def n_cells(self) -> int:
-        return int(self.mask.sum())
-
     def interior_mask(self, margin: float) -> np.ndarray:
         """Masked cells at least `margin` away from the boundary polyline."""
         return self.mask & (self.distance > margin)
@@ -187,8 +190,16 @@ class DomainSpec:
         """Cumulative arclength coordinate of each quadrature node."""
         return np.cumsum(self.weights) - 0.5 * self.weights
 
-    def save(self, path) -> None:
-        save_domain(path, self)
+    @cached_property
+    def _node_tree(self):
+        import scipy.spatial
+        return scipy.spatial.cKDTree(np.column_stack([self.nodes.real, self.nodes.imag]))
+
+    def arclength_at(self, z) -> np.ndarray:
+        """Arclength coordinate of the quadrature node nearest to each point."""
+        z = np.asarray(z, dtype=complex)
+        _, j = self._node_tree.query(np.column_stack([z.ravel().real, z.ravel().imag]))
+        return self.node_arclength()[j].reshape(z.shape)
 
 
 @dataclass(frozen=True)

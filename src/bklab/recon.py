@@ -46,6 +46,8 @@ def make_z0_lattice(domain: DomainSpec, n: int, margin: float | None = None) -> 
     box, snapped to cell centers, keeping those at least `margin`
     (default 5h) inside the boundary."""
     grid = domain.grid
+    if not 1 <= n <= grid.N:
+        raise BklabError(f"lattice size must be in [1, {grid.N}], got {n}")
     if margin is None:
         margin = 5 * grid.h
     ok = domain.interior_mask(margin)
@@ -59,8 +61,7 @@ def make_z0_lattice(domain: DomainSpec, n: int, margin: float | None = None) -> 
     pts = []
     for yv in ys:
         for xv in xs:
-            ix = int(np.clip(round((xv + grid.L) / grid.h - 0.5), 0, grid.N - 1))
-            iy = int(np.clip(round((yv + grid.L) / grid.h - 0.5), 0, grid.N - 1))
+            iy, ix = grid.cell_index(complex(xv, yv))
             if ok[iy, ix]:
                 pts.append(grid.Z[iy, ix])
     seen: dict[complex, None] = {}
@@ -97,17 +98,10 @@ class ReconstructionResult:
         }
 
 
-def _cell_index(grid: Grid, z: complex) -> tuple[int, int]:
-    ix = int(round((z.real + grid.L) / grid.h - 0.5))
-    iy = int(round((z.imag + grid.L) / grid.h - 0.5))
-    return iy, ix
-
-
 def _check_lattice(domain: DomainSpec, lattice: np.ndarray):
     ok = domain.interior_mask(5 * domain.grid.h - 1e-12)
     for z in lattice:
-        iy, ix = _cell_index(domain.grid, complex(z))
-        if not ok[iy, ix]:
+        if not ok[domain.grid.cell_index(z)]:
             raise BklabError(f"lattice point {z} is not >= 5h inside the boundary")
 
 
@@ -142,9 +136,10 @@ def _lattice_results(forms, target, tau, lattice, grid: Grid, domain: DomainSpec
 
     out = parallel_map(one, list(lattice))
     okv = np.array([o for _, o in out])
-    truth = np.array([target[_cell_index(grid, complex(z))] for z in lattice])
+    cells = [grid.cell_index(z) for z in lattice]
+    truth = np.array([target[c] for c in cells])
     sm = smooth(target, tau, grid)
-    baseline = np.array([sm[_cell_index(grid, complex(z))] for z in lattice])
+    baseline = np.array([sm[c] for c in cells])
     return [ReconstructionResult(
                 form, tau, lattice, np.array([v[i] for v, _ in out]), okv, truth,
                 baseline, {"lattice_measure": domain.measure / max(1, lattice.size)})

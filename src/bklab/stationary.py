@@ -10,16 +10,13 @@ path exists as a cross-check and is guard-limited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 from .errors import BklabError
 from .grid import Grid, PhaseParams
 
 __all__ = [
-    "GaussianKernel", "kernel_multiplier", "kernel_samples", "smooth",
+    "kernel_multiplier", "kernel_samples", "smooth",
     "kernel_dft_check", "phase_holder_check", "halton_disk",
 ]
 
@@ -41,20 +38,6 @@ def kernel_multiplier(grid: Grid, tau: float) -> np.ndarray:
 def kernel_samples(grid: Grid, tau: float) -> np.ndarray:
     """(2 tau/pi) e^{i tau (z^2 + zbar^2)} at cell centers; |.| = 2 tau/pi."""
     return (2 * tau / np.pi) * np.exp(2j * tau * (grid.X ** 2 - grid.Y ** 2))
-
-
-@dataclass(frozen=True)
-class GaussianKernel:
-    tau: float
-    grid: Grid
-
-    @cached_property
-    def samples(self) -> np.ndarray:
-        return kernel_samples(self.grid, self.tau)
-
-    @cached_property
-    def multiplier(self) -> np.ndarray:
-        return kernel_multiplier(self.grid, self.tau)
 
 
 def smooth(Q: np.ndarray, tau: float, grid: Grid, path: str = "multiplier") -> np.ndarray:

@@ -246,6 +246,16 @@ class TestTraceIO:
         # nearest-node snapping at the stencil cut points
         assert np.abs(P.U - P_ref.U).max() <= 5e-2
 
+    def test_polygon_round_trip_matches_mode(self, square, tmp_path):
+        from bklab.boundary import load_trace, save_trace
+        mode = boundary_mode(square, 3)
+        save_trace(tmp_path / "t.csv", square, mode(square.nodes))
+        gfun = load_trace(tmp_path / "t.csv", square)
+        rng = np.random.default_rng(0)
+        L = square.grid.L
+        z = rng.uniform(-L, L, 500) + 1j * rng.uniform(-L, L, 500)
+        assert np.array_equal(gfun(z), mode(z))
+
     def test_bad_header(self, disk_q, tmp_path):
         from bklab.boundary import load_trace
         g, d, _ = disk_q

@@ -37,6 +37,9 @@ def workspace(tmp_path_factory):
     save_field(ws / "q.bkfld", q, g)
     save_field(ws / "q2.bkfld", q + d.restrict(bump_field(g, -0.15 + 0.2j, 0.35, 0.2)), g)
     save_domain(ws / "disk.json", d)
+    qnan = q.copy()
+    qnan[32, 32] = np.nan  # a cell inside the disk
+    save_field(ws / "qnan.bkfld", qnan, g)
     gg = make_grid(4.0, 128)
     save_field(ws / "gauss.bkfld", np.exp(-np.abs(gg.Z) ** 2), gg)
     return ws
@@ -79,6 +82,12 @@ class TestInputErrors:
         ["bukhgeim", "--q", "{ws}/q.bkfld", "--tau", "8", "--z0", "0.1"],
         ["cauchy-distance", "--q1", "{ws}/q.bkfld", "--q2", "{ws}/q2.bkfld",
          "--z0-grid", "3"],
+        ["reconstruct", "--q", "{ws}/q.bkfld", "--tau", "8", "--lattice", "0"],
+        ["reconstruct", "--q", "{ws}/q.bkfld", "--tau", "8", "--lattice", "-3"],
+        ["reconstruct", "--q", "{ws}/q.bkfld", "--tau", "8", "--lattice", "100000"],
+        ["bukhgeim", "--q", "{ws}/q.bkfld", "--tau", "8", "--z0", "5,5"],
+        ["carleman-sweep", "--z0", "5,5"],
+        ["bukhgeim", "--q", "{ws}/qnan.bkfld", "--tau", "8", "--z0", "0.1,0.05"],
     ])
     def test_malformed_arguments_exit_2(self, workspace, tmp_path, cmd):
         args = [a.replace("{ws}", str(workspace)) for a in cmd]
@@ -86,6 +95,11 @@ class TestInputErrors:
                      "--out-dir", str(tmp_path)], timeout=60)
         assert_config_error(r)
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_lorentz_norm_malformed_q_exit_2(self, workspace):
+        assert_config_error(run_cli(
+            ["lorentz-norm", "--field", str(workspace / "q.bkfld"), "--p", "2",
+             "--q", "abc"], timeout=60))
 
     def test_field_grid_must_match_domain(self, workspace, tmp_path):
         g = make_grid(1.5, 64)

@@ -35,6 +35,13 @@ class TestLattice:
         with pytest.raises(BklabError):
             reconstruct_interior(q, 8.0, np.array([0.999 + 0j]), g, d)
 
+    def test_rejects_points_outside_grid(self, setup):
+        # -1.5 lies left of the grid square; its column index must not wrap
+        # round to a cell on the far side of the disk
+        g, d, q, _ = setup
+        with pytest.raises(BklabError):
+            reconstruct_interior(q, 8.0, [-1.5 + 0j], g, d)
+
 
 class TestInterior:
     def test_zero_potential(self, setup):

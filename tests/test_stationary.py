@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from bklab import kernel_dft_check, kernel_multiplier, make_grid, smooth
 from bklab.errors import AliasingGuardError
-from bklab.stationary import GaussianKernel, halton_disk, kernel_samples, phase_holder_check
+from bklab.stationary import halton_disk, kernel_samples, phase_holder_check
 from bklab.util import fit_loglog
 
 
@@ -39,8 +39,6 @@ class TestKernel:
         tau = 4.0
         k = kernel_samples(g, tau)
         assert np.abs(np.abs(k) - 2 * tau / np.pi).max() < 1e-13
-        gk = GaussianKernel(tau, g)
-        assert np.array_equal(gk.samples, k)
 
     def test_value_at_zero_frequency(self):
         # closed-form transform at xi = 0 is 1/(2 pi)
