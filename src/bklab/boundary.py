@@ -52,7 +52,11 @@ def _arm_cut(shape, zc: complex, ex: int, ey: int, h: float) -> float:
             rx, ry = av.real - zc.real, av.imag - zc.imag
             s = (rx * (-dy) + ry * dx) / det
             r = (ex * ry - ey * rx) / det
-            if -1e-12 <= r <= 1 + 1e-12 and 1e-12 < s < t:
+            # a centre on the edge itself (s ~ 0) is cut there only by an arm
+            # leaving the domain; the polygon is positively oriented, so
+            # such an arm has det < 0
+            s_min = -1e-12 if det < 0 else 1e-12
+            if -1e-12 <= r <= 1 + 1e-12 and s_min < s < t:
                 t = s
         if not np.isfinite(t):
             raise DomainError("stencil arm does not cross the polygon boundary")

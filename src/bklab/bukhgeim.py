@@ -42,12 +42,14 @@ class _SPipeline:
         grid = domain.grid
         params.validate_for(grid)
         q = grid.check_field(np.asarray(q, dtype=complex))
+        self.q_masked = domain.restrict(q)
+        if not np.isfinite(self.q_masked).all():
+            raise BklabError("potential q has non-finite samples in the domain")
         self.grid = grid
         self.domain = domain
         self.phase_type = phase_type
         self.phase_sign = int(phase_sign)
         self.params = params
-        self.q_masked = domain.restrict(q)
         self.P = params.weight(grid, self.phase_sign)   # inner weight
         self.Pc = np.conj(self.P)                        # outer weight
         self.plan = get_plan(grid)
@@ -85,7 +87,7 @@ class BukhgeimSolution:
     iterations: int
     final_update: float
     contraction_ratios: tuple
-    defect: float                  # sup |f - (1 - S f / 4)| after convergence
+    defect: float                  # sup |f - (1 - S f / 4)| at the returned f
     sup_f: float
     inner_transform: np.ndarray    # Cbar/C(e^{i tau R} chi q f) at the fixed point
     domain: DomainSpec
@@ -107,9 +109,12 @@ def solve_f(q, params: PhaseParams, domain: DomainSpec,
             max_iter: int = 200, phase_sign: int = +1) -> BukhgeimSolution:
     """Picard iteration f_0 = 1, f_{k+1} = 1 - S f_k / 4.
 
-    Stops when the sup-norm update drops below tol.  Five consecutive
-    growing updates raise FixedPointDivergenceError: tau is below the
-    contraction threshold for this potential.
+    Stops when the sup-norm update |f_{k+1} - f_k| drops below tol and
+    returns f_k, the iterate S was last applied to: its inner transform
+    and its defect sup |f_k - (1 - S f_k / 4)| (the last update) come from
+    that apply, so a solve makes exactly `iterations` S applies.  Five
+    consecutive growing updates raise FixedPointDivergenceError: tau is
+    below the contraction threshold for this potential.
     """
     if tol <= 0:
         raise BklabError(f"tolerance must be positive, got {tol}")
@@ -119,16 +124,15 @@ def solve_f(q, params: PhaseParams, domain: DomainSpec,
     updates: list[float] = []
     growing = 0
     converged = False
-    t2 = np.zeros_like(f)
     for it in range(1, max_iter + 1):
         Sf, t2 = pipe.apply(f)
         fn = 1.0 - 0.25 * Sf
         upd = float(np.abs(fn - f).max())
         updates.append(upd)
-        f = fn
         if upd < tol:
             converged = True
             break
+        f = fn
         if len(updates) >= 2 and upd > updates[-2]:
             growing += 1
             if growing >= 5:
@@ -140,14 +144,12 @@ def solve_f(q, params: PhaseParams, domain: DomainSpec,
     if not converged:
         raise FixedPointDivergenceError(
             f"no convergence to {tol} within {max_iter} iterations at tau={params.tau}")
-    Sf, t2 = pipe.apply(f)
-    defect = float(np.abs(f - (1.0 - 0.25 * Sf)).max())
     ratios = tuple(updates[i] / updates[i - 1] for i in range(1, len(updates))
                    if updates[i - 1] > 0)
     return BukhgeimSolution(
         f=f, params=params, phase_type=phase_type, phase_sign=phase_sign,
         iterations=it, final_update=updates[-1], contraction_ratios=ratios,
-        defect=defect, sup_f=float(np.abs(f).max()), inner_transform=t2,
+        defect=updates[-1], sup_f=float(np.abs(f).max()), inner_transform=t2,
         domain=domain, converged=converged,
         diagnostics={"updates": tuple(updates)})
 

@@ -3,9 +3,11 @@ Wirtinger derivatives, the Beurling transform, and the boundary Cauchy
 integral with its integration-by-parts residual.
 
 The transform is a zero-padded FFT convolution with the kernel sampled at
-cell-center displacements.  The origin sample is exactly zero: the mean
-of 1/(pi z) over a centered square cell vanishes by odd symmetry, so the
-singular cell needs no regularization parameter.
+cell-center displacements, computed with pruned FFTs that skip the rows
+the padding leaves zero and the rows the crop discards (`ConvolutionPlan`).
+The origin sample is exactly zero: the mean of 1/(pi z) over a centered
+square cell vanishes by odd symmetry, so the singular cell needs no
+regularization parameter.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import threading
 from functools import cached_property
 
 import numpy as np
+import scipy.fft as sfft
 
 from .errors import BklabError, GridError
 from .grid import DomainSpec, Grid
@@ -27,7 +30,15 @@ __all__ = [
 class ConvolutionPlan:
     """Precomputed forward transform of the sampled 1/(pi z) kernel on the
     zero-padded 2N x 2N grid, plus the spectral derivative symbols used by
-    the Beurling transform.  Immutable and shareable across threads."""
+    the Beurling transform.  Immutable and shareable across threads.
+
+    A transform is pruned on both sides: the input fills only the first N
+    rows and columns of the padded grid, and only the first N rows and
+    columns of the output are kept.  So the forward pass transforms the N
+    data rows along x (padding to 2N), then pads to 2N rows along y; the
+    inverse pass transforms along y, keeps N rows, and transforms those
+    along x.  The row passes on the zero or discarded half are skipped.
+    """
 
     def __init__(self, grid: Grid):
         self.grid = grid
@@ -38,7 +49,7 @@ class ConvolutionPlan:
         K = np.zeros((M, M), dtype=complex)
         nz = W != 0
         K[nz] = 1.0 / (np.pi * W[nz])
-        self.kernel_hat = np.fft.fft2(K)
+        self.kernel_hat = sfft.fft2(K, overwrite_x=True)
         self.kernel_hat.setflags(write=False)
 
     @cached_property
@@ -53,21 +64,23 @@ class ConvolutionPlan:
         sym.setflags(write=False)
         return sym
 
-    def _padded_product(self, f: np.ndarray) -> np.ndarray:
+    def _convolve(self, f: np.ndarray, symbol: np.ndarray | None) -> np.ndarray:
         N = self.grid.N
-        fp = np.zeros((2 * N, 2 * N), dtype=complex)
-        fp[:N, :N] = f
-        return np.fft.fft2(fp) * self.kernel_hat
+        M = 2 * N
+        F = sfft.fft(f, n=M, axis=1)
+        F = sfft.fft(F, n=M, axis=0, overwrite_x=True)
+        F *= self.kernel_hat
+        if symbol is not None:
+            F *= symbol
+        F = sfft.ifft(F, axis=0, overwrite_x=True)[:N]
+        F = sfft.ifft(F, axis=1, overwrite_x=True)
+        return F[:, :N] * self.grid.cell_measure
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        N = self.grid.N
-        out = np.fft.ifft2(self._padded_product(f)) * self.grid.cell_measure
-        return out[:N, :N]
+        return self._convolve(f, None)
 
     def apply_beurling(self, f: np.ndarray) -> np.ndarray:
-        N = self.grid.N
-        prod = self._padded_product(f) * self.d_symbol
-        return (np.fft.ifft2(prod) * self.grid.cell_measure)[:N, :N]
+        return self._convolve(f, self.d_symbol)
 
 
 _PLANS: dict[tuple[float, int], ConvolutionPlan] = {}

@@ -288,10 +288,30 @@ def stability_experiment(pairs, domain: DomainSpec,
     return records
 
 
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of a; tied values share the mean of the ranks they span."""
+    order = np.argsort(a, kind="stable")
+    s = a[order]
+    first = np.r_[True, s[1:] != s[:-1]]
+    starts = np.flatnonzero(first)
+    ends = np.r_[starts[1:], a.size]
+    ranks = np.empty(a.size)
+    ranks[order] = ((starts + ends + 1) / 2.0)[np.cumsum(first) - 1]
+    return ranks
+
+
 def spearman_rank(x, y) -> float:
-    from scipy.stats import spearmanr
-    rho = spearmanr(np.asarray(x), np.asarray(y)).statistic
-    return float(rho)
+    """Spearman's rank correlation: the Pearson correlation of the average
+    ranks.  NaN when there are fewer than two samples, a sample is NaN or
+    an input is constant (the correlation is undefined)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise BklabError("spearman_rank needs two 1-D sequences of equal length")
+    if (x.size < 2 or np.isnan(x).any() or np.isnan(y).any()
+            or (x == x[0]).all() or (y == y[0]).all()):
+        return math.nan
+    return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[0, 1])
 
 
 def stability_trend(records: list[StabilityRecord]) -> float:

@@ -46,6 +46,20 @@ class TestForwardSolve:
         assert np.abs(P.U[square.mask] - want).max() <= 1e-10
         assert P.residual <= 1e-10
 
+    def test_cell_centre_on_polygon_edge(self):
+        # cell (30, 86) lies exactly on the bottom edge of this pentagon
+        from bklab import Polygon
+        g = make_grid(1.2, 128)
+        d = make_domain(g, Polygon((-0.8 - 0.7j, 0.9 - 0.6j, 0.7 + 0.8j,
+                                    -0.6 + 0.9j, -0.95 + 0.1j)))
+        zc = g.Z[30, 86]
+        assert d.mask[30, 86] and zc.imag == pytest.approx(
+            -0.7 + 0.1 * (zc.real + 0.8) / 1.7, abs=1e-15)
+        P = forward_solve(_zeros(d), lambda z: (z * z).real.astype(complex), d)
+        want = (g.X ** 2 - g.Y ** 2)[d.mask]
+        assert np.abs(P.U[d.mask] - want).max() <= 1e-10
+        assert P.residual <= 1e-10
+
     def test_disk_bessel_oracle(self):
         # q = c, g = 1: U = J0(sqrt(c) r)/J0(sqrt(c) rho), series to 50 terms
         c = 1.0

@@ -6,7 +6,7 @@ import pytest
 from bklab import (Disk, LorentzIndex, PhaseParams, apply_S, assemble_u,
                    bessel_norm, carleman_sweep, make_domain,
                    make_grid, pde_residual, solve_f)
-from bklab.bukhgeim import apply_S_dense, dbar_u, solve_f_dense
+from bklab.bukhgeim import _SPipeline, apply_S_dense, dbar_u, solve_f_dense
 from bklab.errors import (AliasingGuardError, BklabError,
                           FixedPointDivergenceError, GridError)
 from bklab.recon import bump_field
@@ -140,6 +140,38 @@ class TestSolveF:
         g, d, q = disk_bump
         with pytest.raises(BklabError):
             solve_f(q, PhaseParams(8.0, Z0), d, phase_sign=2)
+
+    def test_one_apply_per_iteration(self, small, monkeypatch):
+        g, d, q = small
+        calls = []
+        orig = _SPipeline.apply
+
+        def counting(self, f):
+            calls.append(1)
+            return orig(self, f)
+
+        monkeypatch.setattr(_SPipeline, "apply", counting)
+        sol = solve_f(q, PhaseParams(2.0, Z0), d)
+        assert sol.iterations > 1
+        assert len(calls) == sol.iterations
+
+    def test_defect_is_residual_of_returned_f(self, small):
+        g, d, q = small
+        params = PhaseParams(3.0, -0.1 + 0.2j)
+        sol = solve_f(q, params, d)
+        resid = np.abs(sol.f - (1.0 - 0.25 * apply_S(q, sol.f, params, d))).max()
+        assert sol.defect == resid == sol.final_update
+        assert sol.defect < 1e-10
+
+    def test_non_finite_potential_rejected(self, small):
+        g, d, q = small
+        bad = q.copy()
+        bad[16, 16] = np.nan
+        assert d.mask[16, 16]
+        with pytest.raises(BklabError, match="non-finite"):
+            solve_f(bad, PhaseParams(4.0, Z0), d)
+        with pytest.raises(BklabError, match="non-finite"):
+            apply_S(bad, np.ones_like(bad), PhaseParams(4.0, Z0), d)
 
 
 class TestAssembleU:

@@ -201,3 +201,23 @@ class TestPlan:
         g = make_grid(1.0, 32)
         K = np.fft.ifft2(get_plan(g).kernel_hat)
         assert abs(K[0, 0]) <= 1e-12 * np.abs(K).max()
+
+    @pytest.mark.parametrize("N", [8, 32, 128])
+    def test_pruned_matches_full_padded_fft(self, N):
+        # reference: zero-pad to 2N x 2N, full 2-D FFTs, crop to N x N
+        g = make_grid(1.0, N)
+        plan = get_plan(g)
+        rng = np.random.default_rng(N)
+        f = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+
+        def padded(f, symbol=1.0):
+            fp = np.zeros((2 * N, 2 * N), dtype=complex)
+            fp[:N, :N] = f
+            prod = np.fft.fft2(fp) * plan.kernel_hat * symbol
+            return (np.fft.ifft2(prod) * g.cell_measure)[:N, :N]
+
+        for got, want in ((plan.apply(f), padded(f)),
+                          (plan.apply_beurling(f), padded(f, plan.d_symbol)),
+                          (conj_cauchy(f, plan=plan), np.conj(padded(np.conj(f))))):
+            assert got.shape == (N, N)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

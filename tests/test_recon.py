@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from bklab import (Disk, LorentzIndex, PhaseParams, bessel_norm, lorentz_norm,
 from bklab.errors import BklabError
 from bklab.recon import (StabilityConfig, bump_field, make_z0_lattice,
                          reconstruct_boundary, reconstruct_interior,
-                         reconstruct_pairing, stability_experiment,
-                         stability_trend)
+                         reconstruct_pairing, spearman_rank,
+                         stability_experiment, stability_trend)
 
 GAP_PER_H_TAU = 0.01  # interior/boundary agreement, calibrated at N in {64,128,256}
 
@@ -153,3 +155,22 @@ class TestStability:
         a = lorentz_norm(q1 - q2, idx, domain=d)
         b = lorentz_norm(2 * q1 - 2 * q2, idx, domain=d)
         assert b == pytest.approx(2 * a, rel=1e-12)
+
+
+class TestSpearman:
+    def test_matches_scipy(self):
+        from scipy.stats import spearmanr
+        rng = np.random.default_rng(0)
+        for n in (5, 8, 40):
+            x = rng.normal(size=n)
+            y = x + rng.normal(size=n)
+            xt = rng.integers(0, 4, size=n).astype(float)    # ties
+            yt = rng.integers(0, 3, size=n).astype(float)
+            for a, b in ((x, y), (xt, yt), (x, yt)):
+                want = spearmanr(a, b).statistic
+                assert math.isfinite(want)
+                assert abs(spearman_rank(a, b) - want) <= 1e-12
+
+    def test_undefined_is_nan(self):
+        assert math.isnan(spearman_rank([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]))
+        assert math.isnan(spearman_rank([1.0, math.nan, 3.0], [1.0, 2.0, 3.0]))
