@@ -31,19 +31,18 @@ __all__ = [
 _THETA_FLOOR = 1e-3
 
 
-def _arm_cut(shape, zc: complex, ex: int, ey: int, h: float) -> float:
-    """Distance (in units of h, in (0, 1]) from the masked cell center zc
+def _arm_cuts(shape, zc: np.ndarray, ex: int, ey: int, h: float) -> np.ndarray:
+    """Distances (in units of h, in (0, 1]) from the masked cell centres zc
     to the boundary along the +/-x or +/-y arm."""
     if isinstance(shape, Disk):
         w = zc - shape.center
         beta = w.real * ex + w.imag * ey
-        gam = abs(w) ** 2 - shape.radius ** 2
+        gam = np.abs(w) ** 2 - shape.radius ** 2
         t = -beta + np.sqrt(beta * beta - gam)
     elif isinstance(shape, Polygon):
         verts = np.asarray(shape.vertices, dtype=complex)
-        a, b = verts, np.roll(verts, -1)
-        t = np.inf
-        for av, bv in zip(a, b):
+        t = np.full(zc.shape, np.inf)
+        for av, bv in zip(verts, np.roll(verts, -1)):
             # zc + s*(ex + i ey) = av + r*(bv - av)
             dx, dy = bv.real - av.real, bv.imag - av.imag
             det = ex * (-dy) - ey * (-dx)
@@ -56,13 +55,12 @@ def _arm_cut(shape, zc: complex, ex: int, ey: int, h: float) -> float:
             # leaving the domain; the polygon is positively oriented, so
             # such an arm has det < 0
             s_min = -1e-12 if det < 0 else 1e-12
-            if -1e-12 <= r <= 1 + 1e-12 and s_min < s < t:
-                t = s
-        if not np.isfinite(t):
+            t = np.where((-1e-12 <= r) & (r <= 1 + 1e-12) & (s_min < s) & (s < t), s, t)
+        if not np.isfinite(t).all():
             raise DomainError("stencil arm does not cross the polygon boundary")
     else:
         raise DomainError(f"unsupported shape {shape!r}")
-    return float(np.clip(t / h, _THETA_FLOOR, 1.0))
+    return np.clip(t / h, _THETA_FLOOR, 1.0)
 
 
 class DirichletSolver:
@@ -75,62 +73,37 @@ class DirichletSolver:
         self.q = grid.check_field(np.asarray(q, dtype=complex))
         N, h = grid.N, grid.h
         mask = domain.mask
-        idx = -np.ones((N, N), dtype=np.int64)
-        cells = np.argwhere(mask)
-        idx[mask] = np.arange(len(cells))
-        self.n = len(cells)
-        self.cells = cells
-        self.idx = idx
-        nb = {
-            "E": np.roll(mask, -1, axis=1), "W": np.roll(mask, 1, axis=1),
-            "N": np.roll(mask, -1, axis=0), "S": np.roll(mask, 1, axis=0),
-        }
-        regular = mask & nb["E"] & nb["W"] & nb["N"] & nb["S"]
-        irregular = mask & ~regular
-        rows, cols, vals = [], [], []
-        kreg = idx[regular]
-        for dy, dx in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-            nidx = idx[np.roll(np.roll(regular, -dy, axis=0), -dx, axis=1)]
-            rows.append(kreg)
-            cols.append(nidx)
-            vals.append(np.full(kreg.size, 1.0 / (h * h), dtype=complex))
-        rows.append(kreg)
-        cols.append(kreg)
-        vals.append(-4.0 / (h * h) + self.q[regular])
-        # irregular cells: Shortley-Weller cut arms; Dirichlet values enter b
-        self._bc_terms: list[tuple[int, complex, complex]] = []  # (row, coeff, z_boundary)
-        ir, ic, iv = [], [], []
-        for iy, ix in np.argwhere(irregular):
-            k = idx[iy, ix]
-            zc = grid.Z[iy, ix]
-            diag = 0.0 + 0.0j
-            arms = {}
-            for name, ex, ey, jy, jx in (("E", 1, 0, iy, ix + 1), ("W", -1, 0, iy, ix - 1),
-                                         ("N", 0, 1, iy + 1, ix), ("S", 0, -1, iy - 1, ix)):
-                if 0 <= jy < N and 0 <= jx < N and mask[jy, jx]:
-                    arms[name] = (1.0, idx[jy, jx], None)
-                else:
-                    t = _arm_cut(domain.shape, zc, ex, ey, h)
-                    arms[name] = (t, None, zc + t * h * (ex + 1j * ey))
-            for pos, neg in (("E", "W"), ("N", "S")):
-                tp, kp, zp = arms[pos]
-                tm, km, zm = arms[neg]
-                cp = 2.0 / (tp * (tp + tm) * h * h)
-                cm = 2.0 / (tm * (tp + tm) * h * h)
-                diag -= cp + cm
-                if kp is not None:
-                    ir.append(k); ic.append(kp); iv.append(cp)
-                else:
-                    self._bc_terms.append((k, cp, zp))
-                if km is not None:
-                    ir.append(k); ic.append(km); iv.append(cm)
-                else:
-                    self._bc_terms.append((k, cm, zm))
-            ir.append(k); ic.append(k); iv.append(diag + self.q[iy, ix])
-        rows = np.concatenate([np.concatenate(rows), np.asarray(ir, dtype=np.int64)])
-        cols = np.concatenate([np.concatenate(cols), np.asarray(ic, dtype=np.int64)])
-        vals = np.concatenate([np.concatenate(vals), np.asarray(iv, dtype=complex)])
-        self.matrix = sp.csc_matrix((vals, (rows, cols)), shape=(self.n, self.n))
+        self.n = int(mask.sum())
+        idx = np.full((N + 2, N + 2), -1, dtype=np.int64)
+        idx[1:-1, 1:-1][mask] = np.arange(self.n)
+        k = np.arange(self.n)
+        zc = grid.Z[mask]
+        # one pass per arm over every cell: an arm to a masked neighbour has
+        # length 1, any other is cut at the boundary and its Dirichlet datum
+        # at the cut point enters b (Shortley-Weller)
+        diag = np.zeros(self.n)
+        rows, cols, vals, bc = [], [], [], []
+        for arms in (((1, 0), (-1, 0)), ((0, 1), (0, -1))):
+            nbs = [idx[1 + ey:N + 1 + ey, 1 + ex:N + 1 + ex][mask] for ex, ey in arms]
+            ts = [np.ones(self.n) for _ in arms]
+            for (ex, ey), nb, t in zip(arms, nbs, ts):
+                t[nb < 0] = _arm_cuts(domain.shape, zc[nb < 0], ex, ey, h)
+            tp, tm = ts
+            coeffs = (2.0 / (tp * (tp + tm) * h * h), 2.0 / (tm * (tp + tm) * h * h))
+            diag -= coeffs[0] + coeffs[1]
+            for (ex, ey), nb, t, c in zip(arms, nbs, ts, coeffs):
+                cut = nb < 0
+                rows.append(k[~cut]); cols.append(nb[~cut]); vals.append(c[~cut])
+                bc.append((k[cut], c[cut], zc[cut] + t[cut] * h * (ex + 1j * ey)))
+        rows.append(k); cols.append(k); vals.append(diag + self.q[mask])
+        self.matrix = sp.csc_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self.n, self.n))
+        # (row, coefficient, boundary point), each cell's terms in E, W, N, S
+        # order so that np.add.at sums them in a fixed order
+        bk, bcoeff, bz = (np.concatenate(a) for a in zip(*bc))
+        order = np.argsort(bk, kind="stable")
+        self._bc_rows, self._bc_coeff, self._bc_z = bk[order], bcoeff[order], bz[order]
         try:
             self.factor = spla.splu(self.matrix)
         except RuntimeError as e:
@@ -152,11 +125,8 @@ class DirichletSolver:
     def solve(self, g) -> "DirichletProblem":
         """Solve with Dirichlet datum g (callable on complex points)."""
         b = np.zeros(self.n, dtype=complex)
-        if self._bc_terms:
-            krows = np.array([t[0] for t in self._bc_terms])
-            coeff = np.array([t[1] for t in self._bc_terms], dtype=complex)
-            zb = np.array([t[2] for t in self._bc_terms], dtype=complex)
-            np.add.at(b, krows, -coeff * np.asarray(g(zb), dtype=complex))
+        np.add.at(b, self._bc_rows,
+                  -self._bc_coeff * np.asarray(g(self._bc_z), dtype=complex))
         U = self.factor.solve(b)
         resid = float(np.abs(self.matrix @ U - b).max())
         scale = float(np.abs(b).max())

@@ -85,14 +85,12 @@ class BukhgeimSolution:
     phase_type: str
     phase_sign: int
     iterations: int
-    final_update: float
     contraction_ratios: tuple
     defect: float                  # sup |f - (1 - S f / 4)| at the returned f
     sup_f: float
     inner_transform: np.ndarray    # Cbar/C(e^{i tau R} chi q f) at the fixed point
     domain: DomainSpec
     converged: bool
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def contraction(self) -> float:
@@ -148,10 +146,9 @@ def solve_f(q, params: PhaseParams, domain: DomainSpec,
                    if updates[i - 1] > 0)
     return BukhgeimSolution(
         f=f, params=params, phase_type=phase_type, phase_sign=phase_sign,
-        iterations=it, final_update=updates[-1], contraction_ratios=ratios,
-        defect=updates[-1], sup_f=float(np.abs(f).max()), inner_transform=t2,
-        domain=domain, converged=converged,
-        diagnostics={"updates": tuple(updates)})
+        iterations=it, contraction_ratios=ratios, defect=updates[-1],
+        sup_f=float(np.abs(f).max()), inner_transform=t2, domain=domain,
+        converged=converged)
 
 
 def oscillating_phase(params: PhaseParams, grid: Grid, phase_type: str,

@@ -213,7 +213,7 @@ def cmd_bukhgeim(ns) -> int:
     diag = {
         "tau": ns.tau, "z0": [params.z0.real, params.z0.imag],
         "phase_type": phase, "iterations": sol.iterations,
-        "final_update": sol.final_update, "defect": sol.defect,
+        "final_update": sol.defect, "defect": sol.defect,
         "sup_f": sol.sup_f, "contraction": sol.contraction,
         "converged": sol.converged,
     }
@@ -287,44 +287,69 @@ def cmd_reconstruct(ns) -> int:
     return 0
 
 
-_STAB_KEYS = {"version", "domain", "pairs", "s", "lattice_n", "family_taus",
-              "fd_modes", "tau_min", "recon_lattice_n", "norm_bound", "b_omega"}
+# JSON kinds a config value may be asked to have (json.load gives bool,
+# not int, for true and false)
+_KINDS = {
+    "integer": lambda v: type(v) is int,
+    "number": lambda v: type(v) in (int, float) and math.isfinite(v),
+    "number or null": lambda v: v is None or _KINDS["number"](v),
+    "list of numbers": lambda v: type(v) is list and len(v) > 0
+        and all(map(_KINDS["number"], v)),
+    "point [x, y]": lambda v: type(v) is list and len(v) == 2
+        and all(map(_KINDS["number"], v)),
+    "string": lambda v: type(v) is str,
+    "object": lambda v: type(v) is dict,
+    "list": lambda v: type(v) is list,
+}
+
+
+def _checked(value, kind: str, where: str):
+    """`value` if it is of the JSON kind `kind` (a list of numbers comes back
+    as a tuple); otherwise a configuration error (exit 2)."""
+    if not _KINDS[kind](value):
+        raise BklabError(f"config {where}: expected {kind}, got {value!r}")
+    return tuple(value) if kind == "list of numbers" else value
+
+
+# optional stability config keys and their kinds ("s" sets smoothness); a
+# key left out takes the StabilityConfig default
+_STAB_KINDS = {"s": "number", "lattice_n": "integer", "family_taus": "list of numbers",
+               "fd_modes": "integer", "tau_min": "number", "recon_lattice_n": "integer",
+               "norm_bound": "number", "b_omega": "number or null"}
 
 
 def _field_from_spec(spec: dict, grid: Grid, domain: DomainSpec) -> np.ndarray:
-    kind = spec.get("type")
+    kind = _checked(spec, "object", "potential spec").get("type")
     if kind == "bump":
-        f = recon.bump_field(grid, complex(*spec["center"]), float(spec["width"]),
-                             complex(spec["amplitude"]))
+        f = recon.bump_field(
+            grid, complex(*_checked(spec["center"], "point [x, y]", "bump center")),
+            float(_checked(spec["width"], "number", "bump width")),
+            complex(_checked(spec["amplitude"], "number", "bump amplitude")))
         return domain.restrict(f)
     if kind == "field":
-        return _load_field_on(spec["path"], domain)[0]
+        return _load_field_on(_checked(spec["path"], "string", "field path"), domain)[0]
     raise BklabError(f"unknown potential spec type {kind!r}")
 
 
 def cmd_stability(ns) -> int:
     out = _ensure_outdir(ns)
     with open(ns.config) as f:
-        cfg = json.load(f)
-    extra = set(cfg) - _STAB_KEYS
+        cfg = _checked(json.load(f), "object", "file")
+    extra = set(cfg) - {"version", "domain", "pairs", *_STAB_KINDS}
     if extra:
         raise BklabError(f"unknown config keys {sorted(extra)}")
     if cfg.get("version") != 1:
         raise BklabError(f"unsupported config version {cfg.get('version')!r}")
-    gspec = cfg["domain"]
-    grid = make_grid(float(gspec["L"]), int(gspec["N"]))
+    gspec = _checked(cfg["domain"], "object", "domain")
+    grid = make_grid(_checked(gspec["L"], "number", "domain.L"),
+                     _checked(gspec["N"], "integer", "domain.N"))
     domain = make_domain(grid, gspec["shape"])
-    pairs = [(_field_from_spec(p["q1"], grid, domain),
-              _field_from_spec(p["q2"], grid, domain)) for p in cfg["pairs"]]
-    sc = recon.StabilityConfig(
-        lattice_n=cfg.get("lattice_n", 3),
-        family_taus=tuple(cfg.get("family_taus", (8.0, 16.0, 32.0))),
-        fd_modes=cfg.get("fd_modes", 8),
-        smoothness=cfg.get("s", 0.25),
-        norm_bound=cfg.get("norm_bound", 10.0),
-        b_omega=cfg.get("b_omega"),
-        tau_min=cfg.get("tau_min", 2.0),
-        recon_lattice_n=cfg.get("recon_lattice_n", 3))
+    pairs = [tuple(_field_from_spec(_checked(p, "object", "pair")[k], grid, domain)
+                   for k in ("q1", "q2"))
+             for p in _checked(cfg["pairs"], "list", "pairs")]
+    sc = recon.StabilityConfig(**{
+        "smoothness" if key == "s" else key: _checked(v, _STAB_KINDS[key], key)
+        for key, v in cfg.items() if key in _STAB_KINDS})
     records = recon.stability_experiment(pairs, domain, sc)
     rows = [(i, r.dq_weak, r.d_hat, r.bound_value, r.tau,
              r.pairing_l2 if r.pairing_l2 is not None else math.nan,

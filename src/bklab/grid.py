@@ -138,10 +138,13 @@ class Polygon:
 
 def _shape_from_dict(d: dict):
     kind = d.get("type")
-    if kind == "disk":
-        return Disk(complex(d["center"][0], d["center"][1]), float(d["radius"]))
-    if kind == "polygon":
-        return Polygon(tuple(complex(u, v) for u, v in d["vertices"]))
+    try:
+        if kind == "disk":
+            return Disk(complex(d["center"][0], d["center"][1]), float(d["radius"]))
+        if kind == "polygon":
+            return Polygon(tuple(complex(u, v) for u, v in d["vertices"]))
+    except (TypeError, ValueError, IndexError) as e:
+        raise DomainError(f"malformed {kind} shape {d!r}: {e}") from e
     raise DomainError(f"unknown shape type {kind!r}")
 
 

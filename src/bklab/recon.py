@@ -214,7 +214,7 @@ class StabilityRecord:
     d_hat: float
     bound_value: float      # (ln 1/d_hat)^{-s/4}
     tau: float
-    pairing_l2: float | None
+    pairing_l2: float | None  # None when every lattice point diverged
     excluded: bool
     reason: str = ""
 
@@ -277,11 +277,8 @@ def stability_experiment(pairs, domain: DomainSpec,
             continue
         tau = math.log(1.0 / d_hat) / (2.0 * B)
         tau = float(np.clip(tau, config.tau_min, 0.98 * guard))
-        try:
-            rec = reconstruct_pairing(q1, q2, tau, rl, grid, domain)
-            pairing_l2 = rec.errors()["l2"]
-        except FixedPointDivergenceError:
-            pairing_l2 = None
+        rec = reconstruct_pairing(q1, q2, tau, rl, grid, domain)
+        pairing_l2 = rec.errors()["l2"] if rec.ok.any() else None
         bound = math.log(1.0 / d_hat) ** (-s / 4.0)
         records.append(StabilityRecord(dq_weak, d_hat, bound, tau,
                                        pairing_l2, False))

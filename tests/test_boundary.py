@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bklab import Disk, make_domain, make_grid
+from bklab import Disk, Polygon, make_domain, make_grid
 from bklab.boundary import (DirichletSolver, FamilySpec, alessandrini_check,
                             boundary_mode, cauchy_distance, dn_norm_over_family,
                             dn_pairing, forward_solve, w12_norm)
@@ -13,7 +13,6 @@ from bklab.recon import bump_field, make_z0_lattice
 
 @pytest.fixture(scope="module")
 def square():
-    from bklab import Polygon
     g = make_grid(1.28, 256)
     return make_domain(g, Polygon((0j, 1 + 0j, 1 + 1j, 1j)))
 
@@ -24,6 +23,17 @@ def disk_q():
     d = make_domain(g, Disk(0j, 1.0))
     q = d.restrict(bump_field(g, 0.2 + 0.1j, 0.45, 0.8))
     return g, d, q
+
+
+# (L, N, shape): one-cell-wide strips, whose cells have both arms of one axis
+# cut, and a disk reaching into the outermost grid cells
+_QUADRATIC_DOMAINS = {
+    "vertical-strip": (1.2, 64, Polygon((-0.01 - 0.8j, 0.03 - 0.8j, 0.03 + 0.8j,
+                                         -0.01 + 0.8j))),
+    "horizontal-strip": (1.2, 64, Polygon((-0.8 - 0.01j, 0.8 - 0.01j, 0.8 + 0.03j,
+                                           -0.8 + 0.03j))),
+    "disk-in-outer-cells": (1.0, 16, Disk(0j, 0.97)),
+}
 
 
 def _zeros(domain):
@@ -37,18 +47,23 @@ class TestForwardSolve:
         g = square.grid
         assert np.abs(P.U[square.mask] - g.Z[square.mask].real).max() < 1e-10
 
-    def test_harmonic_quadratic_stencil_exact(self, square):
-        P = forward_solve(_zeros(square),
+    @pytest.mark.parametrize("name", ["square", *_QUADRATIC_DOMAINS])
+    def test_harmonic_quadratic_stencil_exact(self, request, name):
+        if name == "square":
+            domain = request.getfixturevalue("square")
+        else:
+            L, N, shape = _QUADRATIC_DOMAINS[name]
+            domain = make_domain(make_grid(L, N), shape)
+        P = forward_solve(_zeros(domain),
                           lambda z: (z.real ** 2 - z.imag ** 2).astype(complex),
-                          square)
-        g = square.grid
-        want = (g.X ** 2 - g.Y ** 2)[square.mask]
-        assert np.abs(P.U[square.mask] - want).max() <= 1e-10
+                          domain)
+        g = domain.grid
+        want = (g.X ** 2 - g.Y ** 2)[domain.mask]
+        assert np.abs(P.U[domain.mask] - want).max() <= 1e-10
         assert P.residual <= 1e-10
 
     def test_cell_centre_on_polygon_edge(self):
         # cell (30, 86) lies exactly on the bottom edge of this pentagon
-        from bklab import Polygon
         g = make_grid(1.2, 128)
         d = make_domain(g, Polygon((-0.8 - 0.7j, 0.9 - 0.6j, 0.7 + 0.8j,
                                     -0.6 + 0.9j, -0.95 + 0.1j)))

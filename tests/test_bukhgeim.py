@@ -160,7 +160,7 @@ class TestSolveF:
         params = PhaseParams(3.0, -0.1 + 0.2j)
         sol = solve_f(q, params, d)
         resid = np.abs(sol.f - (1.0 - 0.25 * apply_S(q, sol.f, params, d))).max()
-        assert sol.defect == resid == sol.final_update
+        assert sol.defect == resid
         assert sol.defect < 1e-10
 
     def test_non_finite_potential_rejected(self, small):

@@ -262,6 +262,23 @@ class TestStabilityCli:
         assert r.returncode == 2
 
 
+    @pytest.mark.parametrize("path, value", [
+        (("domain", "L"), "abc"), (("lattice_n",), "3"), (("fd_modes",), 2.5),
+        (("pairs", 0, "q1", "center"), 0.2),
+    ], ids=["domain.L", "lattice_n", "fd_modes", "bump-center"])
+    def test_wrong_typed_config_value_exit_2(self, tmp_path, path, value):
+        cfg = json.loads(self._config(tmp_path / "c.json").read_text())
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(cfg))
+        assert_config_error(run_cli(
+            ["stability", "--config", str(p), "--out-dir", str(tmp_path)], timeout=120))
+        assert not (tmp_path / "stability.csv").exists()
+
+
 class TestDeterminism:
     def test_threads_do_not_change_csv(self, workspace, tmp_path):
         outs = {}

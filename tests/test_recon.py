@@ -146,6 +146,18 @@ class TestStability:
             assert 0 < r.d_hat < 1
             assert r.bound_value > 0
 
+    def test_all_diverged_pairing_recorded_as_none(self):
+        # tau clamps to tau_min = 2, where every pairing solve diverges
+        g = make_grid(1.2, 64)
+        d = make_domain(g, Disk(0j, 1.0))
+        q1 = d.restrict(bump_field(g, 0j, 0.6, 60.0))
+        q2 = d.restrict(bump_field(g, 0j, 0.6, 30.0))
+        cfg = StabilityConfig(family_taus=(2.0, 3.0, 4.0), fd_modes=2, norm_bound=1e4,
+                              b_omega=50.0, tau_min=2.0)
+        (rec,) = stability_experiment([(q1, q2)], d, cfg)
+        assert not rec.excluded and rec.tau == 2.0
+        assert rec.pairing_l2 is None
+
     def test_scaling_doubles_lhs(self):
         g = make_grid(1.2, 128)
         d = make_domain(g, Disk(0j, 1.0))
