@@ -165,6 +165,12 @@ def w12_norm(fld: np.ndarray, domain: DomainSpec) -> float:
     return float(np.sqrt(s * grid.cell_measure))
 
 
+def interior_pairing(U, dq, V, domain: DomainSpec) -> complex:
+    """int U dq V dm over the domain by midpoint quadrature."""
+    m = domain.mask
+    return complex((U[m] * dq[m] * V[m]).sum() * domain.grid.cell_measure)
+
+
 def _weak_form(U, V, q, domain: DomainSpec) -> complex:
     grid = domain.grid
     Ux, Uy = masked_gradient(U, domain.mask, grid.h)
@@ -226,10 +232,7 @@ def alessandrini_check(P1: DirichletProblem, P2: DirichletProblem) -> Alessandri
     if P1.domain is not P2.domain:
         raise BklabError("both problems must live on the same domain")
     domain = P1.domain
-    grid = domain.grid
-    m = domain.mask
-    interior = complex((P1.U[m] * (P1.q[m] - P2.q[m]) * P2.U[m]).sum()
-                       * grid.cell_measure)
+    interior = interior_pairing(P1.U, P1.q - P2.q, P2.U, domain)
     tr1 = np.asarray(P1.g(domain.nodes), dtype=complex)
     tr2 = np.asarray(P2.g(domain.nodes), dtype=complex)
     dn1 = _normal_derivative(P1)
@@ -357,7 +360,6 @@ def cauchy_distance(q1, q2, domain: DomainSpec, family: FamilySpec) -> CauchyDis
     q1 = grid.check_field(np.asarray(q1, dtype=complex))
     q2 = grid.check_field(np.asarray(q2, dtype=complex))
     dq = domain.restrict(q1 - q2)
-    m = domain.mask
     report = CauchyDistanceReport(0.0, [], [], {
         "z0_points": len(family.z0_points), "taus": list(family.taus),
         "fd_modes": family.fd_modes})
@@ -370,7 +372,7 @@ def cauchy_distance(q1, q2, domain: DomainSpec, family: FamilySpec) -> CauchyDis
         except FixedPointDivergenceError as e:
             return ("skip", z0, tau, str(e))
         n1, n2 = w12_norm(u1, domain), w12_norm(u2, domain)
-        val = abs(complex((u1[m] * dq[m] * u2[m]).sum() * grid.cell_measure))
+        val = abs(interior_pairing(u1, dq, u2, domain))
         return ("ok", z0, tau, val / (n1 * n2))
 
     jobs = [(z0, tau) for z0 in family.z0_points for tau in family.taus]
@@ -385,7 +387,7 @@ def cauchy_distance(q1, q2, domain: DomainSpec, family: FamilySpec) -> CauchyDis
         lifts2 = _mode_lifts(domain, q2, family.fd_modes)
         for j, (Uj, nj) in enumerate(lifts1, start=1):
             for k, (Vk, nk) in enumerate(lifts2, start=1):
-                val = abs(complex((Uj[m] * dq[m] * Vk[m]).sum() * grid.cell_measure))
+                val = abs(interior_pairing(Uj, dq, Vk, domain))
                 report.add({"kind": "fd", "modes": (j, k), "value": val / (nj * nk)})
     return report
 
@@ -395,8 +397,6 @@ def dn_norm_over_family(q1, q2, domain: DomainSpec, modes: int = 8) -> float:
     family, normalized by quotient-norm surrogates (the smallest W^{1,2}
     norm among the harmonic, q1- and q2-lifts of each trace)."""
     dq = domain.restrict(np.asarray(q1, complex) - np.asarray(q2, complex))
-    m = domain.mask
-    h2 = domain.grid.cell_measure
     lifts0 = _mode_lifts(domain, np.zeros_like(q1), modes)
     lifts1 = _mode_lifts(domain, q1, modes)
     lifts2 = _mode_lifts(domain, q2, modes)
@@ -404,6 +404,6 @@ def dn_norm_over_family(q1, q2, domain: DomainSpec, modes: int = 8) -> float:
     best = 0.0
     for (U1j, _), nj in zip(lifts1, qn):
         for (V2k, _), nk in zip(lifts2, qn):
-            val = abs(complex((U1j[m] * dq[m] * V2k[m]).sum() * h2))
+            val = abs(interior_pairing(U1j, dq, V2k, domain))
             best = max(best, val / (nj * nk))
     return best

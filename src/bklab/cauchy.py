@@ -2,10 +2,11 @@
 Wirtinger derivatives, the Beurling transform, and the boundary Cauchy
 integral with its integration-by-parts residual.
 
-The transform is a zero-padded FFT convolution with the kernel sampled at
-cell-center displacements, computed with pruned FFTs that skip the rows
-the padding leaves zero and the rows the crop discards (`ConvolutionPlan`).
-The origin sample is exactly zero: the mean of 1/(pi z) over a centered
+The transform is a zero-padded FFT convolution with a displacement kernel
+(1/(pi z) here; `stationary` passes its own) sampled at cell-center
+displacements, computed with pruned FFTs that skip the rows the padding
+leaves zero and the rows the crop discards (`ConvolutionPlan`).  The
+origin sample is exactly zero: the mean of 1/(pi z) over a centered
 square cell vanishes by odd symmetry, so the singular cell needs no
 regularization parameter.
 """
@@ -20,6 +21,7 @@ import scipy.fft as sfft
 
 from .errors import BklabError, GridError
 from .grid import DomainSpec, Grid
+from .util import masked_gradient
 
 __all__ = [
     "ConvolutionPlan", "get_plan", "cauchy", "conj_cauchy",
@@ -27,10 +29,23 @@ __all__ = [
 ]
 
 
+def _wirtinger_symbol(grid: Grid, which: str) -> np.ndarray:
+    """Fourier symbol 0.5 (i xi_x +/- xi_y) of d = (d_x - i d_y)/2 (+) or
+    dbar = (d_x + i d_y)/2 (-) on the grid's DFT frequencies."""
+    xi = grid.xi
+    return 0.5 * (1j * xi[None, :] + (xi[:, None] if which == "d" else -xi[:, None]))
+
+
+def _cauchy_kernel(w: np.ndarray) -> np.ndarray:
+    """1/(pi w), with the origin sample zero."""
+    return np.divide(1.0, np.pi * w, out=np.zeros_like(w), where=w != 0)
+
+
 class ConvolutionPlan:
-    """Precomputed forward transform of the sampled 1/(pi z) kernel on the
-    zero-padded 2N x 2N grid, plus the spectral derivative symbols used by
-    the Beurling transform.  Immutable and shareable across threads.
+    """Precomputed forward transform of `kernel(w)` at the cell-center
+    displacements w of the zero-padded 2N x 2N grid, plus the spectral
+    derivative symbol used by the Beurling transform.  Immutable and
+    shareable across threads.
 
     A transform is pruned on both sides: the input fills only the first N
     rows and columns of the padded grid, and only the first N rows and
@@ -40,27 +55,18 @@ class ConvolutionPlan:
     along x.  The row passes on the zero or discarded half are skipped.
     """
 
-    def __init__(self, grid: Grid):
+    def __init__(self, grid: Grid, kernel):
         self.grid = grid
         N, h = grid.N, grid.h
         M = 2 * N
         d = ((np.arange(M) + N) % M - N) * h
-        W = d[None, :] + 1j * d[:, None]
-        K = np.zeros((M, M), dtype=complex)
-        nz = W != 0
-        K[nz] = 1.0 / (np.pi * W[nz])
-        self.kernel_hat = sfft.fft2(K, overwrite_x=True)
+        self.kernel_hat = sfft.fft2(kernel(d[None, :] + 1j * d[:, None]), overwrite_x=True)
         self.kernel_hat.setflags(write=False)
 
     @cached_property
-    def _pad_freq(self) -> np.ndarray:
-        return 2 * np.pi * np.fft.fftfreq(2 * self.grid.N, d=self.grid.h)
-
-    @cached_property
     def d_symbol(self) -> np.ndarray:
-        """Symbol of d = (d_x - i d_y)/2 on the padded grid."""
-        xi = self._pad_freq
-        sym = 0.5 * (1j * xi[None, :] + xi[:, None])
+        """Symbol of d on the padded grid, which has the same h."""
+        sym = _wirtinger_symbol(Grid(2 * self.grid.L, 2 * self.grid.N), "d")
         sym.setflags(write=False)
         return sym
 
@@ -92,7 +98,7 @@ def get_plan(grid: Grid) -> ConvolutionPlan:
     with _PLANS_LOCK:
         plan = _PLANS.get(key)
         if plan is None:
-            plan = _PLANS[key] = ConvolutionPlan(grid)
+            plan = _PLANS[key] = ConvolutionPlan(grid, _cauchy_kernel)
     return plan
 
 
@@ -135,29 +141,21 @@ def wirtinger(f: np.ndarray, which: str, grid: Grid,
 
     method='spectral' differentiates on the periodic grid and suits
     smooth, decaying fields.  method='fd' uses centered differences
-    (one-sided at a mask edge) and suits masked or non-periodic fields.
+    (one-sided at a mask edge or the grid edge) on `mask`, the whole grid
+    by default, and suits masked or non-periodic fields.
     Convention: d = (d_x - i d_y)/2, dbar = (d_x + i d_y)/2.
     """
     f = grid.check_field(np.asarray(f, dtype=complex))
     if which not in ("d", "dbar"):
         raise BklabError(f"which must be 'd' or 'dbar', got {which!r}")
-    sign = -1.0 if which == "d" else 1.0
     if method == "spectral":
-        xi = 2 * np.pi * np.fft.fftfreq(grid.N, d=grid.h)
-        F = np.fft.fft2(f)
-        fx = np.fft.ifft2(F * (1j * xi[None, :]))
-        fy = np.fft.ifft2(F * (1j * xi[:, None]))
-    elif method == "fd":
-        from .util import masked_gradient
-        if mask is None:
-            mask = np.ones(f.shape, dtype=bool)
-            fx = np.gradient(f, grid.h, axis=1)
-            fy = np.gradient(f, grid.h, axis=0)
-        else:
-            fx, fy = masked_gradient(f, mask, grid.h)
-    else:
+        return np.fft.ifft2(np.fft.fft2(f) * _wirtinger_symbol(grid, which))
+    if method != "fd":
         raise BklabError(f"unknown wirtinger method {method!r}")
-    return 0.5 * (fx + sign * 1j * fy)
+    if mask is None:
+        mask = np.ones(f.shape, dtype=bool)
+    fx, fy = masked_gradient(f, mask, grid.h)
+    return 0.5 * (fx + (-1j if which == "d" else 1j) * fy)
 
 
 def boundary_cauchy(trace, domain: DomainSpec):

@@ -24,8 +24,8 @@ from .boundary import FamilySpec, cauchy_distance
 from .bukhgeim import assemble_u, carleman_sweep, solve_f
 from .cauchy import cauchy, wirtinger
 from .errors import BklabError, NumericalError
-from .grid import (DomainSpec, Grid, PhaseParams, load_domain, load_field,
-                   make_domain, make_grid, save_field)
+from .grid import (DomainSpec, Grid, PhaseParams, _checked, domain_from_spec,
+                   load_domain, load_field, make_grid, save_field)
 from .lorentz import LorentzIndex, bessel_norm, lorentz_norm
 from .stationary import smooth
 from .util import fit_loglog
@@ -47,6 +47,18 @@ def _write_csv(path, header, rows):
         f.write(",".join(header) + "\n")
         for row in rows:
             f.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _write_json(path, doc):
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def _write_svg(path, *plot):
+    svg = svgplot.loglog_svg(*plot)
+    with open(path, "w") as f:
+        f.write(svg)
 
 
 def _parse_numbers(spec: str, sep: str, what: str, count: int = 0, kind=float) -> list:
@@ -153,12 +165,10 @@ def cmd_stationary_phase(ns) -> int:
     _write_csv(os.path.join(out, "stationary_phase.csv"),
                ["tau", "error", "bound"], rows)
     fit = fit_loglog(taus, [r[1] for r in rows])
-    svg = svgplot.loglog_svg(taus, {"error": [r[1] for r in rows],
-                                    "bound": [r[2] for r in rows]},
-                             "smoothing error vs tau", "tau", "L2 error",
-                             {"error": f"slope {fit.slope:.3f}"})
-    with open(os.path.join(out, "stationary_phase.svg"), "w") as f:
-        f.write(svg)
+    _write_svg(os.path.join(out, "stationary_phase.svg"), taus,
+               {"error": [r[1] for r in rows], "bound": [r[2] for r in rows]},
+               "smoothing error vs tau", "tau", "L2 error",
+               {"error": f"slope {fit.slope:.3f}"})
     print(f"slope {fit.slope:.4f} over {len(taus)} taus")
     return 0
 
@@ -186,13 +196,11 @@ def cmd_carleman_sweep(ns) -> int:
     if not rec.insufficient:
         ann = {"norm_l2weak": f"slope {rec.slopes['weak'].slope:.3f}",
                "norm_sup": f"slope {rec.slopes['sup'].slope:.3f}"}
-    svg = svgplot.loglog_svg(list(rec.taus),
-                             {"norm_l2weak": list(rec.values["weak"]),
-                              "norm_sup": list(rec.values["sup"]),
-                              "bound": [r[3] for r in rows]},
-                             "weighted-transform decay", "tau", "norm", ann)
-    with open(os.path.join(out, "carleman_sweep.svg"), "w") as f:
-        f.write(svg)
+    _write_svg(os.path.join(out, "carleman_sweep.svg"), list(rec.taus),
+               {"norm_l2weak": list(rec.values["weak"]),
+                "norm_sup": list(rec.values["sup"]),
+                "bound": [r[3] for r in rows]},
+               "weighted-transform decay", "tau", "norm", ann)
     for t in rec.skipped:
         print(f"skipped tau={t:g}: aliasing guard")
     if not rec.insufficient:
@@ -217,9 +225,7 @@ def cmd_bukhgeim(ns) -> int:
         "sup_f": sol.sup_f, "contraction": sol.contraction,
         "converged": sol.converged,
     }
-    with open(os.path.join(out, "bukhgeim.json"), "w") as f:
-        json.dump(diag, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(os.path.join(out, "bukhgeim.json"), diag)
     print(f"converged in {sol.iterations} iterations, defect {sol.defect:.3e}")
     return 0
 
@@ -244,9 +250,7 @@ def cmd_cauchy_distance(ns) -> int:
             {k: ([v.real, v.imag] if isinstance(v, complex) else v)
              for k, v in p.items()} for p in rep.skipped],
     }
-    with open(os.path.join(out, "cauchy_distance.json"), "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(os.path.join(out, "cauchy_distance.json"), doc)
     print(f"d_hat = {rep.d_hat:.6e} over {len(rep.pairs)} pairs "
           f"({len(rep.skipped)} skipped)")
     return 0
@@ -271,44 +275,17 @@ def cmd_reconstruct(ns) -> int:
                 for z, v in zip(res.z0, res.values):
                     fld[grid.cell_index(z)] = v
                 save_field(os.path.join(out, f"recon_{res.form}.bkfld"), fld, grid)
-    with open(os.path.join(out, "recon_metrics.json"), "w") as f:
-        json.dump(metrics, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(os.path.join(out, "recon_metrics.json"), metrics)
     rows = [(tau, *(sweep_err[f][i] for f in forms)) for i, tau in enumerate(taus)]
     _write_csv(os.path.join(out, "recon_sweep.csv"),
                ["tau", *(f"sup_err_{f}" for f in forms)], rows)
     if len(taus) >= 2:
-        svg = svgplot.loglog_svg(taus, {f: sweep_err[f] for f in forms},
-                                 "reconstruction error vs tau", "tau", "sup error")
-        with open(os.path.join(out, "recon_sweep.svg"), "w") as f:
-            f.write(svg)
+        _write_svg(os.path.join(out, "recon_sweep.svg"), taus,
+                   {f: sweep_err[f] for f in forms},
+                   "reconstruction error vs tau", "tau", "sup error")
     for form in forms:
         print(f"{form}: sup errors {['%.3e' % e for e in sweep_err[form]]}")
     return 0
-
-
-# JSON kinds a config value may be asked to have (json.load gives bool,
-# not int, for true and false)
-_KINDS = {
-    "integer": lambda v: type(v) is int,
-    "number": lambda v: type(v) in (int, float) and math.isfinite(v),
-    "number or null": lambda v: v is None or _KINDS["number"](v),
-    "list of numbers": lambda v: type(v) is list and len(v) > 0
-        and all(map(_KINDS["number"], v)),
-    "point [x, y]": lambda v: type(v) is list and len(v) == 2
-        and all(map(_KINDS["number"], v)),
-    "string": lambda v: type(v) is str,
-    "object": lambda v: type(v) is dict,
-    "list": lambda v: type(v) is list,
-}
-
-
-def _checked(value, kind: str, where: str):
-    """`value` if it is of the JSON kind `kind` (a list of numbers comes back
-    as a tuple); otherwise a configuration error (exit 2)."""
-    if not _KINDS[kind](value):
-        raise BklabError(f"config {where}: expected {kind}, got {value!r}")
-    return tuple(value) if kind == "list of numbers" else value
 
 
 # optional stability config keys and their kinds ("s" sets smoothness); a
@@ -334,16 +311,15 @@ def _field_from_spec(spec: dict, grid: Grid, domain: DomainSpec) -> np.ndarray:
 def cmd_stability(ns) -> int:
     out = _ensure_outdir(ns)
     with open(ns.config) as f:
-        cfg = _checked(json.load(f), "object", "file")
+        cfg = _checked(json.load(f), "object", "config")
     extra = set(cfg) - {"version", "domain", "pairs", *_STAB_KINDS}
     if extra:
         raise BklabError(f"unknown config keys {sorted(extra)}")
     if cfg.get("version") != 1:
         raise BklabError(f"unsupported config version {cfg.get('version')!r}")
     gspec = _checked(cfg["domain"], "object", "domain")
-    grid = make_grid(_checked(gspec["L"], "number", "domain.L"),
-                     _checked(gspec["N"], "integer", "domain.N"))
-    domain = make_domain(grid, gspec["shape"])
+    domain = domain_from_spec(gspec["L"], gspec["N"], gspec["shape"], "domain.")
+    grid = domain.grid
     pairs = [tuple(_field_from_spec(_checked(p, "object", "pair")[k], grid, domain)
                    for k in ("q1", "q2"))
              for p in _checked(cfg["pairs"], "list", "pairs")]
@@ -361,13 +337,11 @@ def cmd_stability(ns) -> int:
     if len(used) >= 3:
         rho = recon.spearman_rank([r.dq_weak for r in used],
                                   [r.bound_value for r in used])
-        svg = svgplot.loglog_svg([r.bound_value for r in used],
-                                 {"dq_weak": [r.dq_weak for r in used]},
-                                 "stability trend", "(ln 1/d)^(-s/4)",
-                                 "||q1-q2|| weak",
-                                 {"dq_weak": f"spearman {rho:.3f}"})
-        with open(os.path.join(out, "stability.svg"), "w") as f:
-            f.write(svg)
+        _write_svg(os.path.join(out, "stability.svg"),
+                   [r.bound_value for r in used],
+                   {"dq_weak": [r.dq_weak for r in used]},
+                   "stability trend", "(ln 1/d)^(-s/4)", "||q1-q2|| weak",
+                   {"dq_weak": f"spearman {rho:.3f}"})
         print(f"spearman rank correlation: {rho:.4f} over {len(used)} pairs")
     else:
         print("fewer than 3 usable pairs; no trend computed")
@@ -457,16 +431,12 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return ns.fn(ns)
-    except (BklabError, FileNotFoundError, KeyError, json.JSONDecodeError) as e:
+    except (BklabError, FileNotFoundError, KeyError, json.JSONDecodeError,
+            NumericalError) as e:
         json.dump({"error": {"type": type(e).__name__, "message": str(e)}},
                   sys.stderr)
         sys.stderr.write("\n")
-        return 2
-    except NumericalError as e:
-        json.dump({"error": {"type": type(e).__name__, "message": str(e)}},
-                  sys.stderr)
-        sys.stderr.write("\n")
-        return 3
+        return 3 if isinstance(e, NumericalError) else 2
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ z_jk = (-L + (j+1/2)h) + i(-L + (k+1/2)h).  Arrays are indexed [iy, ix]
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,9 +20,35 @@ from .errors import AliasingGuardError, BklabError, DomainError, GridError
 
 __all__ = [
     "Grid", "PhaseParams", "Disk", "Polygon", "DomainSpec", "BeltResult",
-    "make_grid", "make_domain", "boundary_belt",
+    "make_grid", "make_domain", "domain_from_spec", "boundary_belt",
     "save_field", "load_field", "save_domain", "load_domain",
 ]
+
+
+# JSON kinds a file value may be asked to have (json.load gives bool, not
+# int, for true and false)
+_KINDS = {
+    "integer": lambda v: type(v) is int,
+    "number": lambda v: type(v) in (int, float) and math.isfinite(v),
+    "number or null": lambda v: v is None or _KINDS["number"](v),
+    "list of numbers": lambda v: type(v) is list and len(v) > 0
+        and all(map(_KINDS["number"], v)),
+    "point [x, y]": lambda v: type(v) is list and len(v) == 2
+        and all(map(_KINDS["number"], v)),
+    "list of points": lambda v: type(v) is list and len(v) > 0
+        and all(map(_KINDS["point [x, y]"], v)),
+    "string": lambda v: type(v) is str,
+    "object": lambda v: type(v) is dict,
+    "list": lambda v: type(v) is list,
+}
+
+
+def _checked(value, kind: str, where: str):
+    """`value` if it is of the JSON kind `kind` (a list of numbers comes back
+    as a tuple); otherwise a configuration error (exit 2)."""
+    if not _KINDS[kind](value):
+        raise BklabError(f"{where}: expected {kind}, got {value!r}")
+    return tuple(value) if kind == "list of numbers" else value
 
 
 @dataclass(frozen=True)
@@ -50,6 +77,13 @@ class Grid:
     def axis(self) -> np.ndarray:
         """1D cell-center coordinates, shared by both axes."""
         return -self.L + (np.arange(self.N) + 0.5) * self.h
+
+    @cached_property
+    def xi(self) -> np.ndarray:
+        """Angular DFT frequencies 2 pi fftfreq(N, h), shared by both axes."""
+        xi = 2 * np.pi * np.fft.fftfreq(self.N, d=self.h)
+        xi.setflags(write=False)
+        return xi
 
     @cached_property
     def X(self) -> np.ndarray:
@@ -136,15 +170,14 @@ class Polygon:
                 "vertices": [[v.real, v.imag] for v in self.vertices]}
 
 
-def _shape_from_dict(d: dict):
-    kind = d.get("type")
-    try:
-        if kind == "disk":
-            return Disk(complex(d["center"][0], d["center"][1]), float(d["radius"]))
-        if kind == "polygon":
-            return Polygon(tuple(complex(u, v) for u, v in d["vertices"]))
-    except (TypeError, ValueError, IndexError) as e:
-        raise DomainError(f"malformed {kind} shape {d!r}: {e}") from e
+def _shape_from_dict(d: dict, where: str):
+    kind = _checked(d, "object", where).get("type")
+    if kind == "disk":
+        return Disk(complex(*_checked(d["center"], "point [x, y]", f"{where}.center")),
+                    float(_checked(d["radius"], "number", f"{where}.radius")))
+    if kind == "polygon":
+        return Polygon(tuple(complex(u, v) for u, v in
+                             _checked(d["vertices"], "list of points", f"{where}.vertices")))
     raise DomainError(f"unknown shape type {kind!r}")
 
 
@@ -222,8 +255,6 @@ def make_domain(grid: Grid, shape) -> DomainSpec:
     edge midpoints lie exactly on the circle, so quadrature nodes sit on
     the true boundary with exact radial normals.
     """
-    if isinstance(shape, dict):
-        shape = _shape_from_dict(shape)
     if isinstance(shape, Disk):
         return _make_disk(grid, shape)
     if isinstance(shape, Polygon):
@@ -254,25 +285,8 @@ def _make_disk(grid: Grid, disk: Disk) -> DomainSpec:
     mask = np.abs(grid.Z - c) < r
     if not mask.any():
         raise DomainError("disk does not contain any cell center")
-    distance = _distance_regular_polygon(grid, vertices)
+    distance = _distance_to_polyline(grid, vertices, regular=True)
     return DomainSpec(grid, disk, mask, vertices, nodes, normals, weights, distance)
-
-
-def _distance_regular_polygon(grid: Grid, verts: np.ndarray) -> np.ndarray:
-    """Exact distance to a regular polygon boundary: the nearest edge lies
-    in the angular sector of the point, so five candidate edges suffice."""
-    M = len(verts)
-    c = verts.mean()
-    base = np.angle(verts[0] - c)
-    sector = 2 * np.pi / M
-    z = grid.Z.ravel()
-    th = np.angle(z - c) - base
-    j = np.floor(th / sector).astype(np.int64)
-    idx = (j[:, None] + np.arange(-2, 3)[None, :]) % M
-    a = verts[idx]
-    b = verts[(idx + 1) % M]
-    d = _segments_distance(z[:, None], a, b)
-    return d.min(axis=1).reshape(grid.N, grid.N)
 
 
 def _make_polygon(grid: Grid, poly: Polygon) -> DomainSpec:
@@ -327,20 +341,30 @@ def _points_in_polygon(Z: np.ndarray, verts: np.ndarray) -> np.ndarray:
     return inside
 
 
-def _distance_to_polyline(grid: Grid, verts: np.ndarray) -> np.ndarray:
-    """Exact distance from every cell center to the closed polyline.
+def _distance_to_polyline(grid: Grid, verts: np.ndarray, regular: bool = False) -> np.ndarray:
+    """Exact distance from every cell center to the closed polyline, as a
+    chunked minimum over candidate edges.
 
-    Polygons stay small (tens of edges), so a chunked exact scan with a
-    running minimum is cheap and allocation-safe.
+    A polygon's candidates are all of its edges (tens of them).  A regular
+    polygon's are the five edges around the point's angular sector: the
+    nearest edge lies in that sector.
     """
-    a = verts
-    b = np.roll(verts, -1)
+    M = len(verts)
     z = grid.Z.ravel()
-    dmin = np.full(z.size, np.inf)
-    chunk = max(1, int(2e6 // max(1, a.size)))
+    if regular:
+        c = verts.mean()
+        base = np.angle(verts[0] - c)
+        sector = 2 * np.pi / M
+        offsets = np.arange(-2, 3)
+    else:
+        offsets = np.arange(M)
+    dmin = np.empty(z.size)
+    chunk = max(1, int(2.5e5 // offsets.size))  # 4 MB complex temporaries
     for s in range(0, z.size, chunk):
-        d = _segments_distance(z[s:s + chunk, None], a[None, :], b[None, :])
-        dmin[s:s + chunk] = d.min(axis=1)
+        zc = z[s:s + chunk, None]
+        j = np.floor((np.angle(zc - c) - base) / sector).astype(np.int64) if regular else 0
+        idx = (j + offsets) % M
+        dmin[s:s + chunk] = _segments_distance(zc, verts[idx], verts[(idx + 1) % M]).min(axis=1)
     return dmin.reshape(grid.N, grid.N)
 
 
@@ -403,14 +427,21 @@ def save_domain(path, domain: DomainSpec) -> None:
         f.write("\n")
 
 
+def domain_from_spec(L, N, shape, where: str = "") -> DomainSpec:
+    """The domain of parsed JSON values L, N and shape (exit 2 on a value
+    of the wrong kind); `where` prefixes the key names in error messages."""
+    grid = make_grid(_checked(L, "number", f"{where}L"), _checked(N, "integer", f"{where}N"))
+    return make_domain(grid, _shape_from_dict(shape, f"{where}shape"))
+
+
 def load_domain(path) -> DomainSpec:
     with open(path) as f:
-        doc = json.load(f)
+        doc = _checked(json.load(f), "object", f"{path}")
     known = {"version", "grid", "shape"}
     extra = set(doc) - known
     if extra:
         raise BklabError(f"{path}: unknown keys {sorted(extra)}")
     if doc.get("version") != 1:
         raise BklabError(f"{path}: unsupported version {doc.get('version')!r}")
-    grid = Grid(float(doc["grid"]["L"]), int(doc["grid"]["N"]))
-    return make_domain(grid, _shape_from_dict(doc["shape"]))
+    g = _checked(doc["grid"], "object", f"{path}: grid")
+    return domain_from_spec(g["L"], g["N"], doc["shape"], f"{path}: ")

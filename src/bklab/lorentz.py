@@ -241,7 +241,7 @@ def sobolev_lorentz_norm(field: np.ndarray, idx: LorentzIndex, k: int,
 
 
 def bessel_multiplier(grid: Grid, s: float) -> np.ndarray:
-    xi = 2 * np.pi * np.fft.fftfreq(grid.N, d=grid.h)
+    xi = grid.xi
     return (1.0 + xi[None, :] ** 2 + xi[:, None] ** 2) ** (s / 2.0)
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import (FamilySpec, cauchy_distance, interp_bilinear, solve_pair,
-                       w12_norm)
+from .boundary import (FamilySpec, cauchy_distance, interior_pairing, interp_bilinear,
+                       solve_pair, w12_norm)
 from .bukhgeim import solve_f
 from .errors import BklabError, FixedPointDivergenceError
 from .grid import DomainSpec, Grid, PhaseParams
@@ -184,12 +184,10 @@ def reconstruct_pairing(q1, q2, tau: float, lattice, grid: Grid,
     q1 = grid.check_field(np.asarray(q1, dtype=complex))
     q2 = grid.check_field(np.asarray(q2, dtype=complex))
     dq = q1 - q2
-    m = domain.mask
-    h2 = grid.cell_measure
 
     def values(params):
         u1, u2 = solve_pair(q1, q2, params, domain, tol=tol)
-        return ((2 * tau / np.pi) * complex((u1[m] * dq[m] * u2[m]).sum() * h2),)
+        return ((2 * tau / np.pi) * interior_pairing(u1, dq, u2, domain),)
     return _lattice_results(("pairing",), dq, tau, lattice, grid, domain, values)[0]
 
 

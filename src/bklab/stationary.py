@@ -5,13 +5,16 @@ the smoothing operator built from it.
 The multiplier path is the canonical operator: it applies the closed-form
 multiplier to the field's transform and involves no kernel sampling, so
 it is exempt from the aliasing guard.  The sampled-kernel convolution
-path exists as a cross-check and is guard-limited.
+path exists as a cross-check and is guard-limited; it runs the kernel
+through the pruned zero-padded convolution of the Cauchy transform
+(`cauchy.ConvolutionPlan`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .cauchy import ConvolutionPlan
 from .errors import BklabError
 from .grid import Grid, PhaseParams
 
@@ -21,23 +24,23 @@ __all__ = [
 ]
 
 
-def _freqs(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    xi = 2 * np.pi * np.fft.fftfreq(grid.N, d=grid.h)
-    return xi[None, :], xi[:, None]
-
-
 def kernel_multiplier(grid: Grid, tau: float) -> np.ndarray:
     """e^{-i(xi^2 + xibar^2)/(16 tau)} = e^{-i(xi1^2 - xi2^2)/(8 tau)} on
     the DFT frequencies.  Unimodular everywhere."""
     if tau <= 0:
         raise BklabError(f"tau must be positive, got {tau}")
-    XI1, XI2 = _freqs(grid)
-    return np.exp(-1j * (XI1 ** 2 - XI2 ** 2) / (8.0 * tau))
+    xi = grid.xi
+    return np.exp(-1j * (xi[None, :] ** 2 - xi[:, None] ** 2) / (8.0 * tau))
+
+
+def _kappa(tau: float, z: np.ndarray) -> np.ndarray:
+    """(2 tau/pi) e^{i tau (z^2 + zbar^2)}; |.| = 2 tau/pi."""
+    return (2 * tau / np.pi) * np.exp(2j * tau * (z.real ** 2 - z.imag ** 2))
 
 
 def kernel_samples(grid: Grid, tau: float) -> np.ndarray:
-    """(2 tau/pi) e^{i tau (z^2 + zbar^2)} at cell centers; |.| = 2 tau/pi."""
-    return (2 * tau / np.pi) * np.exp(2j * tau * (grid.X ** 2 - grid.Y ** 2))
+    """The kernel at cell centers."""
+    return _kappa(tau, grid.Z)
 
 
 def smooth(Q: np.ndarray, tau: float, grid: Grid, path: str = "multiplier") -> np.ndarray:
@@ -48,15 +51,7 @@ def smooth(Q: np.ndarray, tau: float, grid: Grid, path: str = "multiplier") -> n
         return np.fft.ifft2(np.fft.fft2(Q) * kernel_multiplier(grid, tau))
     if path == "direct":
         PhaseParams(tau, 0j).validate_for(grid)
-        N, h = grid.N, grid.h
-        M = 2 * N
-        d = ((np.arange(M) + N) % M - N) * h
-        DX, DY = np.meshgrid(d, d, indexing="xy")
-        kap = (2 * tau / np.pi) * np.exp(2j * tau * (DX ** 2 - DY ** 2))
-        Qp = np.zeros((M, M), dtype=complex)
-        Qp[:N, :N] = Q
-        out = np.fft.ifft2(np.fft.fft2(Qp) * np.fft.fft2(kap)) * h * h
-        return out[:N, :N]
+        return ConvolutionPlan(grid, lambda w: _kappa(tau, w)).apply(Q)
     raise BklabError(f"unknown smoothing path {path!r}")
 
 
@@ -79,10 +74,10 @@ def kernel_dft_check(grid: Grid, tau: float, regularization: float = 0.0,
     N, h = grid.N, grid.h
     taper = np.exp(-eps * (grid.X ** 2 + grid.Y ** 2)) if eps > 0 else 1.0
     kap = kernel_samples(grid, tau) * taper
-    xi = 2 * np.pi * np.fft.fftfreq(N, d=h)
+    xi = grid.xi
     shift = np.exp(-1j * grid.axis[0] * xi)
     F = (h * h / (2 * np.pi)) * np.fft.fft2(kap) * shift[None, :] * shift[:, None]
-    XI1, XI2 = _freqs(grid)
+    XI1, XI2 = xi[None, :], xi[:, None]
     if eps > 0:
         c1 = 2 * eps - 4j * tau
         c2 = 2 * eps + 4j * tau

@@ -1,5 +1,6 @@
 """Shared numerics: thread pool sizing, log-log fits, quadrature nodes,
-masked finite differences."""
+masked finite differences (cells beyond the grid edge count as unmasked,
+so a mask that reaches the edge is differenced one-sided there)."""
 
 from __future__ import annotations
 
@@ -90,16 +91,18 @@ def masked_gradient(field: np.ndarray, mask: np.ndarray, h: float):
 def _masked_diff_axis(f, mask, h, axis):
     m = mask
     out = np.zeros_like(f)
+    n = f.shape[axis]
+    pad = [(0, 0), (0, 0)]
+    pad[axis] = (2, 2)
+    fpad, mpad = np.pad(f, pad), np.pad(m, pad)
 
     def shift(a, k):
-        return np.roll(a, -k, axis=axis)
+        return a[(slice(None),) * axis + (slice(2 + k, 2 + k + n),)]
 
-    fp, fm = shift(f, 1), shift(f, -1)
-    mp, mm = shift(m, 1), shift(m, -1)
-    fpp, mpp = shift(f, 2), shift(m, 2)
-    fmm, mmm = shift(f, -2), shift(m, -2)
-    # rolled-in wrap values never pass the mask checks for domains that
-    # stay strictly inside the grid, which make_domain enforces
+    fp, fm = shift(fpad, 1), shift(fpad, -1)
+    mp, mm = shift(mpad, 1), shift(mpad, -1)
+    fpp, mpp = shift(fpad, 2), shift(mpad, 2)
+    fmm, mmm = shift(fpad, -2), shift(mpad, -2)
     centered = m & mp & mm
     out[centered] = (fp[centered] - fm[centered]) / (2 * h)
     fwd2 = m & mp & mpp & ~mm

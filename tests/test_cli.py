@@ -42,6 +42,13 @@ def workspace(tmp_path_factory):
     save_field(ws / "qnan.bkfld", qnan, g)
     gg = make_grid(4.0, 128)
     save_field(ws / "gauss.bkfld", np.exp(-np.abs(gg.Z) ** 2), gg)
+    doc = json.loads((ws / "disk.json").read_text())
+    for name, section, key, value in (("bad_L", "grid", "L", "abc"),
+                                      ("bad_N", "grid", "N", 64.5),
+                                      ("bad_radius", "shape", "radius", "1.0")):
+        bad = json.loads(json.dumps(doc))
+        bad[section][key] = value
+        (ws / f"{name}.json").write_text(json.dumps(bad))
     return ws
 
 
@@ -88,11 +95,15 @@ class TestInputErrors:
         ["bukhgeim", "--q", "{ws}/q.bkfld", "--tau", "8", "--z0", "5,5"],
         ["carleman-sweep", "--z0", "5,5"],
         ["bukhgeim", "--q", "{ws}/qnan.bkfld", "--tau", "8", "--z0", "0.1,0.05"],
+        ["carleman-sweep", "--domain", "{ws}/bad_L.json"],
+        ["carleman-sweep", "--domain", "{ws}/bad_N.json"],
+        ["carleman-sweep", "--domain", "{ws}/bad_radius.json"],
     ])
     def test_malformed_arguments_exit_2(self, workspace, tmp_path, cmd):
         args = [a.replace("{ws}", str(workspace)) for a in cmd]
-        r = run_cli([*args, "--domain", str(workspace / "disk.json"),
-                     "--out-dir", str(tmp_path)], timeout=60)
+        if "--domain" not in args:
+            args += ["--domain", str(workspace / "disk.json")]
+        r = run_cli([*args, "--out-dir", str(tmp_path)], timeout=60)
         assert_config_error(r)
         assert not list(tmp_path.glob("*.csv"))
 

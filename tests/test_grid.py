@@ -107,6 +107,20 @@ class TestMakeDomain:
         east = d2.normals[np.abs(d2.nodes.real - 1.0) < 1e-12]
         assert np.abs(east - 1.0).max() < 1e-12
 
+    @pytest.mark.parametrize("grid, shape", [
+        (make_grid(1.2, 64), Disk(0.1 - 0.05j, 0.9)),
+        (make_grid(1.2, 128), Polygon((-0.8 - 0.7j, 0.9 - 0.6j, 0.7 + 0.8j,
+                                       -0.6 + 0.9j, -0.95 + 0.1j))),
+    ], ids=["disk", "on-edge-pentagon"])
+    def test_distance_is_minimum_over_every_edge(self, grid, shape):
+        d = make_domain(grid, shape)
+        z = grid.Z.ravel()[:, None]
+        a = np.asarray(d.vertices)[None, :]
+        ab = np.roll(a, -1) - a
+        t = np.clip(((z - a) * np.conj(ab)).real / np.abs(ab) ** 2, 0.0, 1.0)
+        brute = np.abs(z - (a + t * ab)).min(axis=1).reshape(grid.N, grid.N)
+        assert np.array_equal(d.distance, brute)
+
 
 class TestBelt:
     def test_square_belt(self, square256):

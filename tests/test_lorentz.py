@@ -181,6 +181,14 @@ class TestSobolevLorentz:
         expect = 1 / math.sqrt(3) + 1.0
         assert abs(val - expect) <= 3 * g.h
 
+    def test_linear_on_full_grid(self):
+        # x has gradient (1, 0) up to the grid edge, which must not be
+        # differenced against the opposite edge
+        g = make_grid(1.0, 64)
+        val = sobolev_lorentz_norm(g.X, L21, 1, grid=g)
+        want = lorentz_norm(g.X, L21, grid=g) + lorentz_norm(np.ones((64, 64)), L21, grid=g)
+        assert val == pytest.approx(want, rel=1e-12)
+
     def test_zero(self, disk128):
         assert sobolev_lorentz_norm(np.zeros((128, 128)), L21, 1, domain=disk128) == 0.0
 
