@@ -2,6 +2,13 @@
 pairing, the Alessandrini identity check, and the Cauchy-data distance
 proxy built from oscillating-solution pairs and trigonometric traces.
 
+A pairing int u1 (q1 - q2) u2 dm is a stored side walked against a
+streamed partner: the side holds q1's holomorphic oscillating solutions
+over the (z0, tau) jobs (or the message of a divergence) and its lifts
+of the trigonometric data, masked to the domain with their W^{1,2}
+norms; q2's antiholomorphic solution is solved job by job during the
+walk and never stored.  A side built once serves every partner of q1.
+
 The solver is a Shortley-Weller five-point scheme: at cells whose stencil
 crosses the boundary, the arms are cut at the exact shape intersection
 and the Dirichlet datum enters through the cut point, which keeps the
@@ -25,7 +32,7 @@ __all__ = [
     "DirichletProblem", "DirichletSolver", "forward_solve", "w12_norm",
     "dn_pairing", "alessandrini_check", "AlessandriniReport",
     "FamilySpec", "CauchyDistanceReport", "cauchy_distance",
-    "boundary_mode", "dn_norm_over_family", "solve_pair",
+    "boundary_mode", "dn_norm_over_family", "Side", "solve_side", "side_distance",
 ]
 
 _THETA_FLOOR = 1e-3
@@ -166,9 +173,9 @@ def w12_norm(fld: np.ndarray, domain: DomainSpec) -> float:
 
 
 def interior_pairing(U, dq, V, domain: DomainSpec) -> complex:
-    """int U dq V dm over the domain by midpoint quadrature."""
-    m = domain.mask
-    return complex((U[m] * dq[m] * V[m]).sum() * domain.grid.cell_measure)
+    """int U dq V dm over the domain by midpoint quadrature, from the
+    samples of each factor on the domain mask."""
+    return complex((U * dq * V).sum() * domain.grid.cell_measure)
 
 
 def _weak_form(U, V, q, domain: DomainSpec) -> complex:
@@ -209,7 +216,7 @@ def _normal_derivative(P: DirichletProblem) -> np.ndarray:
     domain = P.domain
     grid = domain.grid
     d = 2.0 * grid.h
-    g0 = np.asarray(P.g(domain.nodes), dtype=complex)
+    g0 = domain.sample_trace(P.g)
     u1 = interp_bilinear(grid, P.U, domain.nodes - domain.normals * d)
     u2 = interp_bilinear(grid, P.U, domain.nodes - domain.normals * 2 * d)
     return (3.0 * g0 - 4.0 * u1 + u2) / (2.0 * d)
@@ -232,9 +239,10 @@ def alessandrini_check(P1: DirichletProblem, P2: DirichletProblem) -> Alessandri
     if P1.domain is not P2.domain:
         raise BklabError("both problems must live on the same domain")
     domain = P1.domain
-    interior = interior_pairing(P1.U, P1.q - P2.q, P2.U, domain)
-    tr1 = np.asarray(P1.g(domain.nodes), dtype=complex)
-    tr2 = np.asarray(P2.g(domain.nodes), dtype=complex)
+    m = domain.mask
+    interior = interior_pairing(P1.U[m], P1.q[m] - P2.q[m], P2.U[m], domain)
+    tr1 = domain.sample_trace(P1.g)
+    tr2 = domain.sample_trace(P2.g)
     dn1 = _normal_derivative(P1)
     dn2 = _normal_derivative(P2)
     boundary = complex(np.sum((tr1 * dn2 - tr2 * dn1) * domain.weights))
@@ -318,6 +326,11 @@ class FamilySpec:
         if len(self.taus) < 3:
             raise BklabError(f"need at least 3 tau values, got {len(self.taus)}")
 
+    @property
+    def jobs(self) -> list:
+        """The (z0, tau) pairs of the oscillating family, z0-major."""
+        return [(z0, tau) for z0 in self.z0_points for tau in self.taus]
+
 
 @dataclass
 class CauchyDistanceReport:
@@ -331,24 +344,99 @@ class CauchyDistanceReport:
         self.d_hat = max(self.d_hat, rec["value"])
 
 
-def solve_pair(q1, q2, params: PhaseParams, domain: DomainSpec, tol: float = 1e-10,
-               max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
-    """(u1, u2): the holomorphic oscillating solution for q1 and the
-    antiholomorphic one for q2; FixedPointDivergenceError if either diverges."""
-    s1 = solve_f(q1, params, domain, "holomorphic", tol=tol, max_iter=max_iter)
-    s2 = solve_f(q2, params, domain, "antiholomorphic", tol=tol, max_iter=max_iter)
-    return assemble_u(s1), assemble_u(s2)
-
-
 def _mode_lifts(domain: DomainSpec, q, modes: int) -> list[tuple[np.ndarray, float]]:
-    """(U_k, ||U_k||_{W^{1,2}}) for the q-lifts of the trigonometric data
-    k = 1..modes, all solved with one factorization."""
+    """(U_k[mask], ||U_k||_{W^{1,2}}) for the q-lifts of the trigonometric
+    data k = 1..modes, all solved with one factorization."""
     solver = DirichletSolver(domain, q)
     lifts = []
     for k in range(1, modes + 1):
         U = solver.solve(boundary_mode(domain, k)).U
-        lifts.append((U, w12_norm(U, domain)))
+        lifts.append((U[domain.mask], w12_norm(U, domain)))
     return lifts
+
+
+@dataclass
+class Side:
+    """q's holomorphic oscillating solutions over the family's (z0, tau)
+    jobs and its q-lifts of the trigonometric data k = 1..fd_modes, masked
+    to the domain."""
+
+    q: np.ndarray
+    domain: DomainSpec
+    family: FamilySpec
+    solutions: dict      # (z0, tau) -> (u[mask], ||u||_{W^{1,2}}) or divergence message
+    lifts: list          # (U_k[mask], ||U_k||_{W^{1,2}})
+
+    def pairing(self, q2, params: PhaseParams) -> tuple[complex, float, float]:
+        """(int u1 (q - q2) u2 dm, ||u1||, ||u2||) at one job: u1 the stored
+        solution, u2 q2's antiholomorphic one, solved now.  Raises
+        FixedPointDivergenceError with the stored message if u1 diverged
+        (q2 is then not solved), else with q2's if u2 diverges."""
+        got = self.solutions[(params.z0, params.tau)]
+        if isinstance(got, str):
+            raise FixedPointDivergenceError(got)
+        u1, n1 = got
+        u2 = assemble_u(solve_f(q2, params, self.domain, "antiholomorphic",
+                                tol=self.family.tol, max_iter=self.family.max_iter))
+        m = self.domain.mask
+        return (interior_pairing(u1, self.q[m] - q2[m], u2[m], self.domain),
+                n1, w12_norm(u2, self.domain))
+
+
+def solve_side(q, domain: DomainSpec, family: FamilySpec) -> Side:
+    """q's side over the family: its holomorphic solve at every job, in
+    parallel, and its mode lifts when fd_modes > 0."""
+    q = domain.grid.check_field(np.asarray(q, dtype=complex))
+    m = domain.mask
+
+    def one(job):
+        z0, tau = job
+        try:
+            sol = solve_f(q, PhaseParams(tau, z0), domain, "holomorphic",
+                          tol=family.tol, max_iter=family.max_iter)
+        except FixedPointDivergenceError as e:
+            return str(e)
+        u = assemble_u(sol)
+        return u[m], w12_norm(u, domain)
+
+    jobs = list(dict.fromkeys(family.jobs))
+    solutions = dict(zip(jobs, parallel_map(one, jobs)))
+    lifts = _mode_lifts(domain, q, family.fd_modes) if family.fd_modes > 0 else []
+    return Side(q, domain, family, solutions, lifts)
+
+
+def side_distance(side: Side, q2) -> CauchyDistanceReport:
+    """The Cauchy-data distance of the side's potential to q2: the side
+    walked against q2 over the family's jobs, then its lifts against q2's."""
+    domain, family = side.domain, side.family
+    q2 = domain.grid.check_field(np.asarray(q2, dtype=complex))
+    report = CauchyDistanceReport(0.0, [], [], {
+        "z0_points": len(family.z0_points), "taus": list(family.taus),
+        "fd_modes": family.fd_modes})
+
+    def one(job):
+        z0, tau = job
+        try:
+            val, n1, n2 = side.pairing(q2, PhaseParams(tau, z0))
+        except FixedPointDivergenceError as e:
+            return ("skip", z0, tau, str(e))
+        return ("ok", z0, tau, abs(val) / (n1 * n2))
+
+    for res in parallel_map(one, family.jobs):
+        if res[0] == "ok":
+            report.add({"kind": "oscillating", "z0": res[1], "tau": res[2],
+                        "value": res[3]})
+        else:
+            report.skipped.append({"z0": res[1], "tau": res[2], "reason": res[3]})
+    if family.fd_modes > 0:
+        m = domain.mask
+        dq = side.q[m] - q2[m]
+        lifts2 = _mode_lifts(domain, q2, family.fd_modes)
+        for j, (Uj, nj) in enumerate(side.lifts, start=1):
+            for k, (Vk, nk) in enumerate(lifts2, start=1):
+                val = abs(interior_pairing(Uj, dq, Vk, domain))
+                report.add({"kind": "fd", "modes": (j, k), "value": val / (nj * nk)})
+    return report
 
 
 def cauchy_distance(q1, q2, domain: DomainSpec, family: FamilySpec) -> CauchyDistanceReport:
@@ -356,47 +444,15 @@ def cauchy_distance(q1, q2, domain: DomainSpec, family: FamilySpec) -> CauchyDis
     normalized in discrete W^{1,2}.  A lower bound on the true supremum,
     reported as such."""
     family.validate()
-    grid = domain.grid
-    q1 = grid.check_field(np.asarray(q1, dtype=complex))
-    q2 = grid.check_field(np.asarray(q2, dtype=complex))
-    dq = domain.restrict(q1 - q2)
-    report = CauchyDistanceReport(0.0, [], [], {
-        "z0_points": len(family.z0_points), "taus": list(family.taus),
-        "fd_modes": family.fd_modes})
-
-    def one_pair(args):
-        z0, tau = args
-        try:
-            u1, u2 = solve_pair(q1, q2, PhaseParams(tau, z0), domain,
-                                tol=family.tol, max_iter=family.max_iter)
-        except FixedPointDivergenceError as e:
-            return ("skip", z0, tau, str(e))
-        n1, n2 = w12_norm(u1, domain), w12_norm(u2, domain)
-        val = abs(interior_pairing(u1, dq, u2, domain))
-        return ("ok", z0, tau, val / (n1 * n2))
-
-    jobs = [(z0, tau) for z0 in family.z0_points for tau in family.taus]
-    for res in parallel_map(one_pair, jobs):
-        if res[0] == "ok":
-            report.add({"kind": "oscillating", "z0": res[1], "tau": res[2],
-                        "value": res[3]})
-        else:
-            report.skipped.append({"z0": res[1], "tau": res[2], "reason": res[3]})
-    if family.fd_modes > 0:
-        lifts1 = _mode_lifts(domain, q1, family.fd_modes)
-        lifts2 = _mode_lifts(domain, q2, family.fd_modes)
-        for j, (Uj, nj) in enumerate(lifts1, start=1):
-            for k, (Vk, nk) in enumerate(lifts2, start=1):
-                val = abs(interior_pairing(Uj, dq, Vk, domain))
-                report.add({"kind": "fd", "modes": (j, k), "value": val / (nj * nk)})
-    return report
+    return side_distance(solve_side(q1, domain, family), q2)
 
 
 def dn_norm_over_family(q1, q2, domain: DomainSpec, modes: int = 8) -> float:
     """max |((Lambda_1 - Lambda_2) u_j, v_k)| over the trigonometric trace
     family, normalized by quotient-norm surrogates (the smallest W^{1,2}
     norm among the harmonic, q1- and q2-lifts of each trace)."""
-    dq = domain.restrict(np.asarray(q1, complex) - np.asarray(q2, complex))
+    m = domain.mask
+    dq = np.asarray(q1, complex)[m] - np.asarray(q2, complex)[m]
     lifts0 = _mode_lifts(domain, np.zeros_like(q1), modes)
     lifts1 = _mode_lifts(domain, q1, modes)
     lifts2 = _mode_lifts(domain, q2, modes)

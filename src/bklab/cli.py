@@ -315,8 +315,8 @@ def cmd_stability(ns) -> int:
     extra = set(cfg) - {"version", "domain", "pairs", *_STAB_KINDS}
     if extra:
         raise BklabError(f"unknown config keys {sorted(extra)}")
-    if cfg.get("version") != 1:
-        raise BklabError(f"unsupported config version {cfg.get('version')!r}")
+    if _checked(cfg.get("version"), "integer", "version") != 1:
+        raise BklabError(f"unsupported config version {cfg['version']!r}")
     gspec = _checked(cfg["domain"], "object", "domain")
     domain = domain_from_spec(gspec["L"], gspec["N"], gspec["shape"], "domain.")
     grid = domain.grid

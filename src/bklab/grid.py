@@ -441,7 +441,7 @@ def load_domain(path) -> DomainSpec:
     extra = set(doc) - known
     if extra:
         raise BklabError(f"{path}: unknown keys {sorted(extra)}")
-    if doc.get("version") != 1:
-        raise BklabError(f"{path}: unsupported version {doc.get('version')!r}")
+    if _checked(doc.get("version"), "integer", f"{path}: version") != 1:
+        raise BklabError(f"{path}: unsupported version {doc['version']!r}")
     g = _checked(doc["grid"], "object", f"{path}: grid")
     return domain_from_spec(g["L"], g["N"], doc["shape"], f"{path}: ")

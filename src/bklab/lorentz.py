@@ -92,8 +92,8 @@ class StepRearrangement:
 
 def rearrange(field: np.ndarray, domain: DomainSpec | None = None,
               grid: Grid | None = None) -> StepRearrangement:
-    """Sort |field| (restricted to the domain mask if given) descending,
-    with flat-index tiebreak, and compress equal runs into steps."""
+    """Sort |field| (restricted to the domain mask if given) descending
+    and compress equal runs into steps."""
     field = np.asarray(field)
     if domain is not None:
         grid = domain.grid
@@ -107,9 +107,7 @@ def rearrange(field: np.ndarray, domain: DomainSpec | None = None,
         raise NormError("empty mask: nothing to rearrange")
     if not np.all(np.isfinite(vals)):
         raise NormError("field contains NaN or infinite samples")
-    # descending by value, ascending flat index among ties
-    order = np.argsort(-vals, kind="stable")
-    v = vals[order]
+    v = np.sort(vals)[::-1]
     h2 = grid.cell_measure
     # compress runs of equal values
     change = np.nonzero(np.diff(v))[0]

@@ -7,6 +7,11 @@ The boundary form uses the identity dbar u = -(1/4) e^{-i tau
 (zbar-z0bar)^2} G, with G the inner transform stored by the fixed point;
 the oscillating phases then cancel against the reconstruction weight and
 the boundary integral reduces to (tau/pi) int conj(eta) G dsigma.
+
+The pairing form and the stability experiment's distance are pairings of
+a stored side of q1 (boundary.Side) walked against a streamed q2.  The
+experiment keeps q1's family side, and its pairing side per tau, for as
+long as consecutive pairs share q1, so each potential is solved once.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import (FamilySpec, cauchy_distance, interior_pairing, interp_bilinear,
-                       solve_pair, w12_norm)
+from .boundary import (FamilySpec, Side, interp_bilinear, side_distance, solve_side,
+                       w12_norm)
 from .bukhgeim import solve_f
 from .errors import BklabError, FixedPointDivergenceError
 from .grid import DomainSpec, Grid, PhaseParams
@@ -98,11 +103,14 @@ class ReconstructionResult:
         }
 
 
-def _check_lattice(domain: DomainSpec, lattice: np.ndarray):
+def _check_lattice(domain: DomainSpec, lattice) -> np.ndarray:
+    """The lattice as a complex array, each point >= 5h inside the boundary."""
+    lattice = np.asarray(lattice, dtype=complex)
     ok = domain.interior_mask(5 * domain.grid.h - 1e-12)
     for z in lattice:
         if not ok[domain.grid.cell_index(z)]:
             raise BklabError(f"lattice point {z} is not >= 5h inside the boundary")
+    return lattice
 
 
 def _interior_value(sol, q) -> complex:
@@ -123,10 +131,9 @@ _FORMS = {"interior": _interior_value, "boundary": _boundary_value}
 
 def _lattice_results(forms, target, tau, lattice, grid: Grid, domain: DomainSpec,
                      point_values) -> list[ReconstructionResult]:
-    """The one per-point loop: `point_values(params)` returns one value per
-    form; a diverged fixed point marks the point failed in every form."""
-    lattice = np.asarray(lattice, dtype=complex)
-    _check_lattice(domain, lattice)
+    """The one per-point loop over a checked lattice: `point_values(params)`
+    returns one value per form; a diverged fixed point marks the point
+    failed in every form."""
 
     def one(z0):
         try:
@@ -155,6 +162,7 @@ def reconstruct(q, tau: float, lattice, grid: Grid, domain: DomainSpec,
     if not forms or not set(forms) <= set(_FORMS):
         raise BklabError(f"forms must be a non-empty selection of {tuple(_FORMS)}")
     q = grid.check_field(np.asarray(q, dtype=complex))
+    lattice = _check_lattice(domain, lattice)
 
     def values(params):
         sol = solve_f(q, params, domain, "holomorphic", tol=tol)
@@ -183,12 +191,26 @@ def reconstruct_pairing(q1, q2, tau: float, lattice, grid: Grid,
     (2 tau/pi) int u1 (q1 - q2) u2 dm with opposite phase types."""
     q1 = grid.check_field(np.asarray(q1, dtype=complex))
     q2 = grid.check_field(np.asarray(q2, dtype=complex))
-    dq = q1 - q2
+    lattice = _check_lattice(domain, lattice)
+    return _pairing(_pairing_side(q1, tau, lattice, domain, tol), q2, tau, lattice, grid)
+
+
+def _pairing_side(q1, tau: float, lattice: np.ndarray, domain: DomainSpec,
+                  tol: float = 1e-10) -> Side:
+    """q1's side over the checked lattice x {tau}, without mode lifts."""
+    return solve_side(q1, domain, FamilySpec(tuple(map(complex, lattice)), (tau,),
+                                             fd_modes=0, tol=tol))
+
+
+def _pairing(side: Side, q2: np.ndarray, tau: float, lattice: np.ndarray,
+             grid: Grid) -> ReconstructionResult:
+    """The pairing form: the side walked against the checked q2 over its
+    lattice."""
 
     def values(params):
-        u1, u2 = solve_pair(q1, q2, params, domain, tol=tol)
-        return ((2 * tau / np.pi) * interior_pairing(u1, dq, u2, domain),)
-    return _lattice_results(("pairing",), dq, tau, lattice, grid, domain, values)[0]
+        return ((2 * tau / np.pi) * side.pairing(q2, params)[0],)
+    return _lattice_results(("pairing",), side.q - q2, tau, lattice, grid, side.domain,
+                            values)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +263,8 @@ def stability_experiment(pairs, domain: DomainSpec,
     """For each potential pair: measure the boundary-data distance proxy,
     choose tau = ln(1/d)/2B clamped to the admissible window, run the
     pairing reconstruction, and record both sides of the stability trend.
-    Pairs with identical potentials are excluded from the records."""
+    Pairs with identical potentials are excluded from the records.  q1's
+    sides are solved once and kept while consecutive pairs share q1."""
     grid = domain.grid
     s = config.smoothness
     if config.b_omega is None:
@@ -254,6 +277,7 @@ def stability_experiment(pairs, domain: DomainSpec,
                      fd_modes=config.fd_modes)
     rl = make_z0_lattice(domain, config.recon_lattice_n)
     records = []
+    side, pairing_sides = None, {}
     for q1, q2 in pairs:
         q1 = grid.check_field(np.asarray(q1, dtype=complex))
         q2 = grid.check_field(np.asarray(q2, dtype=complex))
@@ -263,8 +287,12 @@ def stability_experiment(pairs, domain: DomainSpec,
                 raise BklabError(f"potential norm {nq:.3g} exceeds the configured "
                                  f"bound {config.norm_bound}")
         dq_weak = lorentz_norm(q1 - q2, _WEAK, domain=domain)
-        rep = cauchy_distance(q1, q2, domain, fam)
-        d_hat = rep.d_hat
+        # the CLI loads q1 afresh for each pair, so equal q1 are equal
+        # arrays rather than one object
+        if side is None or not np.array_equal(side.q, q1):
+            fam.validate()
+            side, pairing_sides = solve_side(q1, domain, fam), {}
+        d_hat = side_distance(side, q2).d_hat
         if d_hat <= 0.0:
             records.append(StabilityRecord(dq_weak, d_hat, math.nan, math.nan,
                                            None, True, "identical boundary data"))
@@ -275,7 +303,9 @@ def stability_experiment(pairs, domain: DomainSpec,
             continue
         tau = math.log(1.0 / d_hat) / (2.0 * B)
         tau = float(np.clip(tau, config.tau_min, 0.98 * guard))
-        rec = reconstruct_pairing(q1, q2, tau, rl, grid, domain)
+        if tau not in pairing_sides:
+            pairing_sides[tau] = _pairing_side(q1, tau, rl, domain)
+        rec = _pairing(pairing_sides[tau], q2, tau, rl, grid)
         pairing_l2 = rec.errors()["l2"] if rec.ok.any() else None
         bound = math.log(1.0 / d_hat) ** (-s / 4.0)
         records.append(StabilityRecord(dq_weak, d_hat, bound, tau,

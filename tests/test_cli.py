@@ -45,9 +45,10 @@ def workspace(tmp_path_factory):
     doc = json.loads((ws / "disk.json").read_text())
     for name, section, key, value in (("bad_L", "grid", "L", "abc"),
                                       ("bad_N", "grid", "N", 64.5),
-                                      ("bad_radius", "shape", "radius", "1.0")):
+                                      ("bad_radius", "shape", "radius", "1.0"),
+                                      ("bad_version", None, "version", True)):
         bad = json.loads(json.dumps(doc))
-        bad[section][key] = value
+        (bad[section] if section else bad)[key] = value
         (ws / f"{name}.json").write_text(json.dumps(bad))
     return ws
 
@@ -98,6 +99,7 @@ class TestInputErrors:
         ["carleman-sweep", "--domain", "{ws}/bad_L.json"],
         ["carleman-sweep", "--domain", "{ws}/bad_N.json"],
         ["carleman-sweep", "--domain", "{ws}/bad_radius.json"],
+        ["carleman-sweep", "--domain", "{ws}/bad_version.json"],
     ])
     def test_malformed_arguments_exit_2(self, workspace, tmp_path, cmd):
         args = [a.replace("{ws}", str(workspace)) for a in cmd]
@@ -275,8 +277,8 @@ class TestStabilityCli:
 
     @pytest.mark.parametrize("path, value", [
         (("domain", "L"), "abc"), (("lattice_n",), "3"), (("fd_modes",), 2.5),
-        (("pairs", 0, "q1", "center"), 0.2),
-    ], ids=["domain.L", "lattice_n", "fd_modes", "bump-center"])
+        (("pairs", 0, "q1", "center"), 0.2), (("version",), True),
+    ], ids=["domain.L", "lattice_n", "fd_modes", "bump-center", "version"])
     def test_wrong_typed_config_value_exit_2(self, tmp_path, path, value):
         cfg = json.loads(self._config(tmp_path / "c.json").read_text())
         node = cfg

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from bklab import (Disk, LorentzIndex, PhaseParams, bessel_norm, lorentz_norm,
-                   make_domain, make_grid, solve_f)
+from bklab import (Disk, FamilySpec, LorentzIndex, PhaseParams, bessel_norm,
+                   cauchy_distance, lorentz_norm, make_domain, make_grid, solve_f)
+from bklab import boundary
 from bklab.errors import BklabError
 from bklab.recon import (StabilityConfig, bump_field, make_z0_lattice,
                          reconstruct_boundary, reconstruct_interior,
@@ -157,6 +158,48 @@ class TestStability:
         (rec,) = stability_experiment([(q1, q2)], d, cfg)
         assert not rec.excluded and rec.tau == 2.0
         assert rec.pairing_l2 is None
+
+    @pytest.fixture
+    def shared_q1(self):
+        """Three pairs at N=64 whose q1 are equal copies, not one array."""
+        g = make_grid(1.2, 64)
+        d = make_domain(g, Disk(0j, 1.0))
+        q1 = d.restrict(bump_field(g, 0.2 + 0.1j, 0.45, 0.5))
+        pairs = [(q1.copy(), q1 + d.restrict(bump_field(g, -0.15 + 0.2j, 0.35, eps)))
+                 for eps in (0.4, 0.2, 0.1)]
+        cfg = StabilityConfig(family_taus=(4.0, 8.0, 16.0), fd_modes=2, b_omega=2.0)
+        return g, d, pairs, cfg
+
+    def test_each_potential_solved_once(self, shared_q1, monkeypatch):
+        g, d, pairs, cfg = shared_q1
+        solves, factors = [], []
+        solve = boundary.solve_f
+
+        def counting(q, params, domain, phase_type, **kwargs):
+            solves.append((np.asarray(q).tobytes(), phase_type, params.z0, params.tau))
+            return solve(q, params, domain, phase_type, **kwargs)
+
+        class CountingSolver(boundary.DirichletSolver):
+            def __init__(self, domain, q):
+                factors.append(np.asarray(q).tobytes())
+                super().__init__(domain, q)
+        monkeypatch.setattr(boundary, "solve_f", counting)
+        monkeypatch.setattr(boundary, "DirichletSolver", CountingSolver)
+        records = stability_experiment(pairs, d, cfg)
+        assert not any(r.excluded for r in records)
+        assert len(solves) == len(set(solves))
+        assert len(factors) == len(set(factors)) == 1 + len(pairs)
+
+    def test_matches_separate_calls_bitwise(self, shared_q1):
+        g, d, pairs, cfg = shared_q1
+        records = stability_experiment(pairs, d, cfg)
+        fam = FamilySpec(tuple(make_z0_lattice(d, cfg.lattice_n)), cfg.family_taus,
+                         fd_modes=cfg.fd_modes)
+        rl = make_z0_lattice(d, cfg.recon_lattice_n)
+        for (q1, q2), rec in zip(pairs, records):
+            assert rec.d_hat == cauchy_distance(q1, q2, d, fam).d_hat
+            want = reconstruct_pairing(q1, q2, rec.tau, rl, g, d).errors()["l2"]
+            assert rec.pairing_l2 == want
 
     def test_scaling_doubles_lhs(self):
         g = make_grid(1.2, 128)
