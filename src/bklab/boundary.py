@@ -5,9 +5,11 @@ proxy built from oscillating-solution pairs and trigonometric traces.
 A pairing int u1 (q1 - q2) u2 dm is a stored side walked against a
 streamed partner: the side holds q1's holomorphic oscillating solutions
 over the (z0, tau) jobs (or the message of a divergence) and its lifts
-of the trigonometric data, masked to the domain with their W^{1,2}
-norms; q2's antiholomorphic solution is solved job by job during the
-walk and never stored.  A side built once serves every partner of q1.
+of the trigonometric data with their W^{1,2} norms, masked to the domain;
+q2's antiholomorphic solution is solved job by job during the walk and
+never stored.  A side built once serves every partner of q1.  Only the
+distance normalizes the oscillating pairs, so it alone takes their
+W^{1,2} norms: the side's on first read, the partner's during the walk.
 
 The solver is a Shortley-Weller five-point scheme: at cells whose stencil
 crosses the boundary, the arms are cut at the exact shape intersection
@@ -18,10 +20,9 @@ scheme second order on disks and grid-aligned polygons.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .bukhgeim import assemble_u, solve_f
 from .errors import BklabError, DomainError, FixedPointDivergenceError, SingularSystemError
@@ -75,6 +76,8 @@ class DirichletSolver:
     reusable across boundary data for a fixed (domain, q)."""
 
     def __init__(self, domain: DomainSpec, q):
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
         grid = domain.grid
         self.domain = domain
         self.q = grid.check_field(np.asarray(q, dtype=complex))
@@ -364,23 +367,37 @@ class Side:
     q: np.ndarray
     domain: DomainSpec
     family: FamilySpec
-    solutions: dict      # (z0, tau) -> (u[mask], ||u||_{W^{1,2}}) or divergence message
+    solutions: dict      # (z0, tau) -> u[mask] or divergence message
     lifts: list          # (U_k[mask], ||U_k||_{W^{1,2}})
 
-    def pairing(self, q2, params: PhaseParams) -> tuple[complex, float, float]:
-        """(int u1 (q - q2) u2 dm, ||u1||, ||u2||) at one job: u1 the stored
-        solution, u2 q2's antiholomorphic one, solved now.  Raises
+    @cached_property
+    def norms(self) -> dict:
+        """(z0, tau) -> ||u||_{W^{1,2}} of every stored solution, taken on
+        first read."""
+        m = self.domain.mask
+
+        def norm(u):
+            # the masked gradient reads only masked cells, so zero-filling
+            # the rest gives the norm of the full solution
+            fld = np.zeros(m.shape, dtype=complex)
+            fld[m] = u
+            return w12_norm(fld, self.domain)
+
+        solved = {job: u for job, u in self.solutions.items() if not isinstance(u, str)}
+        return dict(zip(solved, parallel_map(norm, solved.values())))
+
+    def pairing(self, q2, params: PhaseParams) -> tuple[complex, np.ndarray]:
+        """(int u1 (q - q2) u2 dm, u2) at one job: u1 the stored solution,
+        u2 q2's antiholomorphic one, solved now.  Raises
         FixedPointDivergenceError with the stored message if u1 diverged
         (q2 is then not solved), else with q2's if u2 diverges."""
-        got = self.solutions[(params.z0, params.tau)]
-        if isinstance(got, str):
-            raise FixedPointDivergenceError(got)
-        u1, n1 = got
+        u1 = self.solutions[(params.z0, params.tau)]
+        if isinstance(u1, str):
+            raise FixedPointDivergenceError(u1)
         u2 = assemble_u(solve_f(q2, params, self.domain, "antiholomorphic",
                                 tol=self.family.tol, max_iter=self.family.max_iter))
         m = self.domain.mask
-        return (interior_pairing(u1, self.q[m] - q2[m], u2[m], self.domain),
-                n1, w12_norm(u2, self.domain))
+        return interior_pairing(u1, self.q[m] - q2[m], u2[m], self.domain), u2
 
 
 def solve_side(q, domain: DomainSpec, family: FamilySpec) -> Side:
@@ -396,8 +413,7 @@ def solve_side(q, domain: DomainSpec, family: FamilySpec) -> Side:
                           tol=family.tol, max_iter=family.max_iter)
         except FixedPointDivergenceError as e:
             return str(e)
-        u = assemble_u(sol)
-        return u[m], w12_norm(u, domain)
+        return assemble_u(sol)[m]
 
     jobs = list(dict.fromkeys(family.jobs))
     solutions = dict(zip(jobs, parallel_map(one, jobs)))
@@ -414,13 +430,15 @@ def side_distance(side: Side, q2) -> CauchyDistanceReport:
         "z0_points": len(family.z0_points), "taus": list(family.taus),
         "fd_modes": family.fd_modes})
 
+    norms = side.norms
+
     def one(job):
         z0, tau = job
         try:
-            val, n1, n2 = side.pairing(q2, PhaseParams(tau, z0))
+            val, u2 = side.pairing(q2, PhaseParams(tau, z0))
         except FixedPointDivergenceError as e:
             return ("skip", z0, tau, str(e))
-        return ("ok", z0, tau, abs(val) / (n1 * n2))
+        return ("ok", z0, tau, abs(val) / (norms[job] * w12_norm(u2, domain)))
 
     for res in parallel_map(one, family.jobs):
         if res[0] == "ok":

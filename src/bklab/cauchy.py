@@ -6,6 +6,10 @@ The transform is a zero-padded FFT convolution with a displacement kernel
 (1/(pi z) here; `stationary` passes its own) sampled at cell-center
 displacements, computed with pruned FFTs that skip the rows the padding
 leaves zero and the rows the crop discards (`ConvolutionPlan`).  The
+forward passes and the first inverse pass run along contiguous rows (the
+y pass on a transposed copy), so the plan keeps its spectra transposed,
+(xi_x, xi_y); `kernel_hat` and `d_symbol` still read in (xi_y, xi_x)
+orientation.  The
 origin sample is exactly zero: the mean of 1/(pi z) over a centered
 square cell vanishes by odd symmetry, so the singular cell needs no
 regularization parameter.
@@ -49,10 +53,23 @@ class ConvolutionPlan:
 
     A transform is pruned on both sides: the input fills only the first N
     rows and columns of the padded grid, and only the first N rows and
-    columns of the output are kept.  So the forward pass transforms the N
-    data rows along x (padding to 2N), then pads to 2N rows along y; the
-    inverse pass transforms along y, keeps N rows, and transforms those
-    along x.  The row passes on the zero or discarded half are skipped.
+    columns of the output are kept:
+
+    1. the N data rows, (y, x), are transformed along x, padding to 2N;
+    2. a transposed copy, (xi_x, y), is transformed along y, padding to 2N;
+    3. the spectrum, (xi_x, xi_y), is multiplied by the kernel's (and the
+       symbol's) spectrum, which the plan stores in the same orientation;
+    4. its rows are inverted along xi_y, and the first N columns kept;
+    5. those N columns are inverted along xi_x in place, and the first N
+       rows of the result, (x, y), are transposed into the N x N output.
+
+    Passes 1, 2 and 4 run along contiguous rows.  Pass 5 strides, but only
+    over the kept half, and in place: a row pass would need a transposed
+    copy of that half beside the spectrum.  The passes on the zero or
+    discarded half are skipped.  Each 1-D transform sees the same samples
+    as in the (y, x) layout, so the output is the same bit for bit.
+    `kernel_hat` and `d_symbol` read in (xi_y, xi_x) orientation, as
+    read-only views of the stored spectra.
     """
 
     def __init__(self, grid: Grid, kernel):
@@ -60,33 +77,47 @@ class ConvolutionPlan:
         N, h = grid.N, grid.h
         M = 2 * N
         d = ((np.arange(M) + N) % M - N) * h
-        self.kernel_hat = sfft.fft2(kernel(d[None, :] + 1j * d[:, None]), overwrite_x=True)
-        self.kernel_hat.setflags(write=False)
+        # the kernel sampled at (x, y) = (d[i], d[j]), transformed along y
+        # and then x: the passes of fft2 on the (y, x) samples, in the same
+        # order, so this is exactly that spectrum transposed
+        self._kernel_hat_t = sfft.fft2(kernel(d[:, None] + 1j * d[None, :]),
+                                       axes=(1, 0), overwrite_x=True)
+        self._kernel_hat_t.setflags(write=False)
+
+    @property
+    def kernel_hat(self) -> np.ndarray:
+        """Spectrum of the sampled kernel, (xi_y, xi_x)."""
+        return self._kernel_hat_t.T
 
     @cached_property
-    def d_symbol(self) -> np.ndarray:
-        """Symbol of d on the padded grid, which has the same h."""
+    def _d_symbol_t(self) -> np.ndarray:
         sym = _wirtinger_symbol(Grid(2 * self.grid.L, 2 * self.grid.N), "d")
+        sym = np.ascontiguousarray(sym.T)
         sym.setflags(write=False)
         return sym
 
-    def _convolve(self, f: np.ndarray, symbol: np.ndarray | None) -> np.ndarray:
+    @property
+    def d_symbol(self) -> np.ndarray:
+        """Symbol of d on the padded grid, which has the same h, (xi_y, xi_x)."""
+        return self._d_symbol_t.T
+
+    def _convolve(self, f: np.ndarray, symbol_t: np.ndarray | None) -> np.ndarray:
         N = self.grid.N
         M = 2 * N
         F = sfft.fft(f, n=M, axis=1)
-        F = sfft.fft(F, n=M, axis=0, overwrite_x=True)
-        F *= self.kernel_hat
-        if symbol is not None:
-            F *= symbol
-        F = sfft.ifft(F, axis=0, overwrite_x=True)[:N]
-        F = sfft.ifft(F, axis=1, overwrite_x=True)
-        return F[:, :N] * self.grid.cell_measure
+        F = sfft.fft(F.T, n=M, axis=1, overwrite_x=True)
+        F *= self._kernel_hat_t
+        if symbol_t is not None:
+            F *= symbol_t
+        F = sfft.ifft(F, axis=1, overwrite_x=True)[:, :N]
+        F = sfft.ifft(F, axis=0, overwrite_x=True)
+        return np.multiply(F[:N].T, self.grid.cell_measure, order="C")
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         return self._convolve(f, None)
 
     def apply_beurling(self, f: np.ndarray) -> np.ndarray:
-        return self._convolve(f, self.d_symbol)
+        return self._convolve(f, self._d_symbol_t)
 
 
 _PLANS: dict[tuple[float, int], ConvolutionPlan] = {}

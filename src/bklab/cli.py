@@ -350,8 +350,15 @@ def cmd_stability(ns) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors take the JSON error path."""
+
+    def error(self, message):
+        raise BklabError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="bklab", description=__doc__)
+    p = _Parser(prog="bklab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("lorentz-norm", help="Lorentz / Bessel norm of a field")
@@ -424,13 +431,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
-    try:
+        ns = build_parser().parse_args(argv)
         return ns.fn(ns)
+    except SystemExit as e:  # --help
+        return 2 if e.code not in (0, None) else 0
     except (BklabError, FileNotFoundError, KeyError, json.JSONDecodeError,
             NumericalError) as e:
         json.dump({"error": {"type": type(e).__name__, "message": str(e)}},

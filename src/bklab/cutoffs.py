@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import BklabError, DomainError, MollifierResolutionError
 from .grid import Disk, DomainSpec, Grid
@@ -116,6 +115,7 @@ def h1_defect_l1(domain: DomainSpec, z0: complex, tau: float) -> float:
     eps = tau ** -0.5
     shape = domain.shape
     if isinstance(shape, Disk):
+        from scipy.integrate import quad
         d = abs(z0 - shape.center)
         if d >= shape.radius + eps:
             return 0.0
@@ -169,6 +169,7 @@ def h1_report(bundle: CutoffBundle, domain: DomainSpec, tau: float) -> dict:
 @lru_cache(maxsize=1)
 def _bump_constants() -> tuple[float, float]:
     """(normalization c with int phi = 1, continuum ||dbar phi||_1)."""
+    from scipy.integrate import quad
     mass, _ = quad(lambda r: math.exp(-1.0 / (1.0 - r * r)) * r, 0.0, 1.0,
                    epsabs=1e-14, epsrel=1e-13)
     c = 1.0 / (2 * np.pi * mass)
@@ -285,6 +286,7 @@ def annulus_kernel_bounds(area: float, rho: float) -> tuple[float, float]:
 def annulus_majorization(domain: DomainSpec, z0: complex, fn, eps: float):
     """(grid integral of fn(|z-z0|) over mask minus B(z0,eps),
     radial integral over the extremal annulus) for non-increasing fn."""
+    from scipy.integrate import quad
     grid = domain.grid
     region = domain.mask & (np.abs(grid.Z - z0) >= eps)
     lhs = float(np.sum(fn(np.abs(grid.Z - z0)[region]))) * grid.cell_measure

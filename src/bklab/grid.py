@@ -185,13 +185,13 @@ class DomainSpec:
     """A masked domain: boolean cell mask, positively oriented boundary
     polyline with outward complex normals, boundary quadrature nodes with
     arclength weights, and the exact distance from every cell center to
-    the polyline.
+    the polyline.  `distance` is computed on first read (a run that never
+    reads it, such as a Carleman sweep, skips it) and is read-only.
 
     Immutable after construction; safe to share across threads.
     """
 
-    def __init__(self, grid: Grid, shape, mask, vertices, nodes, normals,
-                 weights, distance):
+    def __init__(self, grid: Grid, shape, mask, vertices, nodes, normals, weights):
         self.grid = grid
         self.shape = shape
         self.mask = mask
@@ -199,10 +199,17 @@ class DomainSpec:
         self.nodes = nodes                # quadrature nodes (complex)
         self.normals = normals            # outward complex normal per node
         self.weights = weights            # arclength weight per node
-        self.distance = distance          # per-cell distance to the polyline
         self.perimeter = float(weights.sum())
-        for a in ("mask", "vertices", "nodes", "normals", "weights", "distance"):
+        for a in ("mask", "vertices", "nodes", "normals", "weights"):
             getattr(self, a).setflags(write=False)
+
+    @cached_property
+    def distance(self) -> np.ndarray:
+        """Per-cell distance to the polyline (a disk's is a regular polygon)."""
+        distance = _distance_to_polyline(self.grid, self.vertices,
+                                         regular=isinstance(self.shape, Disk))
+        distance.setflags(write=False)
+        return distance
 
     @property
     def measure(self) -> float:
@@ -249,7 +256,8 @@ def make_grid(L: float, N: int) -> Grid:
 
 
 def make_domain(grid: Grid, shape) -> DomainSpec:
-    """Build the mask, boundary polyline, quadrature and distance field.
+    """Build the mask, boundary polyline and quadrature (the distance field
+    waits for its first read).
 
     Disk boundaries use the circumscribed (tangent) regular polygon: its
     edge midpoints lie exactly on the circle, so quadrature nodes sit on
@@ -285,8 +293,7 @@ def _make_disk(grid: Grid, disk: Disk) -> DomainSpec:
     mask = np.abs(grid.Z - c) < r
     if not mask.any():
         raise DomainError("disk does not contain any cell center")
-    distance = _distance_to_polyline(grid, vertices, regular=True)
-    return DomainSpec(grid, disk, mask, vertices, nodes, normals, weights, distance)
+    return DomainSpec(grid, disk, mask, vertices, nodes, normals, weights)
 
 
 def _make_polygon(grid: Grid, poly: Polygon) -> DomainSpec:
@@ -322,8 +329,7 @@ def _make_polygon(grid: Grid, poly: Polygon) -> DomainSpec:
     mask = _points_in_polygon(grid.Z, verts)
     if not mask.any():
         raise DomainError("polygon does not contain any cell center")
-    distance = _distance_to_polyline(grid, verts)
-    return DomainSpec(grid, poly, mask, verts, nodes, normals, weights, distance)
+    return DomainSpec(grid, poly, mask, verts, nodes, normals, weights)
 
 
 def _points_in_polygon(Z: np.ndarray, verts: np.ndarray) -> np.ndarray:

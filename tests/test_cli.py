@@ -55,8 +55,18 @@ def workspace(tmp_path_factory):
 
 class TestBasics:
     def test_unknown_subcommand_exit_2(self):
-        r = run_cli(["frobnicate"])
-        assert r.returncode == 2
+        assert_config_error(run_cli(["frobnicate"]))
+
+    def test_import_leaves_unused_scipy_modules_unloaded(self):
+        # each is imported where it is used (Dirichlet factorization,
+        # quadrature, the boundary node tree, Halton samples), so a run that
+        # uses none of them does not pay for loading them
+        code = ("import sys, bklab.cli; print([m for m in ('scipy.sparse', 'scipy.integrate', "
+                "'scipy.spatial', 'scipy.stats') if m in sys.modules])")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           timeout=120)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "[]"
 
     def test_missing_file_error_json(self, workspace):
         r = run_cli(["lorentz-norm", "--field", str(workspace / "nope.bkfld"),

@@ -5,6 +5,7 @@ import pytest
 
 from bklab import (Disk, Polygon, PhaseParams, boundary_belt, load_domain,
                    load_field, make_domain, make_grid, save_domain, save_field)
+import bklab.grid as grid_module
 from bklab.errors import AliasingGuardError, BklabError, DomainError, GridError
 
 
@@ -112,14 +113,21 @@ class TestMakeDomain:
         (make_grid(1.2, 128), Polygon((-0.8 - 0.7j, 0.9 - 0.6j, 0.7 + 0.8j,
                                        -0.6 + 0.9j, -0.95 + 0.1j))),
     ], ids=["disk", "on-edge-pentagon"])
-    def test_distance_is_minimum_over_every_edge(self, grid, shape):
+    def test_distance_is_minimum_over_every_edge(self, grid, shape, monkeypatch):
+        calls = []
+        compute = grid_module._distance_to_polyline
+        monkeypatch.setattr(grid_module, "_distance_to_polyline",
+                            lambda *a, **k: calls.append(1) or compute(*a, **k))
         d = make_domain(grid, shape)
+        assert not calls  # computed on first read, not by make_domain
         z = grid.Z.ravel()[:, None]
         a = np.asarray(d.vertices)[None, :]
         ab = np.roll(a, -1) - a
         t = np.clip(((z - a) * np.conj(ab)).real / np.abs(ab) ** 2, 0.0, 1.0)
         brute = np.abs(z - (a + t * ab)).min(axis=1).reshape(grid.N, grid.N)
         assert np.array_equal(d.distance, brute)
+        assert d.distance is d.distance and len(calls) == 1
+        assert not d.distance.flags.writeable
 
 
 class TestBelt:
