@@ -320,8 +320,6 @@ class FamilySpec:
     z0_points: tuple
     taus: tuple
     fd_modes: int = 8
-    tol: float = 1e-10
-    max_iter: int = 200
 
     def validate(self):
         if len(self.z0_points) < 9:
@@ -394,8 +392,7 @@ class Side:
         u1 = self.solutions[(params.z0, params.tau)]
         if isinstance(u1, str):
             raise FixedPointDivergenceError(u1)
-        u2 = assemble_u(solve_f(q2, params, self.domain, "antiholomorphic",
-                                tol=self.family.tol, max_iter=self.family.max_iter))
+        u2 = assemble_u(solve_f(q2, params, self.domain, "antiholomorphic"))
         m = self.domain.mask
         return interior_pairing(u1, self.q[m] - q2[m], u2[m], self.domain), u2
 
@@ -409,8 +406,7 @@ def solve_side(q, domain: DomainSpec, family: FamilySpec) -> Side:
     def one(job):
         z0, tau = job
         try:
-            sol = solve_f(q, PhaseParams(tau, z0), domain, "holomorphic",
-                          tol=family.tol, max_iter=family.max_iter)
+            sol = solve_f(q, PhaseParams(tau, z0), domain, "holomorphic")
         except FixedPointDivergenceError as e:
             return str(e)
         return assemble_u(sol)[m]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cauchy import cauchy, conj_cauchy, get_plan
+from .cauchy import cauchy, conj_cauchy
 from .errors import BklabError, FixedPointDivergenceError, GridError
 from .grid import DomainSpec, Grid, PhaseParams
 from .lorentz import LorentzIndex, lorentz_norm
@@ -34,11 +34,9 @@ class _SPipeline:
     operator, with the unimodular weights precomputed."""
 
     def __init__(self, q, params: PhaseParams, domain: DomainSpec,
-                 phase_type: str, phase_sign: int = +1):
+                 phase_type: str):
         if phase_type not in PHASE_TYPES:
             raise BklabError(f"phase_type must be one of {PHASE_TYPES}")
-        if phase_sign not in (1, -1):
-            raise BklabError(f"phase_sign must be +1 or -1, got {phase_sign!r}")
         grid = domain.grid
         params.validate_for(grid)
         q = grid.check_field(np.asarray(q, dtype=complex))
@@ -48,32 +46,30 @@ class _SPipeline:
         self.grid = grid
         self.domain = domain
         self.phase_type = phase_type
-        self.phase_sign = int(phase_sign)
         self.params = params
-        self.P = params.weight(grid, self.phase_sign)   # inner weight
-        self.Pc = np.conj(self.P)                        # outer weight
-        self.plan = get_plan(grid)
+        self.P = params.weight(grid)     # inner weight
+        self.Pc = np.conj(self.P)        # outer weight
         self.mask = domain.mask
 
     def apply(self, f) -> tuple[np.ndarray, np.ndarray]:
         """(S f, inner transform Cbar/C(e^{i tau R} chi q f))."""
         t1 = self.P * (self.q_masked * f)
         if self.phase_type == "holomorphic":
-            t2 = conj_cauchy(t1, plan=self.plan)
+            t2 = conj_cauchy(t1, self.grid)
             t3 = np.where(self.mask, self.Pc * t2, 0.0 + 0.0j)
-            out = cauchy(t3, plan=self.plan)
+            out = cauchy(t3, self.grid)
         else:
-            t2 = cauchy(t1, plan=self.plan)
+            t2 = cauchy(t1, self.grid)
             t3 = np.where(self.mask, self.Pc * t2, 0.0 + 0.0j)
-            out = conj_cauchy(t3, plan=self.plan)
+            out = conj_cauchy(t3, self.grid)
         return out, t2
 
 
 def apply_S(q, f, params: PhaseParams, domain: DomainSpec,
-            phase_type: str = "holomorphic", phase_sign: int = +1) -> np.ndarray:
+            phase_type: str = "holomorphic") -> np.ndarray:
     """S f: mask, phase multiply, inner Cauchy transform, opposite phase
     multiply, mask, outer Cauchy transform.  Linear in f."""
-    pipe = _SPipeline(q, params, domain, phase_type, phase_sign)
+    pipe = _SPipeline(q, params, domain, phase_type)
     f = domain.grid.check_field(np.asarray(f, dtype=complex))
     return pipe.apply(f)[0]
 
@@ -83,7 +79,6 @@ class BukhgeimSolution:
     f: np.ndarray
     params: PhaseParams
     phase_type: str
-    phase_sign: int
     iterations: int
     contraction_ratios: tuple
     defect: float                  # sup |f - (1 - S f / 4)| at the returned f
@@ -104,7 +99,7 @@ class BukhgeimSolution:
 
 def solve_f(q, params: PhaseParams, domain: DomainSpec,
             phase_type: str = "holomorphic", tol: float = 1e-10,
-            max_iter: int = 200, phase_sign: int = +1) -> BukhgeimSolution:
+            max_iter: int = 200) -> BukhgeimSolution:
     """Picard iteration f_0 = 1, f_{k+1} = 1 - S f_k / 4.
 
     Stops when the sup-norm update |f_{k+1} - f_k| drops below tol and
@@ -116,7 +111,7 @@ def solve_f(q, params: PhaseParams, domain: DomainSpec,
     """
     if tol <= 0:
         raise BklabError(f"tolerance must be positive, got {tol}")
-    pipe = _SPipeline(q, params, domain, phase_type, phase_sign)
+    pipe = _SPipeline(q, params, domain, phase_type)
     grid = domain.grid
     f = np.ones((grid.N, grid.N), dtype=complex)
     updates: list[float] = []
@@ -145,24 +140,24 @@ def solve_f(q, params: PhaseParams, domain: DomainSpec,
     ratios = tuple(updates[i] / updates[i - 1] for i in range(1, len(updates))
                    if updates[i - 1] > 0)
     return BukhgeimSolution(
-        f=f, params=params, phase_type=phase_type, phase_sign=phase_sign,
-        iterations=it, contraction_ratios=ratios, defect=updates[-1],
+        f=f, params=params, phase_type=phase_type, iterations=it,
+        contraction_ratios=ratios, defect=updates[-1],
         sup_f=float(np.abs(f).max()), inner_transform=t2, domain=domain,
         converged=converged)
 
 
-def oscillating_phase(params: PhaseParams, grid: Grid, phase_type: str,
-                      phase_sign: int = +1) -> np.ndarray:
+def oscillating_phase(params: PhaseParams, grid: Grid, phase_type: str) -> np.ndarray:
+    """e^{i tau (z-z0)^2}, or e^{i tau (zbar-z0bar)^2} for the
+    antiholomorphic type."""
     dz = grid.Z - params.z0
     if phase_type == "holomorphic":
-        return np.exp(1j * phase_sign * params.tau * dz * dz)
-    return np.exp(1j * phase_sign * params.tau * np.conj(dz) ** 2)
+        return np.exp(1j * params.tau * dz * dz)
+    return np.exp(1j * params.tau * np.conj(dz) ** 2)
 
 
 def assemble_u(sol: BukhgeimSolution) -> np.ndarray:
     """u = e^{i tau (z-z0)^2} f, or the conjugate-phase variant."""
-    return oscillating_phase(sol.params, sol.domain.grid, sol.phase_type,
-                             sol.phase_sign) * sol.f
+    return oscillating_phase(sol.params, sol.domain.grid, sol.phase_type) * sol.f
 
 
 def dbar_u(sol: BukhgeimSolution) -> np.ndarray:
@@ -171,9 +166,8 @@ def dbar_u(sol: BukhgeimSolution) -> np.ndarray:
     of the oscillatory field.  (Holomorphic phase type.)"""
     if sol.phase_type != "holomorphic":
         raise BklabError("dbar_u uses the holomorphic-phase fixed point")
-    anti = oscillating_phase(sol.params, sol.domain.grid, "antiholomorphic",
-                             -sol.phase_sign)
-    return -0.25 * anti * sol.inner_transform
+    holo = oscillating_phase(sol.params, sol.domain.grid, "holomorphic")
+    return -0.25 * np.conj(holo) * sol.inner_transform
 
 
 @dataclass(frozen=True)
@@ -242,7 +236,7 @@ def carleman_sweep(a_or_q, taus, domain: DomainSpec, z0: complex,
     def one(tau: float):
         params = PhaseParams(tau, z0)
         if mode == "field":
-            v = cauchy(params.weight(grid, -1) * domain.restrict(a), grid=grid)
+            v = cauchy(params.weight(grid, -1) * domain.restrict(a), grid)
         else:
             v = apply_S(a, np.ones_like(a), params, domain)
         return (lorentz_norm(v, weak_idx, grid=grid), float(np.abs(v).max()))

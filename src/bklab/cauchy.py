@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import BklabError, GridError
+from .errors import BklabError
 from .grid import DomainSpec, Grid
 from .util import masked_gradient
 
@@ -133,47 +133,30 @@ def get_plan(grid: Grid) -> ConvolutionPlan:
     return plan
 
 
-def _resolve(f, plan, grid):
-    if plan is None:
-        if grid is None:
-            raise BklabError("cauchy needs a plan or a grid")
-        plan = get_plan(grid)
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (plan.grid.N, plan.grid.N):
-        raise GridError(f"field shape {f.shape} does not match plan grid "
-                        f"{(plan.grid.N, plan.grid.N)}")
-    return f, plan
-
-
-def cauchy(f: np.ndarray, plan: ConvolutionPlan | None = None,
-           grid: Grid | None = None) -> np.ndarray:
+def cauchy(f: np.ndarray, grid: Grid) -> np.ndarray:
     """C f = (1/(pi z)) * f, a right inverse of dbar."""
-    f, plan = _resolve(f, plan, grid)
-    return plan.apply(f)
+    return get_plan(grid).apply(grid.check_field(np.asarray(f, dtype=complex)))
 
 
-def conj_cauchy(f: np.ndarray, plan: ConvolutionPlan | None = None,
-                grid: Grid | None = None) -> np.ndarray:
+def conj_cauchy(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Cbar f = (1/(pi zbar)) * f = conj(C(conj f)), bit for bit."""
-    f, plan = _resolve(f, plan, grid)
-    return np.conj(plan.apply(np.conj(f)))
+    f = grid.check_field(np.asarray(f, dtype=complex))
+    return np.conj(get_plan(grid).apply(np.conj(f)))
 
 
-def beurling(f: np.ndarray, plan: ConvolutionPlan | None = None,
-             grid: Grid | None = None) -> np.ndarray:
+def beurling(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Pi f = d(C f), with d applied spectrally on the padded grid."""
-    f, plan = _resolve(f, plan, grid)
-    return plan.apply_beurling(f)
+    return get_plan(grid).apply_beurling(grid.check_field(np.asarray(f, dtype=complex)))
 
 
 def wirtinger(f: np.ndarray, which: str, grid: Grid,
-              method: str = "spectral", mask: np.ndarray | None = None) -> np.ndarray:
+              method: str = "spectral") -> np.ndarray:
     """d or dbar of a field.
 
     method='spectral' differentiates on the periodic grid and suits
-    smooth, decaying fields.  method='fd' uses centered differences
-    (one-sided at a mask edge or the grid edge) on `mask`, the whole grid
-    by default, and suits masked or non-periodic fields.
+    smooth, decaying fields.  method='fd' uses centered differences over
+    the whole grid, one-sided at the grid edge, and suits non-periodic
+    fields.
     Convention: d = (d_x - i d_y)/2, dbar = (d_x + i d_y)/2.
     """
     f = grid.check_field(np.asarray(f, dtype=complex))
@@ -183,9 +166,7 @@ def wirtinger(f: np.ndarray, which: str, grid: Grid,
         return np.fft.ifft2(np.fft.fft2(f) * _wirtinger_symbol(grid, which))
     if method != "fd":
         raise BklabError(f"unknown wirtinger method {method!r}")
-    if mask is None:
-        mask = np.ones(f.shape, dtype=bool)
-    fx, fy = masked_gradient(f, mask, grid.h)
+    fx, fy = masked_gradient(f, np.ones(f.shape, dtype=bool), grid.h)
     return 0.5 * (fx + (-1j if which == "d" else 1j) * fy)
 
 
@@ -225,7 +206,7 @@ def ibp_check(domain: DomainSpec, f, dbar_f) -> float:
     grid = domain.grid
     F = np.asarray(f(grid.Z), dtype=complex)
     dF = np.asarray(dbar_f(grid.Z), dtype=complex)
-    lhs = cauchy(domain.restrict(dF), grid=grid)
+    lhs = cauchy(domain.restrict(dF), grid)
     bc, valid = boundary_cauchy(f, domain)
     inner = domain.interior_mask(3 * grid.h) & valid
     resid = lhs - domain.restrict(F) - bc

@@ -120,7 +120,7 @@ def cmd_lorentz_norm(ns) -> int:
     q = math.inf if ns.q in ("inf", "Inf") else _parse_numbers(ns.q, ",", "q index", 1)[0]
     idx = LorentzIndex(ns.p, q, normed=not ns.seminormed)
     if ns.s is not None:
-        val = bessel_norm(field, ns.s, idx, grid, domain)
+        val = bessel_norm(field, ns.s, idx, domain, grid)
     else:
         val = lorentz_norm(field, idx, domain=domain, grid=grid)
     print(f"{val:.12g}")
@@ -133,13 +133,12 @@ def cmd_cauchy_selftest(ns) -> int:
     for N in (64, 128, 256) if ns.n == 0 else (ns.n,):
         grid = make_grid(1.5, N)
         ball = np.abs(grid.Z) < 1.0
-        g = cauchy(ball.astype(complex), grid=grid)
+        g = cauchy(ball.astype(complex), grid)
         exact = np.where(ball, np.conj(grid.Z), 1.0 / grid.Z)
         chi_err = float(np.abs(g - exact).max())
         r2 = np.abs(grid.Z) ** 2
         phi = np.where(r2 < 1.0, np.exp(-1.0 / np.maximum(1e-300, 1.0 - r2)), 0.0)
-        dg = wirtinger(cauchy(phi.astype(complex), grid=grid), "dbar", grid,
-                       method="fd")
+        dg = wirtinger(cauchy(phi.astype(complex), grid), "dbar", grid, method="fd")
         inv_err = float(np.abs(dg - phi)[3:-3, 3:-3].max())
         rows.append((N, chi_err, 10 * grid.h * math.log(1 / grid.h), inv_err))
     _write_csv(os.path.join(out, "cauchy_selftest.csv"),
@@ -266,7 +265,7 @@ def cmd_reconstruct(ns) -> int:
     metrics: dict = {"taus": taus, "forms": list(forms), "errors": {}}
     sweep_err: dict = {f: [] for f in forms}
     for tau in taus:
-        for res in recon.reconstruct(q, tau, lattice, grid, domain, forms):
+        for res in recon.reconstruct(q, tau, lattice, domain, forms):
             errs = res.errors()
             metrics["errors"].setdefault(res.form, {})[repr(tau)] = errs
             sweep_err[res.form].append(errs["sup"])
@@ -295,11 +294,11 @@ _STAB_KINDS = {"s": "number", "lattice_n": "integer", "family_taus": "list of nu
                "norm_bound": "number", "b_omega": "number or null"}
 
 
-def _field_from_spec(spec: dict, grid: Grid, domain: DomainSpec) -> np.ndarray:
+def _field_from_spec(spec: dict, domain: DomainSpec) -> np.ndarray:
     kind = _checked(spec, "object", "potential spec").get("type")
     if kind == "bump":
         f = recon.bump_field(
-            grid, complex(*_checked(spec["center"], "point [x, y]", "bump center")),
+            domain.grid, complex(*_checked(spec["center"], "point [x, y]", "bump center")),
             float(_checked(spec["width"], "number", "bump width")),
             complex(_checked(spec["amplitude"], "number", "bump amplitude")))
         return domain.restrict(f)
@@ -319,8 +318,7 @@ def cmd_stability(ns) -> int:
         raise BklabError(f"unsupported config version {cfg['version']!r}")
     gspec = _checked(cfg["domain"], "object", "domain")
     domain = domain_from_spec(gspec["L"], gspec["N"], gspec["shape"], "domain.")
-    grid = domain.grid
-    pairs = [tuple(_field_from_spec(_checked(p, "object", "pair")[k], grid, domain)
+    pairs = [tuple(_field_from_spec(_checked(p, "object", "pair")[k], domain)
                    for k in ("q1", "q2"))
              for p in _checked(cfg["pairs"], "list", "pairs")]
     sc = recon.StabilityConfig(**{

@@ -215,8 +215,8 @@ def _mollify(indicator: np.ndarray, a: float, grid: Grid):
     return np.clip(smooth, 0.0, 1.0), dbar
 
 
-def build_h2(grid: Grid, domain: DomainSpec, z0: complex, eps: float,
-             delta: float) -> CutoffBundle:
+def build_h2(domain: DomainSpec, z0: complex, eps: float, delta: float) -> CutoffBundle:
+    grid = domain.grid
     h = grid.h
     if eps < 4 * h or delta < 4 * h:
         raise MollifierResolutionError(
@@ -244,11 +244,11 @@ def h2_scales(tau: float) -> tuple[float, float]:
     return eps, math.sqrt(eps)
 
 
-def tune_h2(grid: Grid, domain: DomainSpec, z0: complex, tau: float):
+def tune_h2(domain: DomainSpec, z0: complex, tau: float):
     """Bundle at the tuned scales plus the composite quantity
     tau ||defect||_(2,1) + ||h||_inf + ||dbar h||_(2,1)."""
     eps, delta = h2_scales(tau)
-    bundle = build_h2(grid, domain, z0, eps, delta)
+    bundle = build_h2(domain, z0, eps, delta)
     composite = (tau * bundle.defect_l21(domain)
                  + bundle.sup_norm(domain)
                  + bundle.dbar_l21(domain))
@@ -258,12 +258,13 @@ def tune_h2(grid: Grid, domain: DomainSpec, z0: complex, tau: float):
 # ---------------------------------------------------------------------------
 # annulus kernel norms
 
-def annulus_kernel_norms(grid: Grid, domain: DomainSpec, z0: complex,
+def annulus_kernel_norms(domain: DomainSpec, z0: complex,
                          rho: float) -> tuple[float, float]:
     """(2,1) norms of (zbar-z0bar)^{-1} and (zbar-z0bar)^{-2} over the
     masked region outside B(z0, rho).  Empty region gives (0, 0)."""
     if rho <= 0:
         raise DomainError(f"exclusion radius must be positive, got {rho}")
+    grid = domain.grid
     region = domain.mask & (np.abs(grid.Z - z0) >= rho)
     if not region.any():
         return 0.0, 0.0

@@ -90,19 +90,27 @@ class StepRearrangement:
         return float(np.sum(self.values ** r * np.diff(self.breakpoints)))
 
 
+def _where(domain: DomainSpec | None,
+           grid: Grid | None) -> tuple[Grid, np.ndarray | None]:
+    """The grid a field lives on and the mask it is read on (None: the
+    whole grid).  A domain brings its own grid; a grid given beside it must
+    be that grid."""
+    if domain is None:
+        if grid is None:
+            raise NormError("a norm needs a domain or a grid")
+        return grid, None
+    if grid is not None and grid != domain.grid:
+        raise NormError(f"grid {grid} is not the domain's grid {domain.grid}")
+    return domain.grid, domain.mask
+
+
 def rearrange(field: np.ndarray, domain: DomainSpec | None = None,
               grid: Grid | None = None) -> StepRearrangement:
     """Sort |field| (restricted to the domain mask if given) descending
     and compress equal runs into steps."""
-    field = np.asarray(field)
-    if domain is not None:
-        grid = domain.grid
-        vals = np.abs(field[domain.mask]).ravel()
-    else:
-        if grid is None:
-            raise NormError("rearrange needs a domain or a grid")
-        grid.check_field(field)
-        vals = np.abs(field).ravel()
+    grid, mask = _where(domain, grid)
+    field = grid.check_field(np.asarray(field))
+    vals = np.abs(field if mask is None else field[mask]).ravel()
     if vals.size == 0:
         raise NormError("empty mask: nothing to rearrange")
     if not np.all(np.isfinite(vals)):
@@ -159,18 +167,10 @@ def _norm(t, v, p, q):
     A = S[-1]
     tM = t[-1]
     if math.isinf(q):
-        phi_bp = t[1:] ** (1.0 / p) * (S[1:] / t[1:])
-        best = float(np.max(phi_bp))
-        # interior critical points t* = D(p-1)/c (minima of phi, included
-        # for completeness of the supremum search)
-        pos = (c > 0) & (D > 0)
-        if pos.any():
-            ts = D[pos] * (p - 1.0) / c[pos]
-            ts = np.clip(ts, a[pos], b[pos])
-            ts = np.maximum(ts, np.finfo(float).tiny)
-            phi = ts ** (1.0 / p) * (c[pos] + D[pos] / ts)
-            best = max(best, float(np.max(phi)))
-        return best
+        # t^{1/p} f**(t) = t^{1/p} (c + D/t) has one critical point on a
+        # step, t = D(p-1)/c, and it is a minimum for p > 1: the supremum
+        # is at a breakpoint
+        return float(np.max(t[1:] ** (1.0 / p) * (S[1:] / t[1:])))
     total = 0.0
     zero_D = D <= 0.0
     if zero_D.any():
@@ -224,14 +224,11 @@ def sobolev_lorentz_norm(field: np.ndarray, idx: LorentzIndex, k: int,
     centered differences, one-sided at the mask boundary."""
     if k not in (0, 1):
         raise NormError(f"derivative order k must be 0 or 1, got {k}")
+    g, mask = _where(domain, grid)
     total = lorentz_norm(field, idx, domain, grid)
     if k == 1:
-        if domain is not None:
-            g, mask = domain.grid, domain.mask
-        else:
-            if grid is None:
-                raise NormError("sobolev norm needs a domain or a grid")
-            g, mask = grid, np.ones((grid.N, grid.N), dtype=bool)
+        if mask is None:
+            mask = np.ones((g.N, g.N), dtype=bool)
         fx, fy = masked_gradient(np.asarray(field, dtype=complex), mask, g.h)
         total += lorentz_norm(fx, idx, domain, grid)
         total += lorentz_norm(fy, idx, domain, grid)
@@ -243,38 +240,41 @@ def bessel_multiplier(grid: Grid, s: float) -> np.ndarray:
     return (1.0 + xi[None, :] ** 2 + xi[:, None] ** 2) ** (s / 2.0)
 
 
-def bessel_image(field: np.ndarray, s: float, grid: Grid,
-                 domain: DomainSpec | None = None) -> np.ndarray:
+def bessel_image(field: np.ndarray, s: float, domain: DomainSpec | None = None,
+                 grid: Grid | None = None) -> np.ndarray:
     """F^{-1}((1+|xi|^2)^{s/2} F f) with f zero-extended to the full grid.
 
     s = 0 returns the zero-extended field itself (multiplier identically
     one), bit for bit.
     """
+    grid, mask = _where(domain, grid)
     field = grid.check_field(np.asarray(field, dtype=complex))
-    if domain is not None:
+    if mask is not None:
         field = domain.restrict(field)
     if s == 0.0:
         return field
     return np.fft.ifft2(np.fft.fft2(field) * bessel_multiplier(grid, s))
 
 
-def bessel_norm(field: np.ndarray, s: float, idx: LorentzIndex, grid: Grid,
-                domain: DomainSpec | None = None) -> float:
+def bessel_norm(field: np.ndarray, s: float, idx: LorentzIndex,
+                domain: DomainSpec | None = None, grid: Grid | None = None) -> float:
     """Lorentz norm over the full grid of the Bessel-multiplier image of
     the zero-extended field.  This is the fixed zero-extension convention:
     an upper bound for the restriction-infimum norm."""
     if not np.isfinite(s):
         raise NormError(f"smoothness index must be finite, got {s}")
-    return lorentz_norm(bessel_image(field, s, grid, domain), idx, grid=grid)
+    image = bessel_image(field, s, domain, grid)
+    return lorentz_norm(image, idx, grid=_where(domain, grid)[0])
 
 
-def ms_surrogate(field: np.ndarray, s: float, grid: Grid,
-                 domain: DomainSpec | None = None) -> float:
+def ms_surrogate(field: np.ndarray, s: float, domain: DomainSpec | None = None,
+                 grid: Grid | None = None) -> float:
     """Computable stand-in for the interpolation-space norm between bounded
     continuous functions and the first-order (2,1) scale: the larger of the
     sup norm and the smoothness-s Bessel norm at (2,1).  Reported as a
     surrogate; the interpolation norm itself has no computable formula."""
-    field = grid.check_field(np.asarray(field, dtype=complex))
-    vals = field[domain.mask] if domain is not None else field
+    g, mask = _where(domain, grid)
+    field = g.check_field(np.asarray(field, dtype=complex))
+    vals = field[mask] if mask is not None else field
     sup = float(np.abs(vals).max()) if vals.size else 0.0
-    return max(sup, bessel_norm(field, s, LorentzIndex(2.0, 1.0), grid, domain))
+    return max(sup, bessel_norm(field, s, LorentzIndex(2.0, 1.0), domain, grid))

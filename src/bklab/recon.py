@@ -115,7 +115,7 @@ def _check_lattice(domain: DomainSpec, lattice) -> np.ndarray:
 
 def _interior_value(sol, q) -> complex:
     grid, m = sol.domain.grid, sol.domain.mask
-    P = sol.params.weight(grid, +1)
+    P = sol.params.weight(grid)
     return (2 * sol.params.tau / np.pi) * complex(
         (P[m] * q[m] * sol.f[m]).sum() * grid.cell_measure)
 
@@ -129,7 +129,7 @@ def _boundary_value(sol, q) -> complex:
 _FORMS = {"interior": _interior_value, "boundary": _boundary_value}
 
 
-def _lattice_results(forms, target, tau, lattice, grid: Grid, domain: DomainSpec,
+def _lattice_results(forms, target, tau, lattice, domain: DomainSpec,
                      point_values) -> list[ReconstructionResult]:
     """The one per-point loop over a checked lattice: `point_values(params)`
     returns one value per form; a diverged fixed point marks the point
@@ -143,6 +143,7 @@ def _lattice_results(forms, target, tau, lattice, grid: Grid, domain: DomainSpec
 
     out = parallel_map(one, list(lattice))
     okv = np.array([o for _, o in out])
+    grid = domain.grid
     cells = [grid.cell_index(z) for z in lattice]
     truth = np.array([target[c] for c in cells])
     sm = smooth(target, tau, grid)
@@ -153,63 +154,62 @@ def _lattice_results(forms, target, tau, lattice, grid: Grid, domain: DomainSpec
             for i, form in enumerate(forms)]
 
 
-def reconstruct(q, tau: float, lattice, grid: Grid, domain: DomainSpec,
-                forms=("interior", "boundary"),
-                tol: float = 1e-10) -> list[ReconstructionResult]:
+def reconstruct(q, tau: float, lattice, domain: DomainSpec,
+                forms=("interior", "boundary")) -> list[ReconstructionResult]:
     """q(z0) by each requested form ('interior', 'boundary'), all evaluated
     from the one holomorphic fixed point solved per lattice point.  Returns
     one result per form, in the order given."""
     if not forms or not set(forms) <= set(_FORMS):
         raise BklabError(f"forms must be a non-empty selection of {tuple(_FORMS)}")
-    q = grid.check_field(np.asarray(q, dtype=complex))
+    q = domain.grid.check_field(np.asarray(q, dtype=complex))
     lattice = _check_lattice(domain, lattice)
 
     def values(params):
-        sol = solve_f(q, params, domain, "holomorphic", tol=tol)
+        sol = solve_f(q, params, domain, "holomorphic")
         return tuple(_FORMS[f](sol, q) for f in forms)
-    return _lattice_results(tuple(forms), q, tau, lattice, grid, domain, values)
+    return _lattice_results(tuple(forms), q, tau, lattice, domain, values)
 
 
-def reconstruct_interior(q, tau: float, lattice, grid: Grid,
-                         domain: DomainSpec, tol: float = 1e-10) -> ReconstructionResult:
+def reconstruct_interior(q, tau: float, lattice,
+                         domain: DomainSpec) -> ReconstructionResult:
     """q(z0) by the interior quadrature (2 tau/pi) int e^{i tau R} q f dm,
     f the oscillating correction solved per lattice point."""
-    return reconstruct(q, tau, lattice, grid, domain, ("interior",), tol)[0]
+    return reconstruct(q, tau, lattice, domain, ("interior",))[0]
 
 
-def reconstruct_boundary(q, tau: float, lattice, grid: Grid,
-                         domain: DomainSpec, tol: float = 1e-10) -> ReconstructionResult:
+def reconstruct_boundary(q, tau: float, lattice,
+                         domain: DomainSpec) -> ReconstructionResult:
     """q(z0) from boundary data of the oscillating solution: the phase-
     cancelled form (tau/pi) int conj(eta) G dsigma with G the inner
     transform interpolated at the quadrature nodes."""
-    return reconstruct(q, tau, lattice, grid, domain, ("boundary",), tol)[0]
+    return reconstruct(q, tau, lattice, domain, ("boundary",))[0]
 
 
-def reconstruct_pairing(q1, q2, tau: float, lattice, grid: Grid,
-                        domain: DomainSpec, tol: float = 1e-10) -> ReconstructionResult:
+def reconstruct_pairing(q1, q2, tau: float, lattice,
+                        domain: DomainSpec) -> ReconstructionResult:
     """(q1 - q2)(z0) from the two-solution pairing
     (2 tau/pi) int u1 (q1 - q2) u2 dm with opposite phase types."""
+    grid = domain.grid
     q1 = grid.check_field(np.asarray(q1, dtype=complex))
     q2 = grid.check_field(np.asarray(q2, dtype=complex))
     lattice = _check_lattice(domain, lattice)
-    return _pairing(_pairing_side(q1, tau, lattice, domain, tol), q2, tau, lattice, grid)
+    return _pairing(_pairing_side(q1, tau, lattice, domain), q2, tau, lattice)
 
 
-def _pairing_side(q1, tau: float, lattice: np.ndarray, domain: DomainSpec,
-                  tol: float = 1e-10) -> Side:
+def _pairing_side(q1, tau: float, lattice: np.ndarray, domain: DomainSpec) -> Side:
     """q1's side over the checked lattice x {tau}, without mode lifts."""
     return solve_side(q1, domain, FamilySpec(tuple(map(complex, lattice)), (tau,),
-                                             fd_modes=0, tol=tol))
+                                             fd_modes=0))
 
 
-def _pairing(side: Side, q2: np.ndarray, tau: float, lattice: np.ndarray,
-             grid: Grid) -> ReconstructionResult:
+def _pairing(side: Side, q2: np.ndarray, tau: float,
+             lattice: np.ndarray) -> ReconstructionResult:
     """The pairing form: the side walked against the checked q2 over its
     lattice."""
 
     def values(params):
         return ((2 * tau / np.pi) * side.pairing(q2, params)[0],)
-    return _lattice_results(("pairing",), side.q - q2, tau, lattice, grid, side.domain,
+    return _lattice_results(("pairing",), side.q - q2, tau, lattice, side.domain,
                             values)[0]
 
 
@@ -305,7 +305,7 @@ def stability_experiment(pairs, domain: DomainSpec,
         tau = float(np.clip(tau, config.tau_min, 0.98 * guard))
         if tau not in pairing_sides:
             pairing_sides[tau] = _pairing_side(q1, tau, rl, domain)
-        rec = _pairing(pairing_sides[tau], q2, tau, rl, grid)
+        rec = _pairing(pairing_sides[tau], q2, tau, rl)
         pairing_l2 = rec.errors()["l2"] if rec.ok.any() else None
         bound = math.log(1.0 / d_hat) ** (-s / 4.0)
         records.append(StabilityRecord(dq_weak, d_hat, bound, tau,

@@ -55,11 +55,10 @@ def smooth(Q: np.ndarray, tau: float, grid: Grid, path: str = "multiplier") -> n
     raise BklabError(f"unknown smoothing path {path!r}")
 
 
-def kernel_dft_check(grid: Grid, tau: float, regularization: float = 0.0,
-                     central_fraction: float = 0.5) -> float:
+def kernel_dft_check(grid: Grid, tau: float, regularization: float = 0.0) -> float:
     """Max relative deviation between the DFT of the sampled kernel and
-    the closed-form transform, over the central part of the frequency
-    grid.
+    the closed-form transform, over the central half of the frequency
+    grid (|k| <= N/4 along each axis).
 
     With regularization eps > 0 both sides are the exact transform pair
     of e^{-eps|z|^2} kappa_tau: separable complex Gaussians with
@@ -86,8 +85,7 @@ def kernel_dft_check(grid: Grid, tau: float, regularization: float = 0.0,
     else:
         closed = (1 / (2 * np.pi)) * np.exp(-1j * (XI1 ** 2 - XI2 ** 2) / (8 * tau))
     k = np.fft.fftfreq(N) * N
-    sel = (np.abs(k[None, :]) <= N * central_fraction / 2) \
-        & (np.abs(k[:, None]) <= N * central_fraction / 2)
+    sel = (np.abs(k[None, :]) <= N / 4) & (np.abs(k[:, None]) <= N / 4)
     rel = np.abs(F - closed) / np.abs(closed)
     return float(rel[sel].max())
 

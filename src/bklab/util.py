@@ -45,17 +45,17 @@ class LogLogFit:
     residual: float  # rms of log-residuals
 
 
-def fit_loglog(x, y, drop_smallest: bool = True) -> LogLogFit:
+def fit_loglog(x, y) -> LogLogFit:
     """Least-squares slope of log y against log x.
 
-    Sweep convention: the smallest abscissa is discarded (pre-asymptotic
-    point) when three or more samples remain afterwards.
+    Sweep convention: with three or more samples, the smallest abscissa
+    (a pre-asymptotic point) is discarded.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 2:
         raise ValueError("need at least two samples to fit a slope")
-    if drop_smallest and x.size >= 3:
+    if x.size >= 3:
         keep = np.argsort(x)[1:]
         x, y = x[keep], y[keep]
     if np.any(y <= 0) or np.any(x <= 0):

@@ -26,8 +26,7 @@ from bklab.boundary import DirichletSolver, alessandrini_check, dn_pairing, forw
 from bklab.bukhgeim import pde_residual, solve_f_dense
 from bklab.cutoffs import h1_defect_l1, tune_h2
 from bklab.recon import (StabilityConfig, bump_field, make_z0_lattice,
-                         reconstruct_boundary, reconstruct_interior,
-                         stability_experiment, stability_trend)
+                         reconstruct, stability_experiment, stability_trend)
 from bklab.util import fit_loglog
 
 
@@ -180,7 +179,7 @@ def test_criterion_08_cutoff_tuning():
     g = make_grid(3.4, 1024)
     d = make_domain(g, Disk(0j, 3.0))
     taus = [4.0, 8.0, 16.0, 32.0, 64.0, 128.0]
-    vals = [tune_h2(g, d, 0.2 + 0.1j, tau)[1] for tau in taus]
+    vals = [tune_h2(d, 0.2 + 0.1j, tau)[1] for tau in taus]
     slope = fit_loglog(taus, vals).slope
     d1 = make_domain(make_grid(1.5, 256), Disk(0j, 1.0))
     ok_h1 = True
@@ -234,8 +233,7 @@ def test_criterion_10_reconstruction_convergence():
     taus = (8.0, 16.0, 32.0, 64.0)
     ei, eb, gap_ok = [], [], True
     for tau in taus:
-        ri = reconstruct_interior(q, tau, lat, g, d)
-        rb = reconstruct_boundary(q, tau, lat, g, d)
+        ri, rb = reconstruct(q, tau, lat, d)
         ei.append(ri.errors()["sup"])
         eb.append(rb.errors()["sup"])
         gap = np.abs(ri.values - rb.values).max()

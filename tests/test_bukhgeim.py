@@ -117,7 +117,7 @@ class TestSolveF:
         idx = LorentzIndex(2, np.inf)
         taus = [8.0, 16.0, 32.0, 64.0]
         vals = [bessel_norm(solve_f(q, PhaseParams(t, Z0), d).f - 1.0,
-                            0.25, idx, g) for t in taus]
+                            0.25, idx, grid=g) for t in taus]
         assert fit_loglog(taus, vals).slope <= -0.85
 
     def test_z0_continuity(self, disk_bump):
@@ -126,20 +126,6 @@ class TestSolveF:
         diffs = [np.abs(solve_f(q, PhaseParams(16.0, Z0 + dz), d).f - base).max()
                  for dz in (0.2, 0.1, 0.05, 0.025)]
         assert all(diffs[i + 1] < diffs[i] for i in range(3))
-
-    def test_phase_sign_conjugation(self, disk_bump):
-        # real q: the sign-flipped holomorphic solve is the conjugate of the
-        # antiholomorphic solve
-        g, d, q = disk_bump
-        params = PhaseParams(8.0, Z0)
-        a = solve_f(q.real.astype(complex), params, d, "holomorphic", phase_sign=-1)
-        b = solve_f(q.real.astype(complex), params, d, "antiholomorphic", phase_sign=+1)
-        assert np.abs(a.f - np.conj(b.f)).max() <= 1e-12
-
-    def test_phase_sign_must_be_unit(self, disk_bump):
-        g, d, q = disk_bump
-        with pytest.raises(BklabError):
-            solve_f(q, PhaseParams(8.0, Z0), d, phase_sign=2)
 
     def test_one_apply_per_iteration(self, small, monkeypatch):
         g, d, q = small
@@ -190,8 +176,7 @@ class TestAssembleU:
         g, d, q = disk_bump
         sol = solve_f(q, PhaseParams(8.0, Z0, ), d, "antiholomorphic")
         u = assemble_u(sol)
-        iy = int(round((Z0.imag + g.L) / g.h - 0.5))
-        ix = int(round((Z0.real + g.L) / g.h - 0.5))
+        iy, ix = g.cell_index(Z0)
         z_c = g.Z[iy, ix]
         # at the cell nearest z0 the phase is within O(tau h^2) of 1
         assert abs(u[iy, ix] - sol.f[iy, ix]) <= 8.0 * abs(z_c - Z0) ** 2 * 1.01

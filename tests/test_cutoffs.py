@@ -62,7 +62,7 @@ class TestH1:
 class TestH2:
     def test_support_zeros_exact(self, disk256):
         eps, delta = 0.08, 0.12
-        b = build_h2(disk256.grid, disk256, Z0, eps, delta)
+        b = build_h2(disk256, Z0, eps, delta)
         g = disk256.grid
         near_boundary = disk256.mask & (disk256.distance < eps)
         in_ball = np.abs(g.Z - Z0) < delta
@@ -71,13 +71,13 @@ class TestH2:
 
     def test_sup_bound(self, disk256):
         for eps, delta in ((0.06, 0.1), (0.1, 0.2), (0.08, 0.08)):
-            b = build_h2(disk256.grid, disk256, Z0, eps, delta)
+            b = build_h2(disk256, Z0, eps, delta)
             assert b.sup_norm(disk256) <= 1.0 / delta
 
     def test_defect_bound_fitted(self, disk256):
         for eps, delta in ((0.06, 0.1), (0.1, 0.15), (0.05, 0.3), (0.15, 0.1),
                            (0.08, 0.08)):
-            b = build_h2(disk256.grid, disk256, Z0, eps, delta)
+            b = build_h2(disk256, Z0, eps, delta)
             assert b.defect_l21(disk256) <= C_DISK_DEFECT * math.sqrt(delta ** 2 + eps)
 
     def test_mollifier_derivative_bound(self, disk256):
@@ -89,7 +89,7 @@ class TestH2:
 
     def test_unresolvable_scale(self, disk256):
         with pytest.raises(MollifierResolutionError):
-            build_h2(disk256.grid, disk256, Z0, 2 * disk256.grid.h, 0.1)
+            build_h2(disk256, Z0, 2 * disk256.grid.h, 0.1)
 
 
 class TestTuned:
@@ -103,16 +103,15 @@ class TestTuned:
         g = make_grid(3.4, 1024)
         d = make_domain(g, Disk(0j, 3.0))
         taus = [4.0, 8.0, 16.0, 32.0, 64.0, 128.0]
-        vals = [tune_h2(g, d, 0.2 + 0.1j, t)[1] for t in taus]
+        vals = [tune_h2(d, 0.2 + 0.1j, t)[1] for t in taus]
         assert fit_loglog(taus, vals).slope <= 0.70
 
     def test_zero_set_monotone_inclusion(self, disk256):
         # growing tau shrinks the exact-zero region as a set, not just in
         # measure
-        g = disk256.grid
         prev = None
         for tau in (8.0, 16.0, 32.0, 64.0):
-            b, _ = tune_h2(g, disk256, Z0, tau)
+            b, _ = tune_h2(disk256, Z0, tau)
             zeros = disk256.mask & (b.h == 0)
             if prev is not None:
                 assert not np.any(zeros & ~prev)
@@ -120,7 +119,7 @@ class TestTuned:
 
     def test_unresolvable_tau(self, disk128):
         with pytest.raises(MollifierResolutionError):
-            tune_h2(disk128.grid, disk128, Z0, 128.0)
+            tune_h2(disk128, Z0, 128.0)
 
 
 class TestAnnulusKernels:
@@ -129,13 +128,13 @@ class TestAnnulusKernels:
         # near-edge cell samples overshoot the continuum distribution
         area = disk256.measure
         for rho in np.linspace(0.1, 0.95, 10):
-            n1, n2 = annulus_kernel_norms(disk256.grid, disk256, Z0, rho)
+            n1, n2 = annulus_kernel_norms(disk256, Z0, rho)
             b1, b2 = annulus_kernel_bounds(area, rho)
             assert n1 <= b1
             assert n2 <= b2
 
     def test_empty_region(self, disk256):
-        n1, n2 = annulus_kernel_norms(disk256.grid, disk256, Z0, 4.0)
+        n1, n2 = annulus_kernel_norms(disk256, Z0, 4.0)
         assert n1 == 0.0 and n2 == 0.0
 
     def test_annulus_majorization(self):

@@ -6,7 +6,7 @@ import pytest
 from bklab import (Disk, LorentzIndex, bessel_norm, lorentz_norm, make_domain,
                    make_grid, rearrange, sobolev_lorentz_norm)
 from bklab.errors import NormError
-from bklab.lorentz import indicator_norm
+from bklab.lorentz import indicator_norm, ms_surrogate
 
 L21 = LorentzIndex(2, 1)
 L2W = LorentzIndex(2, np.inf)
@@ -200,7 +200,7 @@ class TestSobolevLorentz:
 class TestBessel:
     def test_s_zero_bitwise(self, disk128):
         f = random_field(disk128.grid, 9)
-        a = bessel_norm(f, 0.0, L21, disk128.grid, disk128)
+        a = bessel_norm(f, 0.0, L21, disk128)
         b = lorentz_norm(disk128.restrict(f), L21, grid=disk128.grid)
         assert a == b
 
@@ -208,14 +208,14 @@ class TestBessel:
         g = make_grid(4.0, 256)
         Q = np.exp(-np.abs(g.Z) ** 2)
         idx = LorentzIndex(2, 2, normed=False)
-        val = bessel_norm(Q, 1.0, idx, g)
+        val = bessel_norm(Q, 1.0, idx, grid=g)
         assert val == pytest.approx(math.sqrt(3 * np.pi / 2), rel=0.01)
 
     def test_monotone_in_s(self):
         g = make_grid(2.0, 64)
         Q = np.exp(-2 * np.abs(g.Z - 0.2) ** 2)
         idx = LorentzIndex(2, 2, normed=False)
-        vals = [bessel_norm(Q, s, idx, g) for s in (0.0, 0.25, 0.5, 1.0, 2.0)]
+        vals = [bessel_norm(Q, s, idx, grid=g) for s in (0.0, 0.25, 0.5, 1.0, 2.0)]
         assert all(vals[i] <= vals[i + 1] * (1 + 1e-12) for i in range(len(vals) - 1))
 
 
@@ -225,3 +225,32 @@ class TestUnitMeasureIndicator:
         assert square256.measure == 1.0
         val = lorentz_norm(square256.mask.astype(complex), L21, domain=square256)
         assert val == pytest.approx(4.0, rel=1e-12)
+
+
+class TestDomainGrid:
+    """A norm given a domain reads the field on the domain's grid; a grid
+    given beside it must be that grid."""
+
+    NORMS = {
+        "lorentz_norm": lambda f, **kw: lorentz_norm(f, L21, **kw),
+        "sobolev_lorentz_norm": lambda f, **kw: sobolev_lorentz_norm(f, L21, 1, **kw),
+        "bessel_norm": lambda f, **kw: bessel_norm(f, 0.5, L21, **kw),
+        "ms_surrogate": lambda f, **kw: ms_surrogate(f, 0.5, **kw),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NORMS))
+    def test_mismatched_grid_rejected(self, disk128, name):
+        f = random_field(disk128.grid, 11)
+        with pytest.raises(NormError):
+            self.NORMS[name](f, domain=disk128, grid=make_grid(2.0, 128))
+
+    @pytest.mark.parametrize("name", sorted(NORMS))
+    def test_domain_grid_accepted(self, disk128, name):
+        f = random_field(disk128.grid, 11)
+        norm = self.NORMS[name]
+        assert norm(f, domain=disk128, grid=make_grid(1.2, 128)) == norm(f, domain=disk128)
+
+    @pytest.mark.parametrize("name", sorted(NORMS))
+    def test_needs_domain_or_grid(self, disk128, name):
+        with pytest.raises(NormError):
+            self.NORMS[name](random_field(disk128.grid, 11))

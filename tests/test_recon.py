@@ -8,7 +8,7 @@ from bklab import (Disk, FamilySpec, LorentzIndex, PhaseParams, bessel_norm,
 from bklab import boundary
 from bklab.errors import BklabError
 from bklab.recon import (StabilityConfig, bump_field, make_z0_lattice,
-                         reconstruct_boundary, reconstruct_interior,
+                         reconstruct, reconstruct_boundary, reconstruct_interior,
                          reconstruct_pairing, spearman_rank,
                          stability_experiment, stability_trend)
 
@@ -29,32 +29,30 @@ class TestLattice:
         g, d, q, lat = setup
         assert lat.size >= 9
         for z in lat:
-            iy = int(round((z.imag + g.L) / g.h - 0.5))
-            ix = int(round((z.real + g.L) / g.h - 0.5))
-            assert d.distance[iy, ix] >= 5 * g.h - 1e-12
+            assert d.distance[g.cell_index(z)] >= 5 * g.h - 1e-12
 
     def test_rejects_offending_points(self, setup):
         g, d, q, _ = setup
         with pytest.raises(BklabError):
-            reconstruct_interior(q, 8.0, np.array([0.999 + 0j]), g, d)
+            reconstruct_interior(q, 8.0, np.array([0.999 + 0j]), d)
 
     def test_rejects_points_outside_grid(self, setup):
         # -1.5 lies left of the grid square; its column index must not wrap
         # round to a cell on the far side of the disk
         g, d, q, _ = setup
         with pytest.raises(BklabError):
-            reconstruct_interior(q, 8.0, [-1.5 + 0j], g, d)
+            reconstruct_interior(q, 8.0, [-1.5 + 0j], d)
 
 
 class TestInterior:
     def test_zero_potential(self, setup):
         g, d, _, lat = setup
-        res = reconstruct_interior(np.zeros((256, 256), complex), 8.0, lat, g, d)
+        res = reconstruct_interior(np.zeros((256, 256), complex), 8.0, lat, d)
         assert np.abs(res.values).max() == 0.0
 
     def test_error_decreases_in_tau(self, setup):
         g, d, q, lat = setup
-        errs = [reconstruct_interior(q, t, lat, g, d).errors()["sup"]
+        errs = [reconstruct_interior(q, t, lat, d).errors()["sup"]
                 for t in (8.0, 16.0, 32.0, 64.0)]
         assert all(errs[i + 1] < errs[i] for i in range(3))
 
@@ -62,14 +60,14 @@ class TestInterior:
         # the reconstruction minus the pure-smoothing baseline is the
         # correction-term integral; it stays below the fitted error bound
         g, d, q, lat = setup
-        res = reconstruct_interior(q, 16.0, lat, g, d)
+        res = reconstruct_interior(q, 16.0, lat, d)
         gap = np.abs(res.values - res.baseline).max()
         idx21 = LorentzIndex(2, 1)
         idxw = LorentzIndex(2, np.inf)
         s = 0.25
-        nq = bessel_norm(q, s, idx21, g, d)
+        nq = bessel_norm(q, s, idx21, d)
         sol = solve_f(q, PhaseParams(16.0, complex(lat[0])), d)
-        nr = bessel_norm(sol.f - 1.0, s, idxw, g)
+        nr = bessel_norm(sol.f - 1.0, s, idxw, grid=g)
         # C fitted once at tau = 8 on this configuration
         C_FIT = 0.11
         assert gap <= C_FIT * 16.0 ** (1 - s / 3) * nq * nr
@@ -78,12 +76,12 @@ class TestInterior:
 class TestBoundaryForm:
     def test_zero_potential(self, setup):
         g, d, _, lat = setup
-        res = reconstruct_boundary(np.zeros((256, 256), complex), 8.0, lat, g, d)
+        res = reconstruct_boundary(np.zeros((256, 256), complex), 8.0, lat, d)
         assert np.abs(res.values).max() == 0.0
 
     def test_error_decreases_in_tau(self, setup):
         g, d, q, lat = setup
-        errs = [reconstruct_boundary(q, t, lat, g, d).errors()["sup"]
+        errs = [reconstruct_boundary(q, t, lat, d).errors()["sup"]
                 for t in (8.0, 16.0, 32.0, 64.0)]
         assert all(errs[i + 1] < errs[i] for i in range(3))
 
@@ -94,27 +92,26 @@ class TestBoundaryForm:
             q = d.restrict(bump_field(g, 0.2 + 0.1j, 0.45, 0.5))
             lat = make_z0_lattice(d, 3)
             for tau in taus:
-                vi = reconstruct_interior(q, tau, lat, g, d).values
-                vb = reconstruct_boundary(q, tau, lat, g, d).values
+                vi, vb = (r.values for r in reconstruct(q, tau, lat, d))
                 assert np.abs(vi - vb).max() <= GAP_PER_H_TAU * g.h * tau
 
 
 class TestPairing:
     def test_identical_potentials(self, setup):
         g, d, q, lat = setup
-        res = reconstruct_pairing(q, q, 8.0, lat, g, d)
+        res = reconstruct_pairing(q, q, 8.0, lat, d)
         assert np.abs(res.values).max() == 0.0
 
     def test_q2_zero_matches_interior(self, setup):
         g, d, q, lat = setup
-        rp = reconstruct_pairing(q, np.zeros((256, 256), complex), 16.0, lat, g, d)
-        ri = reconstruct_interior(q, 16.0, lat, g, d)
+        rp = reconstruct_pairing(q, np.zeros((256, 256), complex), 16.0, lat, d)
+        ri = reconstruct_interior(q, 16.0, lat, d)
         assert np.abs(rp.values - ri.values).max() <= 1e-12
 
     def test_l2_error_decreases(self, setup):
         g, d, q, lat = setup
         q2 = q + d.restrict(bump_field(g, -0.15 + 0.2j, 0.35, 0.3))
-        errs = [reconstruct_pairing(q, q2, t, lat, g, d).errors()["l2"]
+        errs = [reconstruct_pairing(q, q2, t, lat, d).errors()["l2"]
                 for t in (8.0, 16.0, 32.0, 64.0)]
         assert all(errs[i + 1] < errs[i] for i in range(3))
 
@@ -198,7 +195,7 @@ class TestStability:
         rl = make_z0_lattice(d, cfg.recon_lattice_n)
         for (q1, q2), rec in zip(pairs, records):
             assert rec.d_hat == cauchy_distance(q1, q2, d, fam).d_hat
-            want = reconstruct_pairing(q1, q2, rec.tau, rl, g, d).errors()["l2"]
+            want = reconstruct_pairing(q1, q2, rec.tau, rl, d).errors()["l2"]
             assert rec.pairing_l2 == want
 
     def test_scaling_doubles_lhs(self):

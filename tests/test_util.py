@@ -55,12 +55,12 @@ class TestMsSurrogate:
         from bklab import make_grid
         g = make_grid(2.0, 64)
         f = np.exp(-np.abs(g.Z) ** 2)
-        val = ms_surrogate(f, 0.5, g)
+        val = ms_surrogate(f, 0.5, grid=g)
         assert val >= np.abs(f).max()
         # at smoothness 0 the Bessel part reduces to the plain (2,1) norm
-        assert ms_surrogate(f, 0.0, g) >= lorentz_norm(f, LorentzIndex(2, 1), grid=g)
+        assert ms_surrogate(f, 0.0, grid=g) >= lorentz_norm(f, LorentzIndex(2, 1), grid=g)
         # monotone in s
-        assert ms_surrogate(f, 0.75, g) >= ms_surrogate(f, 0.5, g)
+        assert ms_surrogate(f, 0.75, grid=g) >= ms_surrogate(f, 0.5, grid=g)
 
 
 class TestSvg:
