@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BklabError, DomainError, MollifierResolutionError
+from .errors import BklabError, DomainError, GridError, MollifierResolutionError
 from .grid import Disk, DomainSpec, Grid
 from .lorentz import LorentzIndex, lorentz_norm
 
@@ -50,18 +50,24 @@ class CutoffBundle:
     grid: Grid
     d_h: np.ndarray | None = None  # closed-form d-derivative (h1 only)
 
+    def _on_grid(self, domain: DomainSpec) -> DomainSpec:
+        """`domain`, which must lie on the bundle's grid."""
+        if domain.grid != self.grid:
+            raise GridError(f"domain grid {domain.grid} is not the bundle's grid {self.grid}")
+        return domain
+
     def sup_norm(self, domain: DomainSpec | None = None) -> float:
-        vals = self.h[domain.mask] if domain is not None else self.h
+        vals = self.h[self._on_grid(domain).mask] if domain is not None else self.h
         return float(np.abs(vals).max())
 
     def defect_l1_grid(self, domain: DomainSpec) -> float:
-        return float(np.abs(self.defect[domain.mask]).sum()) * self.grid.cell_measure
+        return float(np.abs(self.defect[self._on_grid(domain).mask]).sum()) * self.grid.cell_measure
 
     def defect_l21(self, domain: DomainSpec) -> float:
-        return lorentz_norm(self.defect, _L21, domain=domain)
+        return lorentz_norm(self.defect, _L21, domain=self._on_grid(domain))
 
     def dbar_l21(self, domain: DomainSpec) -> float:
-        return lorentz_norm(self.dbar_h, _L21, domain=domain)
+        return lorentz_norm(self.dbar_h, _L21, domain=self._on_grid(domain))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +153,7 @@ def h1_defect_l1(domain: DomainSpec, z0: complex, tau: float) -> float:
 def h1_report(bundle: CutoffBundle, domain: DomainSpec, tau: float) -> dict:
     """Measured pieces of the W^{1,1} estimate and its stated bound."""
     h2c = bundle.grid.cell_measure
-    m = domain.mask
+    m = bundle._on_grid(domain).mask
     w11 = float((np.abs(bundle.h[m]) + np.abs(bundle.d_h[m])
                  + np.abs(bundle.dbar_h[m])).sum()) * h2c
     defect = h1_defect_l1(domain, bundle.z0, tau)

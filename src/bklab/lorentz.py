@@ -115,14 +115,20 @@ def rearrange(field: np.ndarray, domain: DomainSpec | None = None,
         raise NormError("empty mask: nothing to rearrange")
     if not np.all(np.isfinite(vals)):
         raise NormError("field contains NaN or infinite samples")
-    v = np.sort(vals)[::-1]
+    vals.sort()  # a fresh array, sorted in place
+    v = vals[::-1]
     h2 = grid.cell_measure
-    # compress runs of equal values
-    change = np.nonzero(np.diff(v))[0]
-    ends = np.concatenate([change + 1, [v.size]])
-    starts = np.concatenate([[0], change + 1])
-    values = v[starts]
-    breakpoints = np.concatenate([[0.0], ends * h2])
+    # compress runs of equal values: starts[k] is where run k + 1 starts,
+    # and it ends run k
+    starts = np.flatnonzero(v[1:] != v[:-1])
+    starts += 1
+    values = np.empty(starts.size + 1, dtype=v.dtype)
+    values[0] = v[0]
+    np.take(v, starts, out=values[1:])
+    breakpoints = np.empty(starts.size + 2)
+    breakpoints[0] = 0.0
+    np.multiply(starts, h2, out=breakpoints[1:-1])
+    breakpoints[-1] = v.size * h2
     return StepRearrangement(breakpoints, values, h2)
 
 
@@ -162,15 +168,17 @@ def _seminorm(t, v, p, q):
 def _norm(t, v, p, q):
     a, b = t[:-1], t[1:]
     S = np.concatenate([[0.0], np.cumsum(v * (b - a))])
-    c = v
-    D = S[:-1] - v * a  # f**(t) = c + D/t on [a, b]; D >= 0
-    A = S[-1]
-    tM = t[-1]
     if math.isinf(q):
         # t^{1/p} f**(t) = t^{1/p} (c + D/t) has one critical point on a
         # step, t = D(p-1)/c, and it is a minimum for p > 1: the supremum
         # is at a breakpoint
-        return float(np.max(t[1:] ** (1.0 / p) * (S[1:] / t[1:])))
+        avg = S[1:] / b
+        avg *= b ** (1.0 / p)
+        return float(np.max(avg))
+    c = v
+    D = S[:-1] - v * a  # f**(t) = c + D/t on [a, b]; D >= 0
+    A = S[-1]
+    tM = t[-1]
     total = 0.0
     zero_D = D <= 0.0
     if zero_D.any():

@@ -6,7 +6,7 @@ import pytest
 from bklab import (LorentzIndex, beurling, boundary_cauchy, cauchy,
                    conj_cauchy, ibp_check, lorentz_norm, make_grid,
                    wirtinger)
-from bklab.cauchy import get_plan
+from bklab.cauchy import ConvolutionPlan, _cauchy_kernel, get_plan
 from bklab.errors import GridError
 
 
@@ -200,7 +200,8 @@ class TestPlan:
         K = np.fft.ifft2(get_plan(g).kernel_hat)
         assert abs(K[0, 0]) <= 1e-12 * np.abs(K).max()
 
-    @pytest.mark.parametrize("N", [8, 32, 128])
+    # at N = 512 the transform walks its buffer in several row blocks
+    @pytest.mark.parametrize("N", [8, 32, 128, 512])
     def test_pruned_matches_full_padded_fft(self, N):
         # reference: zero-pad to 2N x 2N, full 2-D FFTs, crop to N x N
         g = make_grid(1.0, N)
@@ -219,3 +220,17 @@ class TestPlan:
                           (conj_cauchy(f, g), np.conj(padded(np.conj(f))))):
             assert got.shape == (N, N)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_apply_working_set(self, traced_peak):
+        # one 2N x N buffer, the N x N output and a block of rows
+        N = 512
+        g = make_grid(1.0, N)
+        plan = get_plan(g)
+        f = np.random.default_rng(0).normal(size=(N, N)).astype(complex)
+        assert traced_peak(lambda: plan.apply(f)) <= 4 * N * N * 16
+
+    def test_plan_build_working_set(self, traced_peak):
+        # the kernel is sampled into the displacement array, in place
+        N = 512
+        g = make_grid(1.0, N)
+        assert traced_peak(lambda: ConvolutionPlan(g, _cauchy_kernel)) <= 1.5 * (2 * N) ** 2 * 16

@@ -8,7 +8,7 @@ from bklab.cutoffs import (annulus_kernel_bounds, annulus_kernel_norms,
                            annulus_majorization, build_h1, build_h2,
                            h1_defect_l1, h1_report, h2_scales,
                            mollifier_dbar_l1, tune_h2, _mollify)
-from bklab.errors import BklabError, MollifierResolutionError
+from bklab.errors import BklabError, GridError, MollifierResolutionError
 from bklab.util import fit_loglog
 
 Z0 = 0.1 + 0.05j
@@ -57,6 +57,21 @@ class TestH1:
         tau = 16.0
         val = h1_defect_l1(square256, 0.5 + 0.5j, tau)
         assert val == pytest.approx((np.pi / 3) / tau, rel=5e-3)
+
+
+    @pytest.mark.parametrize("read", [
+        lambda b, d: b.sup_norm(d),
+        lambda b, d: b.defect_l1_grid(d),
+        lambda b, d: b.defect_l21(d),
+        lambda b, d: b.dbar_l21(d),
+        lambda b, d: h1_report(b, d, 16.0),
+    ], ids=["sup_norm", "defect_l1_grid", "defect_l21", "dbar_l21", "h1_report"])
+    def test_domain_on_another_grid_rejected(self, read):
+        # same N, other L: the masks line up with the arrays but not the cells
+        bundle = build_h1(make_grid(1.2, 64), Z0, 16.0)
+        domain = make_domain(make_grid(2.0, 64), Disk(0j, 1.0))
+        with pytest.raises(GridError):
+            read(bundle, domain)
 
 
 class TestH2:

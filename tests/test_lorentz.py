@@ -99,6 +99,14 @@ class TestLorentzNorm:
         assert val == pytest.approx(target, rel=0.02)
         assert val <= target * (1 + 1e-9)
 
+    def test_weak_norm_working_set(self, traced_peak):
+        # the rearrangement sorts its own |f| in place and the q = inf
+        # branch builds no D
+        N = 512
+        g = make_grid(1.0, N)
+        f = random_field(g, 0)
+        assert traced_peak(lambda: lorentz_norm(f, L2W, grid=g)) <= 6 * N * N * 8
+
     def test_sandwich(self):
         g = make_grid(1.0, 32)
         for seed in range(100):
