@@ -58,7 +58,6 @@ class TestH1:
         val = h1_defect_l1(square256, 0.5 + 0.5j, tau)
         assert val == pytest.approx((np.pi / 3) / tau, rel=5e-3)
 
-
     @pytest.mark.parametrize("read", [
         lambda b, d: b.sup_norm(d),
         lambda b, d: b.defect_l1_grid(d),
