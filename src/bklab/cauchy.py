@@ -8,9 +8,9 @@ displacements, computed with pruned FFTs that skip the rows the padding
 leaves zero and the rows the crop discards (`ConvolutionPlan`).  A
 transform holds one 2N x N complex buffer in (xi_x, y) layout and walks it
 in blocks of rows of about `_BLOCK_BYTES`, so its working set is that
-buffer, the output and one block, never a padded 2N x 2N spectrum.  The
-plan keeps its spectra transposed, (xi_x, xi_y), to match, and
-`kernel_hat` and `d_symbol` still read in (xi_y, xi_x) orientation.  The origin sample is exactly zero: the mean of
+buffer, the output and one block.  The plan keeps its spectra transposed,
+(xi_x, xi_y), to match, and `kernel_hat` and `d_symbol` still read in
+(xi_y, xi_x) orientation.  The origin sample is exactly zero: the mean of
 1/(pi z) over a centered square cell vanishes by odd symmetry, so the
 singular cell needs no regularization parameter.
 """
@@ -34,7 +34,7 @@ __all__ = [
 
 # bytes of one block of buffer rows.  Timed from 256 KB to 2 MB at N = 512
 # and 1024 on a 2-CPU Xeon with 2 MB of L2 per core: 1 MB was the fastest
-# or tied, and beat the unblocked passes by about 10%.
+# or tied.
 _BLOCK_BYTES = 1 << 20
 
 

@@ -61,7 +61,8 @@ class CutoffBundle:
         return float(np.abs(vals).max())
 
     def defect_l1_grid(self, domain: DomainSpec) -> float:
-        return float(np.abs(self.defect[self._on_grid(domain).mask]).sum()) * self.grid.cell_measure
+        m = self._on_grid(domain).mask
+        return float(np.abs(self.defect[m]).sum()) * self.grid.cell_measure
 
     def defect_l21(self, domain: DomainSpec) -> float:
         return lorentz_norm(self.defect, _L21, domain=self._on_grid(domain))
