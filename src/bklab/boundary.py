@@ -33,7 +33,7 @@ __all__ = [
     "DirichletProblem", "DirichletSolver", "forward_solve", "w12_norm",
     "dn_pairing", "alessandrini_check", "AlessandriniReport",
     "FamilySpec", "CauchyDistanceReport", "cauchy_distance",
-    "boundary_mode", "dn_norm_over_family", "Side", "solve_side", "side_distance",
+    "boundary_mode", "Side", "solve_side", "side_distance",
 ]
 
 _THETA_FLOOR = 1e-3
@@ -255,45 +255,6 @@ def alessandrini_check(P1: DirichletProblem, P2: DirichletProblem) -> Alessandri
 # ---------------------------------------------------------------------------
 # Cauchy-data distance
 
-def save_trace(path, domain: DomainSpec, values) -> None:
-    """Trace file: CSV rows `arclength,re,im` at the quadrature nodes."""
-    values = np.asarray(values, dtype=complex)
-    if values.shape != domain.nodes.shape:
-        raise BklabError("trace values must be sampled at the quadrature nodes")
-    s = domain.node_arclength()
-    with open(path, "w") as f:
-        f.write("arclength,re,im\n")
-        for si, v in zip(s, values):
-            f.write(f"{float(si)!r},{float(v.real)!r},{float(v.imag)!r}\n")
-
-
-def load_trace(path, domain: DomainSpec):
-    """Read an `arclength,re,im` CSV and return a periodic arclength
-    interpolant usable as a Dirichlet datum (callable on complex points;
-    points are mapped to the nearest boundary node's arclength)."""
-    rows = []
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != "arclength,re,im":
-            raise BklabError(f"{path}: expected header 'arclength,re,im'")
-        for line in f:
-            a, re, im = line.strip().split(",")
-            rows.append((float(a), float(re), float(im)))
-    if not rows:
-        raise BklabError(f"{path}: empty trace")
-    rows.sort()
-    s = np.array([r[0] for r in rows])
-    v = np.array([complex(r[1], r[2]) for r in rows])
-    per = domain.perimeter
-    s_wrap = np.concatenate([s - per, s, s + per])
-    v_wrap = np.concatenate([v, v, v])
-
-    def g(z):
-        sz = domain.arclength_at(z)
-        return np.interp(sz, s_wrap, v_wrap.real) + 1j * np.interp(sz, s_wrap, v_wrap.imag)
-    return g
-
-
 def boundary_mode(domain: DomainSpec, k: int):
     """k-th trigonometric boundary datum as a callable: e^{i k angle} on
     disks, e^{2 pi i k s / perimeter} in nearest-node arclength otherwise."""
@@ -326,6 +287,8 @@ class FamilySpec:
             raise BklabError(f"need at least 9 lattice points, got {len(self.z0_points)}")
         if len(self.taus) < 3:
             raise BklabError(f"need at least 3 tau values, got {len(self.taus)}")
+        if self.fd_modes < 0:
+            raise BklabError(f"fd_modes must be >= 0, got {self.fd_modes}")
 
     @property
     def jobs(self) -> list:
@@ -459,21 +422,3 @@ def cauchy_distance(q1, q2, domain: DomainSpec, family: FamilySpec) -> CauchyDis
     reported as such."""
     family.validate()
     return side_distance(solve_side(q1, domain, family), q2)
-
-
-def dn_norm_over_family(q1, q2, domain: DomainSpec, modes: int = 8) -> float:
-    """max |((Lambda_1 - Lambda_2) u_j, v_k)| over the trigonometric trace
-    family, normalized by quotient-norm surrogates (the smallest W^{1,2}
-    norm among the harmonic, q1- and q2-lifts of each trace)."""
-    m = domain.mask
-    dq = np.asarray(q1, complex)[m] - np.asarray(q2, complex)[m]
-    lifts0 = _mode_lifts(domain, np.zeros_like(q1), modes)
-    lifts1 = _mode_lifts(domain, q1, modes)
-    lifts2 = _mode_lifts(domain, q2, modes)
-    qn = [min(n0, n1, n2) for (_, n0), (_, n1), (_, n2) in zip(lifts0, lifts1, lifts2)]
-    best = 0.0
-    for (U1j, _), nj in zip(lifts1, qn):
-        for (V2k, _), nk in zip(lifts2, qn):
-            val = abs(interior_pairing(U1j, dq, V2k, domain))
-            best = max(best, val / (nj * nk))
-    return best

@@ -28,6 +28,11 @@ __all__ = [
 
 PHASE_TYPES = ("holomorphic", "antiholomorphic")
 
+# Picard stopping rule shared by solve_f and the dense oracle, so that
+# their iteration counts are comparable
+_TOL = 1e-10
+_MAX_ITER = 200
+
 
 class _SPipeline:
     """One (q, tau, z0, phase_type) instance of the double-transform
@@ -98,8 +103,7 @@ class BukhgeimSolution:
 
 
 def solve_f(q, params: PhaseParams, domain: DomainSpec,
-            phase_type: str = "holomorphic", tol: float = 1e-10,
-            max_iter: int = 200) -> BukhgeimSolution:
+            phase_type: str = "holomorphic", tol: float = _TOL) -> BukhgeimSolution:
     """Picard iteration f_0 = 1, f_{k+1} = 1 - S f_k / 4.
 
     Stops when the sup-norm update |f_{k+1} - f_k| drops below tol and
@@ -109,15 +113,15 @@ def solve_f(q, params: PhaseParams, domain: DomainSpec,
     consecutive growing updates raise FixedPointDivergenceError: tau is
     below the contraction threshold for this potential.
     """
-    if tol <= 0:
-        raise BklabError(f"tolerance must be positive, got {tol}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise BklabError(f"tolerance must be a positive number, got {tol}")
     pipe = _SPipeline(q, params, domain, phase_type)
     grid = domain.grid
     f = np.ones((grid.N, grid.N), dtype=complex)
     updates: list[float] = []
     growing = 0
     converged = False
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         Sf, t2 = pipe.apply(f)
         fn = 1.0 - 0.25 * Sf
         upd = float(np.abs(fn - f).max())
@@ -136,7 +140,7 @@ def solve_f(q, params: PhaseParams, domain: DomainSpec,
             growing = 0
     if not converged:
         raise FixedPointDivergenceError(
-            f"no convergence to {tol} within {max_iter} iterations at tau={params.tau}")
+            f"no convergence to {tol} within {_MAX_ITER} iterations at tau={params.tau}")
     ratios = tuple(updates[i] / updates[i - 1] for i in range(1, len(updates))
                    if updates[i - 1] > 0)
     return BukhgeimSolution(
@@ -292,16 +296,15 @@ def apply_S_dense(q, f, params: PhaseParams, domain: DomainSpec,
 
 
 def solve_f_dense(q, params: PhaseParams, domain: DomainSpec,
-                  phase_type: str = "holomorphic", tol: float = 1e-10,
-                  max_iter: int = 200) -> tuple[np.ndarray, int]:
+                  phase_type: str = "holomorphic") -> tuple[np.ndarray, int]:
     """Dense-oracle Picard iteration; returns (f, iterations).  Same
     stopping rule as solve_f so iteration counts are comparable."""
     grid = domain.grid
     f = np.ones((grid.N, grid.N), dtype=complex)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         fn = 1.0 - 0.25 * apply_S_dense(q, f, params, domain, phase_type)
         upd = float(np.abs(fn - f).max())
         f = fn
-        if upd < tol:
+        if upd < _TOL:
             return f, it
     raise FixedPointDivergenceError(f"dense oracle did not converge at tau={params.tau}")

@@ -150,11 +150,13 @@ def cmd_cauchy_selftest(ns) -> int:
 
 
 def cmd_stationary_phase(ns) -> int:
+    hnorm = math.sqrt(3 * math.pi / 2) if ns.norm is None else ns.norm
+    if not (math.isfinite(ns.s) and math.isfinite(hnorm)):
+        raise BklabError(f"--s and --norm must be finite, got {ns.s} and {hnorm}")
     out = _ensure_outdir(ns)
     field, grid = _load_field_on(ns.field, None)
     taus = _parse_taus(f"{ns.tau_min}:{ns.tau_max}")
     h2 = grid.cell_measure
-    hnorm = math.sqrt(3 * math.pi / 2) if ns.norm is None else ns.norm
     rows = []
     for tau in taus:
         sm = smooth(field, tau, grid)
@@ -434,7 +436,7 @@ def main(argv=None) -> int:
         return ns.fn(ns)
     except SystemExit as e:  # --help
         return 2 if e.code not in (0, None) else 0
-    except (BklabError, FileNotFoundError, KeyError, json.JSONDecodeError,
+    except (BklabError, OSError, UnicodeDecodeError, KeyError, json.JSONDecodeError,
             NumericalError) as e:
         json.dump({"error": {"type": type(e).__name__, "message": str(e)}},
                   sys.stderr)

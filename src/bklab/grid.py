@@ -51,6 +51,11 @@ def _checked(value, kind: str, where: str):
     return tuple(value) if kind == "list of numbers" else value
 
 
+# largest grid size: a transform plan holds a (2N)^2 complex spectrum, 1 GB
+# at N = 4096 and 4 GB at N = 8192 (the tests, bench and docs go up to 1024)
+_MAX_N = 4096
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform N x N grid of cell centers covering [-L, L]^2."""
@@ -62,8 +67,9 @@ class Grid:
         if not (np.isfinite(self.L) and self.L > 0):
             raise GridError(f"half-width must be a positive number, got {self.L}")
         n = self.N
-        if n < 8 or (n & (n - 1)) != 0:
-            raise GridError(f"grid size must be a power of two >= 8, got {n}")
+        if not (8 <= n <= _MAX_N) or (n & (n - 1)) != 0:
+            raise GridError(f"grid size must be a power of two from 8 to {_MAX_N}, "
+                            f"got {n}")
 
     @property
     def h(self) -> float:
@@ -229,20 +235,19 @@ class DomainSpec:
         """Evaluate a callable trace at the quadrature nodes."""
         return np.asarray(fn(self.nodes), dtype=complex)
 
-    def node_arclength(self) -> np.ndarray:
-        """Cumulative arclength coordinate of each quadrature node."""
-        return np.cumsum(self.weights) - 0.5 * self.weights
-
     @cached_property
     def _node_tree(self):
         import scipy.spatial
         return scipy.spatial.cKDTree(np.column_stack([self.nodes.real, self.nodes.imag]))
 
     def arclength_at(self, z) -> np.ndarray:
-        """Arclength coordinate of the quadrature node nearest to each point."""
+        """Arclength coordinate of the quadrature node nearest to each point
+        (a node's coordinate is the boundary length from the first vertex
+        to the node)."""
         z = np.asarray(z, dtype=complex)
         _, j = self._node_tree.query(np.column_stack([z.ravel().real, z.ravel().imag]))
-        return self.node_arclength()[j].reshape(z.shape)
+        s = np.cumsum(self.weights) - 0.5 * self.weights
+        return s[j].reshape(z.shape)
 
 
 @dataclass(frozen=True)
@@ -412,7 +417,11 @@ def load_field(path) -> tuple[np.ndarray, Grid]:
         header = f.readline().decode("ascii").split()
         if len(header) != 3 or header[0] != _MAGIC:
             raise BklabError(f"{path}: not a {_MAGIC} field file")
-        N, L = int(header[1]), float(header[2])
+        try:
+            N, L = int(header[1]), float(header[2])
+        except ValueError:
+            raise BklabError(f"{path}: header N and L must be an integer and "
+                             f"a number, got {header[1:]}") from None
         data = f.read()
     grid = Grid(L, N)
     expected = 16 * N * N

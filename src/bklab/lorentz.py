@@ -64,11 +64,6 @@ class StepRearrangement:
     def total_measure(self) -> float:
         return float(self.breakpoints[-1]) if self.values.size else 0.0
 
-    @property
-    def mass(self) -> float:
-        """int_0^infty f*(s) ds = L^1 norm of the field."""
-        return float(np.sum(self.values * np.diff(self.breakpoints)))
-
     def distribution(self, lam: float) -> float:
         """m(f, lam) = measure of {|f| > lam} = sup{t_i : v_i > lam}."""
         above = self.values > lam
@@ -273,16 +268,3 @@ def bessel_norm(field: np.ndarray, s: float, idx: LorentzIndex,
         raise NormError(f"smoothness index must be finite, got {s}")
     image = bessel_image(field, s, domain, grid)
     return lorentz_norm(image, idx, grid=_where(domain, grid)[0])
-
-
-def ms_surrogate(field: np.ndarray, s: float, domain: DomainSpec | None = None,
-                 grid: Grid | None = None) -> float:
-    """Computable stand-in for the interpolation-space norm between bounded
-    continuous functions and the first-order (2,1) scale: the larger of the
-    sup norm and the smoothness-s Bessel norm at (2,1).  Reported as a
-    surrogate; the interpolation norm itself has no computable formula."""
-    g, mask = _where(domain, grid)
-    field = g.check_field(np.asarray(field, dtype=complex))
-    vals = field[mask] if mask is not None else field
-    sup = float(np.abs(vals).max()) if vals.size else 0.0
-    return max(sup, bessel_norm(field, s, LorentzIndex(2.0, 1.0), domain, grid))

@@ -267,14 +267,15 @@ def stability_experiment(pairs, domain: DomainSpec,
     sides are solved once and kept while consecutive pairs share q1."""
     grid = domain.grid
     s = config.smoothness
+    lattice = make_z0_lattice(domain, config.lattice_n)
+    fam = FamilySpec(tuple(lattice), tuple(config.family_taus),
+                     fd_modes=config.fd_modes)
+    fam.validate()
     if config.b_omega is None:
         B = 1.0 + 2.0 * calibrate_exponential_rate(domain)
     else:
         B = config.b_omega
     guard = grid.aliasing_guard()
-    lattice = make_z0_lattice(domain, config.lattice_n)
-    fam = FamilySpec(tuple(lattice), tuple(config.family_taus),
-                     fd_modes=config.fd_modes)
     rl = make_z0_lattice(domain, config.recon_lattice_n)
     records = []
     side, pairing_sides = None, {}
@@ -290,7 +291,6 @@ def stability_experiment(pairs, domain: DomainSpec,
         # the CLI loads q1 afresh for each pair, so equal q1 are equal
         # arrays rather than one object
         if side is None or not np.array_equal(side.q, q1):
-            fam.validate()
             side, pairing_sides = solve_side(q1, domain, fam), {}
         d_hat = side_distance(side, q2).d_hat
         if d_hat <= 0.0:

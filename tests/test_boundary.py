@@ -5,8 +5,8 @@ import pytest
 
 from bklab import Disk, Polygon, make_domain, make_grid
 from bklab.boundary import (DirichletSolver, FamilySpec, alessandrini_check,
-                            boundary_mode, cauchy_distance, dn_norm_over_family,
-                            dn_pairing, forward_solve, w12_norm)
+                            boundary_mode, cauchy_distance, dn_pairing,
+                            forward_solve, w12_norm)
 from bklab.errors import BklabError, SingularSystemError
 from bklab.recon import bump_field, make_z0_lattice
 
@@ -229,16 +229,6 @@ class TestCauchyDistance:
             cauchy_distance(q, q, d,
                             FamilySpec(tuple(make_z0_lattice(d, 3)), (8.0,)))
 
-    def test_ordering_against_dn_norm(self, disk_q):
-        g, d, q = disk_q
-        q2 = q + d.restrict(bump_field(g, -0.15 + 0.2j, 0.35, 0.2))
-        lattice = make_z0_lattice(d, 3)
-        rep = cauchy_distance(q, q2, d,
-                              FamilySpec(tuple(lattice), (8.0, 16.0, 32.0),
-                                         fd_modes=8))
-        fd_only = max(p["value"] for p in rep.pairs if p["kind"] == "fd")
-        assert fd_only <= dn_norm_over_family(q, q2, d, 8) * (1 + 1e-9)
-
 
 class TestW12Norm:
     def test_scaling(self, disk_q):
@@ -251,44 +241,3 @@ class TestW12Norm:
         g, d, _ = disk_q
         val = w12_norm(np.ones((128, 128), dtype=complex), d)
         assert val == pytest.approx(math.sqrt(d.measure), rel=1e-12)
-
-
-class TestTraceIO:
-    def test_round_trip(self, disk_q, tmp_path):
-        from bklab.boundary import load_trace, save_trace
-        g, d, _ = disk_q
-        vals = np.exp(1j * np.angle(d.nodes))
-        path = tmp_path / "trace.csv"
-        save_trace(path, d, vals)
-        assert path.read_text().splitlines()[0] == "arclength,re,im"
-        gfun = load_trace(path, d)
-        got = gfun(d.nodes)
-        assert np.abs(got - vals).max() <= 1e-12
-
-    def test_usable_as_dirichlet_datum(self, disk_q, tmp_path):
-        from bklab.boundary import load_trace, save_trace
-        g, d, q = disk_q
-        save_trace(tmp_path / "t.csv", d, boundary_mode(d, 1)(d.nodes))
-        P = forward_solve(q, load_trace(tmp_path / "t.csv", d), d)
-        P_ref = forward_solve(q, boundary_mode(d, 1), d)
-        # interpolated datum differs from the analytic one only through
-        # nearest-node snapping at the stencil cut points
-        assert np.abs(P.U - P_ref.U).max() <= 5e-2
-
-    def test_polygon_round_trip_matches_mode(self, square, tmp_path):
-        from bklab.boundary import load_trace, save_trace
-        mode = boundary_mode(square, 3)
-        save_trace(tmp_path / "t.csv", square, mode(square.nodes))
-        gfun = load_trace(tmp_path / "t.csv", square)
-        rng = np.random.default_rng(0)
-        L = square.grid.L
-        z = rng.uniform(-L, L, 500) + 1j * rng.uniform(-L, L, 500)
-        assert np.array_equal(gfun(z), mode(z))
-
-    def test_bad_header(self, disk_q, tmp_path):
-        from bklab.boundary import load_trace
-        g, d, _ = disk_q
-        p = tmp_path / "bad.csv"
-        p.write_text("s,re,im\n0.0,1.0,0.0\n")
-        with pytest.raises(BklabError):
-            load_trace(p, d)

@@ -110,7 +110,7 @@ class TestSolveF:
         g, d, _ = disk_bump
         qbig = d.restrict(bump_field(g, 0j, 0.6, 600.0))
         with pytest.raises(FixedPointDivergenceError):
-            solve_f(qbig, PhaseParams(1.5, Z0), d, max_iter=60)
+            solve_f(qbig, PhaseParams(1.5, Z0), d)
 
     def test_correction_decay_rate(self, disk_bump):
         g, d, q = disk_bump

@@ -46,10 +46,15 @@ def workspace(tmp_path_factory):
     for name, section, key, value in (("bad_L", "grid", "L", "abc"),
                                       ("bad_N", "grid", "N", 64.5),
                                       ("bad_radius", "shape", "radius", "1.0"),
-                                      ("bad_version", None, "version", True)):
+                                      ("bad_version", None, "version", True),
+                                      ("huge_N", "grid", "N", 2 ** 20)):
         bad = json.loads(json.dumps(doc))
         (bad[section] if section else bad)[key] = value
         (ws / f"{name}.json").write_text(json.dumps(bad))
+    (ws / "latin1.json").write_bytes(json.dumps(doc).encode()[:-1] + b', "r\xe9": 1}')
+    for name, header in (("ff_header", b"\xffBKFLD1 64 1.2"), ("xy_header", b"BKFLD1 x y"),
+                         ("exp_header", b"BKFLD1 1e1 1.2")):
+        (ws / f"{name}.bkfld").write_bytes(header + b"\n" + bytes(16 * 64 * 64))
     return ws
 
 
@@ -110,12 +115,27 @@ class TestInputErrors:
         ["carleman-sweep", "--domain", "{ws}/bad_N.json"],
         ["carleman-sweep", "--domain", "{ws}/bad_radius.json"],
         ["carleman-sweep", "--domain", "{ws}/bad_version.json"],
+        ["carleman-sweep", "--domain", "{ws}/huge_N.json"],
+        ["carleman-sweep", "--domain", "{ws}/latin1.json"],
+        ["stability", "--config", "{ws}/latin1.json"],
+        ["stationary-phase", "--field", "{ws}"],
+        ["carleman-sweep", "--out-dir", "{ws}/q.bkfld"],
+        ["bukhgeim", "--q", "{ws}/ff_header.bkfld", "--tau", "8", "--z0", "0.1,0.05"],
+        ["bukhgeim", "--q", "{ws}/xy_header.bkfld", "--tau", "8", "--z0", "0.1,0.05"],
+        ["bukhgeim", "--q", "{ws}/exp_header.bkfld", "--tau", "8", "--z0", "0.1,0.05"],
+        ["bukhgeim", "--q", "{ws}/q.bkfld", "--tau", "8", "--z0", "0.1,0.05", "--tol", "nan"],
+        ["stationary-phase", "--field", "{ws}/gauss.bkfld", "--s", "nan"],
+        ["stationary-phase", "--field", "{ws}/gauss.bkfld", "--norm", "nan"],
+        ["cauchy-distance", "--q1", "{ws}/q.bkfld", "--q2", "{ws}/q2.bkfld",
+         "--taus", "4,8,16", "--fd-modes", "-3"],
     ])
     def test_malformed_arguments_exit_2(self, workspace, tmp_path, cmd):
         args = [a.replace("{ws}", str(workspace)) for a in cmd]
-        if "--domain" not in args:
+        if cmd[0] not in ("stationary-phase", "stability") and "--domain" not in args:
             args += ["--domain", str(workspace / "disk.json")]
-        r = run_cli([*args, "--out-dir", str(tmp_path)], timeout=60)
+        if "--out-dir" not in args:
+            args += ["--out-dir", str(tmp_path)]
+        r = run_cli(args, timeout=60)
         assert_config_error(r)
         assert not list(tmp_path.glob("*.csv"))
 
@@ -287,8 +307,9 @@ class TestStabilityCli:
 
     @pytest.mark.parametrize("path, value", [
         (("domain", "L"), "abc"), (("lattice_n",), "3"), (("fd_modes",), 2.5),
-        (("pairs", 0, "q1", "center"), 0.2), (("version",), True),
-    ], ids=["domain.L", "lattice_n", "fd_modes", "bump-center", "version"])
+        (("pairs", 0, "q1", "center"), 0.2), (("version",), True), (("fd_modes",), -3),
+    ], ids=["domain.L", "lattice_n", "fd_modes", "bump-center", "version",
+            "negative-fd_modes"])
     def test_wrong_typed_config_value_exit_2(self, tmp_path, path, value):
         cfg = json.loads(self._config(tmp_path / "c.json").read_text())
         node = cfg

@@ -6,7 +6,7 @@ import pytest
 from bklab import (Disk, LorentzIndex, bessel_norm, lorentz_norm, make_domain,
                    make_grid, rearrange, sobolev_lorentz_norm)
 from bklab.errors import NormError
-from bklab.lorentz import indicator_norm, ms_surrogate
+from bklab.lorentz import indicator_norm
 
 L21 = LorentzIndex(2, 1)
 L2W = LorentzIndex(2, np.inf)
@@ -243,7 +243,6 @@ class TestDomainGrid:
         "lorentz_norm": lambda f, **kw: lorentz_norm(f, L21, **kw),
         "sobolev_lorentz_norm": lambda f, **kw: sobolev_lorentz_norm(f, L21, 1, **kw),
         "bessel_norm": lambda f, **kw: bessel_norm(f, 0.5, L21, **kw),
-        "ms_surrogate": lambda f, **kw: ms_surrogate(f, 0.5, **kw),
     }
 
     @pytest.mark.parametrize("name", sorted(NORMS))

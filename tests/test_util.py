@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from bklab.lorentz import LorentzIndex, lorentz_norm, ms_surrogate
 from bklab.svgplot import loglog_svg, parse_svg_data
 from bklab.util import fit_loglog, masked_gradient, parallel_map, thread_count
 
@@ -48,19 +47,6 @@ class TestMaskedGradient:
         assert np.abs(fx[inner] - 1.0).max() < 1e-12
         assert np.abs(fy[inner] - 2j).max() < 1e-12
         assert np.abs(fx[~mask]).max() == 0.0
-
-
-class TestMsSurrogate:
-    def test_dominates_sup(self):
-        from bklab import make_grid
-        g = make_grid(2.0, 64)
-        f = np.exp(-np.abs(g.Z) ** 2)
-        val = ms_surrogate(f, 0.5, grid=g)
-        assert val >= np.abs(f).max()
-        # at smoothness 0 the Bessel part reduces to the plain (2,1) norm
-        assert ms_surrogate(f, 0.0, grid=g) >= lorentz_norm(f, LorentzIndex(2, 1), grid=g)
-        # monotone in s
-        assert ms_surrogate(f, 0.75, grid=g) >= ms_surrogate(f, 0.5, grid=g)
 
 
 class TestSvg:
