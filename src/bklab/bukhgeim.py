@@ -10,7 +10,7 @@ solution pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,25 +49,18 @@ class _SPipeline:
         if not np.isfinite(self.q_masked).all():
             raise BklabError("potential q has non-finite samples in the domain")
         self.grid = grid
-        self.domain = domain
-        self.phase_type = phase_type
-        self.params = params
+        # (inner, outer) transforms: Cbar then C for the holomorphic phase
+        self.inner, self.outer = ((conj_cauchy, cauchy) if phase_type == "holomorphic"
+                                  else (cauchy, conj_cauchy))
         self.P = params.weight(grid)     # inner weight
         self.Pc = np.conj(self.P)        # outer weight
         self.mask = domain.mask
 
     def apply(self, f) -> tuple[np.ndarray, np.ndarray]:
         """(S f, inner transform Cbar/C(e^{i tau R} chi q f))."""
-        t1 = self.P * (self.q_masked * f)
-        if self.phase_type == "holomorphic":
-            t2 = conj_cauchy(t1, self.grid)
-            t3 = np.where(self.mask, self.Pc * t2, 0.0 + 0.0j)
-            out = cauchy(t3, self.grid)
-        else:
-            t2 = cauchy(t1, self.grid)
-            t3 = np.where(self.mask, self.Pc * t2, 0.0 + 0.0j)
-            out = conj_cauchy(t3, self.grid)
-        return out, t2
+        t2 = self.inner(self.P * (self.q_masked * f), self.grid)
+        t3 = np.where(self.mask, self.Pc * t2, 0.0 + 0.0j)
+        return self.outer(t3, self.grid), t2
 
 
 def apply_S(q, f, params: PhaseParams, domain: DomainSpec,
@@ -212,7 +205,6 @@ class SweepRecord:
     slopes: dict                   # name -> LogLogFit or None
     skipped: tuple                 # taus rejected by the aliasing guard
     insufficient: bool             # too few samples to fit a slope
-    metadata: dict = field(default_factory=dict)
 
 
 def carleman_sweep(a_or_q, taus, domain: DomainSpec, z0: complex,
@@ -255,8 +247,7 @@ def carleman_sweep(a_or_q, taus, domain: DomainSpec, z0: complex,
         slopes["sup"] = fit_loglog(used, sup)
     return SweepRecord(
         taus=tuple(used), values={"weak": weak, "sup": sup}, slopes=slopes,
-        skipped=skipped, insufficient=insufficient,
-        metadata={"mode": mode, "z0": z0, "guard": guard})
+        skipped=skipped, insufficient=insufficient)
 
 
 # ---------------------------------------------------------------------------

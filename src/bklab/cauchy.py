@@ -1,6 +1,6 @@
 """Discrete Cauchy transform (convolution with 1/(pi z)), its conjugate,
-Wirtinger derivatives, the Beurling transform, and the boundary Cauchy
-integral with its integration-by-parts residual.
+finite-difference Wirtinger derivatives, the Beurling transform, and the
+boundary Cauchy integral with its integration-by-parts residual.
 
 The transform is a zero-padded FFT convolution with a displacement kernel
 (1/(pi z) here; `stationary` passes its own) sampled at cell-center
@@ -8,8 +8,8 @@ displacements, computed with pruned FFTs that skip the rows the padding
 leaves zero and the rows the crop discards (`ConvolutionPlan`).  A
 transform holds one 2N x N complex buffer in (xi_x, y) layout and walks it
 in blocks of rows of about `_BLOCK_BYTES`, so its working set is that
-buffer, the output and one block.  The plan keeps its spectra transposed,
-(xi_x, xi_y), to match, and `kernel_hat` and `d_symbol` still read in
+buffer, the output and one block.  The plan keeps its kernel spectrum
+transposed, (xi_x, xi_y), to match, and `kernel_hat` still reads in
 (xi_y, xi_x) orientation.  The origin sample is exactly zero: the mean of
 1/(pi z) over a centered square cell vanishes by odd symmetry, so the
 singular cell needs no regularization parameter.
@@ -18,7 +18,6 @@ singular cell needs no regularization parameter.
 from __future__ import annotations
 
 import threading
-from functools import cached_property
 
 import numpy as np
 import scipy.fft as sfft
@@ -38,13 +37,6 @@ __all__ = [
 _BLOCK_BYTES = 1 << 20
 
 
-def _wirtinger_symbol(grid: Grid, which: str) -> np.ndarray:
-    """Fourier symbol 0.5 (i xi_x +/- xi_y) of d = (d_x - i d_y)/2 (+) or
-    dbar = (d_x + i d_y)/2 (-) on the grid's DFT frequencies."""
-    xi = grid.xi
-    return 0.5 * (1j * xi[None, :] + (xi[:, None] if which == "d" else -xi[:, None]))
-
-
 def _cauchy_kernel(w: np.ndarray) -> np.ndarray:
     """1/(pi w), with the origin sample zero.  Computed in place: `w` is
     overwritten and returned."""
@@ -55,10 +47,11 @@ def _cauchy_kernel(w: np.ndarray) -> np.ndarray:
 
 class ConvolutionPlan:
     """Precomputed forward transform of `kernel(w)` at the cell-center
-    displacements w of the zero-padded 2N x 2N grid, plus the spectral
-    derivative symbol used by the Beurling transform.  Immutable and
-    shareable across threads.  `kernel` receives a fresh displacement
-    array and may overwrite it.
+    displacements w of the zero-padded 2N x 2N grid, and the padded grid's
+    frequency axis 2 pi fftfreq(2N, h), from which the Beurling transform
+    forms the symbol 0.5 (i xi_x + xi_y) of d one block at a time.
+    Immutable and shareable across threads.  `kernel` receives a fresh
+    displacement array and may overwrite it.
 
     A transform is pruned on both sides: the input fills only the first N
     rows and columns of the padded grid, and only the first N rows and
@@ -69,8 +62,9 @@ class ConvolutionPlan:
     1. each block of b data rows, (y, x), is copied into W, transformed
        along x, and its transpose written into b columns of T;
     2. each block of b rows of T is copied into W and transformed along y,
-    3. multiplied by the kernel's (and the symbol's) spectrum, which the
-       plan stores in the same (xi_x, xi_y) orientation,
+    3. multiplied by the kernel's spectrum, which the plan stores in the
+       same (xi_x, xi_y) orientation (and, for Beurling, by the block's
+       rows of the symbol of d),
     4. inverted along xi_y, and its first N columns written back into T;
     5. T is inverted along xi_x in place, and its first N rows, (x, y),
        are transposed into the N x N output.
@@ -79,8 +73,8 @@ class ConvolutionPlan:
     5 strides, but in place over T.  The passes on the zero or discarded
     half are skipped.  Each 1-D transform sees the same samples as in the
     (y, x) layout, so the output is the same bit for bit.
-    `kernel_hat` and `d_symbol` read in (xi_y, xi_x) orientation, as
-    read-only views of the stored spectra.
+    `kernel_hat` reads in (xi_y, xi_x) orientation, as a read-only view of
+    the stored spectrum.
     """
 
     def __init__(self, grid: Grid, kernel):
@@ -94,25 +88,15 @@ class ConvolutionPlan:
         self._kernel_hat_t = sfft.fft2(kernel(d[:, None] + 1j * d[None, :]),
                                        axes=(1, 0), overwrite_x=True)
         self._kernel_hat_t.setflags(write=False)
+        self._xi = 2 * np.pi * np.fft.fftfreq(M, d=h)
+        self._xi.setflags(write=False)
 
     @property
     def kernel_hat(self) -> np.ndarray:
         """Spectrum of the sampled kernel, (xi_y, xi_x)."""
         return self._kernel_hat_t.T
 
-    @cached_property
-    def _d_symbol_t(self) -> np.ndarray:
-        sym = _wirtinger_symbol(Grid(2 * self.grid.L, 2 * self.grid.N), "d")
-        sym = np.ascontiguousarray(sym.T)
-        sym.setflags(write=False)
-        return sym
-
-    @property
-    def d_symbol(self) -> np.ndarray:
-        """Symbol of d on the padded grid, which has the same h, (xi_y, xi_x)."""
-        return self._d_symbol_t.T
-
-    def _convolve(self, f: np.ndarray, symbol_t: np.ndarray | None) -> np.ndarray:
+    def _convolve(self, f: np.ndarray, beurling: bool) -> np.ndarray:
         N = self.grid.N
         M = 2 * N
         b = min(M, max(1, _BLOCK_BYTES // (16 * M)))
@@ -128,17 +112,17 @@ class ConvolutionPlan:
             W[:, N:] = 0
             F = sfft.fft(W, axis=1, overwrite_x=True)
             F *= self._kernel_hat_t[r:r + b]
-            if symbol_t is not None:
-                F *= symbol_t[r:r + b]
+            if beurling:  # d = (d_x - i d_y)/2 has symbol 0.5 (i xi_x + xi_y)
+                F *= 0.5 * (1j * self._xi[r:r + b, None] + self._xi[None, :])
             T[r:r + b] = sfft.ifft(F, axis=1, overwrite_x=True)[:, :N]
         T = sfft.ifft(T, axis=0, overwrite_x=True)
         return np.multiply(T[:N].T, self.grid.cell_measure, order="C")
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        return self._convolve(f, None)
+        return self._convolve(f, False)
 
     def apply_beurling(self, f: np.ndarray) -> np.ndarray:
-        return self._convolve(f, self._d_symbol_t)
+        return self._convolve(f, True)
 
 
 _PLANS: dict[tuple[float, int], ConvolutionPlan] = {}
@@ -170,23 +154,14 @@ def beurling(f: np.ndarray, grid: Grid) -> np.ndarray:
     return get_plan(grid).apply_beurling(grid.check_field(np.asarray(f, dtype=complex)))
 
 
-def wirtinger(f: np.ndarray, which: str, grid: Grid,
-              method: str = "spectral") -> np.ndarray:
-    """d or dbar of a field.
-
-    method='spectral' differentiates on the periodic grid and suits
-    smooth, decaying fields.  method='fd' uses centered differences over
-    the whole grid, one-sided at the grid edge, and suits non-periodic
-    fields.
+def wirtinger(f: np.ndarray, which: str, grid: Grid) -> np.ndarray:
+    """d or dbar of a field by centered differences over the whole grid,
+    one-sided at the grid edge.
     Convention: d = (d_x - i d_y)/2, dbar = (d_x + i d_y)/2.
     """
     f = grid.check_field(np.asarray(f, dtype=complex))
     if which not in ("d", "dbar"):
         raise BklabError(f"which must be 'd' or 'dbar', got {which!r}")
-    if method == "spectral":
-        return np.fft.ifft2(np.fft.fft2(f) * _wirtinger_symbol(grid, which))
-    if method != "fd":
-        raise BklabError(f"unknown wirtinger method {method!r}")
     fx, fy = masked_gradient(f, np.ones(f.shape, dtype=bool), grid.h)
     return 0.5 * (fx + (-1j if which == "d" else 1j) * fy)
 

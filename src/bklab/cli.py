@@ -24,8 +24,8 @@ from .boundary import FamilySpec, cauchy_distance
 from .bukhgeim import assemble_u, carleman_sweep, solve_f
 from .cauchy import cauchy, wirtinger
 from .errors import BklabError, NumericalError
-from .grid import (DomainSpec, Grid, PhaseParams, _checked, domain_from_spec,
-                   load_domain, load_field, make_grid, save_field)
+from .grid import (DomainSpec, Grid, PhaseParams, _checked, _read_json_object,
+                   domain_from_spec, load_domain, load_field, make_grid, save_field)
 from .lorentz import LorentzIndex, bessel_norm, lorentz_norm
 from .stationary import smooth
 from .util import fit_loglog
@@ -138,7 +138,7 @@ def cmd_cauchy_selftest(ns) -> int:
         chi_err = float(np.abs(g - exact).max())
         r2 = np.abs(grid.Z) ** 2
         phi = np.where(r2 < 1.0, np.exp(-1.0 / np.maximum(1e-300, 1.0 - r2)), 0.0)
-        dg = wirtinger(cauchy(phi.astype(complex), grid), "dbar", grid, method="fd")
+        dg = wirtinger(cauchy(phi.astype(complex), grid), "dbar", grid)
         inv_err = float(np.abs(dg - phi)[3:-3, 3:-3].max())
         rows.append((N, chi_err, 10 * grid.h * math.log(1 / grid.h), inv_err))
     _write_csv(os.path.join(out, "cauchy_selftest.csv"),
@@ -151,8 +151,9 @@ def cmd_cauchy_selftest(ns) -> int:
 
 def cmd_stationary_phase(ns) -> int:
     hnorm = math.sqrt(3 * math.pi / 2) if ns.norm is None else ns.norm
-    if not (math.isfinite(ns.s) and math.isfinite(hnorm)):
-        raise BklabError(f"--s and --norm must be finite, got {ns.s} and {hnorm}")
+    if not (math.isfinite(ns.s) and math.isfinite(hnorm) and hnorm > 0):
+        raise BklabError(f"--s must be finite and --norm finite and positive, "
+                         f"got {ns.s} and {hnorm}")
     out = _ensure_outdir(ns)
     field, grid = _load_field_on(ns.field, None)
     taus = _parse_taus(f"{ns.tau_min}:{ns.tau_max}")
@@ -311,8 +312,7 @@ def _field_from_spec(spec: dict, domain: DomainSpec) -> np.ndarray:
 
 def cmd_stability(ns) -> int:
     out = _ensure_outdir(ns)
-    with open(ns.config) as f:
-        cfg = _checked(json.load(f), "object", "config")
+    cfg = _read_json_object(ns.config)
     extra = set(cfg) - {"version", "domain", "pairs", *_STAB_KINDS}
     if extra:
         raise BklabError(f"unknown config keys {sorted(extra)}")

@@ -414,7 +414,8 @@ def save_field(path, field: np.ndarray, grid: Grid) -> None:
 
 def load_field(path) -> tuple[np.ndarray, Grid]:
     with open(path, "rb") as f:
-        header = f.readline().decode("ascii").split()
+        # a byte that is not ASCII fails the magic or number check below
+        header = f.readline().decode("ascii", errors="replace").split()
         if len(header) != 3 or header[0] != _MAGIC:
             raise BklabError(f"{path}: not a {_MAGIC} field file")
         try:
@@ -449,9 +450,19 @@ def domain_from_spec(L, N, shape, where: str = "") -> DomainSpec:
     return make_domain(grid, _shape_from_dict(shape, f"{where}shape"))
 
 
+def _read_json_object(path) -> dict:
+    """The JSON object in a UTF-8 file; a file that does not decode is a
+    configuration error (exit 2) that names the path."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise BklabError(f"{path}: {e}") from None
+    return _checked(doc, "object", f"{path}")
+
+
 def load_domain(path) -> DomainSpec:
-    with open(path) as f:
-        doc = _checked(json.load(f), "object", f"{path}")
+    doc = _read_json_object(path)
     known = {"version", "grid", "shape"}
     extra = set(doc) - known
     if extra:

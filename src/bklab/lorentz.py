@@ -5,8 +5,9 @@ A discrete field is a step function: its rearrangement is a finite list of
 non-increasing values over intervals whose lengths are multiples of the
 cell measure h^2.  On each interval the maximal-average function f** has
 the closed form c + D/t, so norms are computed by per-interval closed
-forms where available (q in {1,2}, or D = 0) and 32-point Gauss-Legendre
-quadrature otherwise, plus the exact tail integral beyond the support.
+forms where available (integer q below 32, or D = 0) and 32-point
+Gauss-Legendre quadrature otherwise, plus the exact tail integral beyond
+the support.
 
 Fourier convention (fixed everywhere): F f(xi) = (1/2pi) int f e^{-i x.xi} dm,
 which is unitary on L^2(R^2).
@@ -181,19 +182,16 @@ def _norm(t, v, p, q):
         total += float(np.sum(cz ** q * (p / q) * (bz ** (q / p) - az ** (q / p))))
     gl = ~zero_D
     if gl.any():
-        if q == 1.0:
-            ag, bg, cg, Dg = a[gl], b[gl], c[gl], D[gl]
-            total += float(np.sum(cg * _power_int(ag, bg, 1.0 / p)))
-            total += float(np.sum(Dg * _power_int(ag, bg, 1.0 / p - 1.0)))
-        elif q == 2.0:
-            ag, bg, cg, Dg = a[gl], b[gl], c[gl], D[gl]
-            e = 2.0 / p
-            total += float(np.sum(cg ** 2 * _power_int(ag, bg, e)))
-            total += float(np.sum(2 * cg * Dg * _power_int(ag, bg, e - 1.0)))
-            total += float(np.sum(Dg ** 2 * _power_int(ag, bg, e - 2.0)))
+        ag, bg, cg, Dg = a[gl], b[gl], c[gl], D[gl]
+        if q == int(q) and q < _GL_POINTS:
+            # (c + D/t)^q t^{q/p - 1} expanded binomially, one power of t a
+            # term: exact, and no more terms than the quadrature has points
+            n = int(q)
+            for k in range(n + 1):
+                total += float(np.sum(math.comb(n, k) * cg ** (n - k) * Dg ** k
+                                      * _power_int(ag, bg, q / p - k)))
         else:
             x, w = gauss_legendre(_GL_POINTS)
-            ag, bg, cg, Dg = a[gl], b[gl], c[gl], D[gl]
             mid = 0.5 * (ag + bg)[:, None]
             rad = 0.5 * (bg - ag)[:, None]
             tt = mid + rad * x[None, :]

@@ -17,7 +17,7 @@ long as consecutive pairs share q1, so each potential is solved once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,9 +82,9 @@ class ReconstructionResult:
     z0: np.ndarray
     values: np.ndarray
     ok: np.ndarray                 # False where the fixed point diverged
+    lattice_measure: float         # domain measure per lattice point
     truth: np.ndarray | None = None
     baseline: np.ndarray | None = None   # pure-smoothing values at the lattice
-    metadata: dict = field(default_factory=dict)
 
     def errors(self) -> dict:
         if self.truth is None:
@@ -92,7 +92,7 @@ class ReconstructionResult:
         d = np.abs(self.values[self.ok] - self.truth[self.ok])
         if d.size == 0:
             raise BklabError("no successful lattice points")
-        w = self.metadata.get("lattice_measure", 1.0)
+        w = self.lattice_measure
         t = w * np.arange(1, d.size + 1)
         ds = np.sort(d)[::-1]
         fss = np.cumsum(ds * w) / t
@@ -148,9 +148,9 @@ def _lattice_results(forms, target, tau, lattice, domain: DomainSpec,
     truth = np.array([target[c] for c in cells])
     sm = smooth(target, tau, grid)
     baseline = np.array([sm[c] for c in cells])
-    return [ReconstructionResult(
-                form, tau, lattice, np.array([v[i] for v, _ in out]), okv, truth,
-                baseline, {"lattice_measure": domain.measure / max(1, lattice.size)})
+    w = domain.measure / max(1, lattice.size)
+    return [ReconstructionResult(form, tau, lattice, np.array([v[i] for v, _ in out]),
+                                 okv, w, truth, baseline)
             for i, form in enumerate(forms)]
 
 

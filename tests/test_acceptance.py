@@ -58,7 +58,7 @@ def test_criterion_02_cauchy_inverse():
         r2 = np.abs(g.Z) ** 2
         phi = np.where(r2 < 1.0, np.exp(-1.0 / np.maximum(1e-300, 1.0 - r2)),
                        0.0).astype(complex)
-        d = wirtinger(cauchy(phi, grid=g), "dbar", g, method="fd")
+        d = wirtinger(cauchy(phi, grid=g), "dbar", g)
         errs.append(np.abs(d - phi)[3:-3, 3:-3].max())
     order = math.log2(errs[0] / errs[2]) / 2
     g = make_grid(1.5, 256)

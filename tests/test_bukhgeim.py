@@ -284,7 +284,7 @@ class TestDbarU:
         sol = solve_f(q, PhaseParams(8.0, Z0), d)
         from bklab.cauchy import wirtinger
         u = assemble_u(sol)
-        fd = wirtinger(u, "dbar", g, method="fd")
+        fd = wirtinger(u, "dbar", g)
         an = dbar_u(sol)
         inner = d.interior_mask(4 * g.h)
         scale = np.abs(u[inner]).max() * 8.0  # |dbar u| ~ tau-scale

@@ -52,6 +52,7 @@ def workspace(tmp_path_factory):
         (bad[section] if section else bad)[key] = value
         (ws / f"{name}.json").write_text(json.dumps(bad))
     (ws / "latin1.json").write_bytes(json.dumps(doc).encode()[:-1] + b', "r\xe9": 1}')
+    (ws / "notjson.json").write_text("domain: disk\n")
     for name, header in (("ff_header", b"\xffBKFLD1 64 1.2"), ("xy_header", b"BKFLD1 x y"),
                          ("exp_header", b"BKFLD1 1e1 1.2")):
         (ws / f"{name}.bkfld").write_bytes(header + b"\n" + bytes(16 * 64 * 64))
@@ -94,6 +95,14 @@ class TestBasics:
         assert r.returncode == 0, r.stderr
         float(r.stdout.strip())
 
+    def test_lorentz_norm_huge_integer_q_keeps_exit_contract(self, workspace):
+        # an integer q past the closed form's term count takes the quadrature;
+        # a binomial expansion there overflows math.comb and raises
+        r = run_cli(["lorentz-norm", "--field", str(workspace / "q.bkfld"),
+                     "--p", "2", "--q", "1e308"], timeout=60)
+        assert r.returncode in (0, 2), r.stderr
+        assert "Traceback" not in r.stderr
+
 
 class TestInputErrors:
     @pytest.mark.parametrize("cmd", [
@@ -128,6 +137,8 @@ class TestInputErrors:
         ["stationary-phase", "--field", "{ws}/gauss.bkfld", "--norm", "nan"],
         ["cauchy-distance", "--q1", "{ws}/q.bkfld", "--q2", "{ws}/q2.bkfld",
          "--taus", "4,8,16", "--fd-modes", "-3"],
+        ["stationary-phase", "--field", "{ws}/gauss.bkfld", "--norm", "-1"],
+        ["stationary-phase", "--field", "{ws}/gauss.bkfld", "--norm", "0"],
     ])
     def test_malformed_arguments_exit_2(self, workspace, tmp_path, cmd):
         args = [a.replace("{ws}", str(workspace)) for a in cmd]
@@ -138,6 +149,20 @@ class TestInputErrors:
         r = run_cli(args, timeout=60)
         assert_config_error(r)
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("cmd", [
+        ["carleman-sweep", "--domain", "{ws}/latin1.json", "--out-dir", "{tmp}"],
+        ["carleman-sweep", "--domain", "{ws}/notjson.json", "--out-dir", "{tmp}"],
+        ["stability", "--config", "{ws}/latin1.json", "--out-dir", "{tmp}"],
+        ["stability", "--config", "{ws}/notjson.json", "--out-dir", "{tmp}"],
+        ["lorentz-norm", "--field", "{ws}/ff_header.bkfld", "--p", "2", "--q", "1"],
+    ])
+    def test_undecodable_file_is_named(self, workspace, tmp_path, cmd):
+        args = [a.replace("{ws}", str(workspace)).replace("{tmp}", str(tmp_path))
+                for a in cmd]
+        r = run_cli(args, timeout=60)
+        assert_config_error(r)
+        assert args[2] in json.loads(r.stderr)["error"]["message"]
 
     def test_lorentz_norm_malformed_q_exit_2(self, workspace):
         assert_config_error(run_cli(

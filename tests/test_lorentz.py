@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from bklab import (Disk, LorentzIndex, bessel_norm, lorentz_norm, make_domain,
                    make_grid, rearrange, sobolev_lorentz_norm)
@@ -106,6 +107,26 @@ class TestLorentzNorm:
         g = make_grid(1.0, N)
         f = random_field(g, 0)
         assert traced_peak(lambda: lorentz_norm(f, L2W, grid=g)) <= 6 * N * N * 8
+
+    @pytest.mark.parametrize("p, q", [(2.0, 3.0), (3.0, 4.0)])
+    def test_integer_q_closed_form_matches_quadrature(self, p, q):
+        # ||f||^q = int_0^inf t^{q/p-1} f**(t)^q dt, cell by cell with quad
+        # (f** is smooth on each cell's interval) plus the A/t tail; the
+        # field has runs of equal values, so D > 0 on most steps
+        g = make_grid(1.0, 8)
+        f = np.random.default_rng(5).integers(0, 5, size=(8, 8)) * 0.5 + 0j
+        h2 = g.cell_measure
+        v = np.sort(np.abs(f).ravel())[::-1]
+        S = np.concatenate([[0.0], np.cumsum(v) * h2])
+
+        def integrand(t, k):
+            return t ** (q / p - 1) * ((S[k] + v[k] * (t - k * h2)) / t) ** q
+        total = sum(quad(integrand, k * h2, (k + 1) * h2, args=(k,),
+                         epsabs=0, epsrel=1e-13, limit=200)[0] for k in range(v.size))
+        tM = v.size * h2
+        total += S[-1] ** q * tM ** (q / p - q) * p / (q * (p - 1))
+        got = lorentz_norm(f, LorentzIndex(p, q), grid=g)
+        assert got == pytest.approx(total ** (1 / q), rel=1e-12)
 
     def test_sandwich(self):
         g = make_grid(1.0, 32)
