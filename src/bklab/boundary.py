@@ -2,14 +2,14 @@
 pairing, the Alessandrini identity check, and the Cauchy-data distance
 proxy built from oscillating-solution pairs and trigonometric traces.
 
-A pairing int u1 (q1 - q2) u2 dm is a stored side walked against a
-streamed partner: the side holds q1's holomorphic oscillating solutions
-over the (z0, tau) jobs (or the message of a divergence) and its lifts
-of the trigonometric data with their W^{1,2} norms, masked to the domain;
-q2's antiholomorphic solution is solved job by job during the walk and
-never stored.  A side built once serves every partner of q1.  Only the
-distance normalizes the oscillating pairs, so it alone takes their
-W^{1,2} norms: the side's on first read, the partner's during the walk.
+A pairing int u1 (q1 - q2) u2 dm walks q1's side, the one store of its
+solutions, against a streamed partner: each holomorphic oscillating
+solution of q1 (or the message of its divergence) and each lift of the
+trigonometric data is solved the first time it is asked for and kept,
+masked to the domain, for every partner of q1; q2's antiholomorphic
+solution is solved job by job during the walk and never stored.  Only
+the distance normalizes the oscillating pairs, so it alone takes their
+W^{1,2} norms: the side's once each, the partner's during the walk.
 
 The solver is a Shortley-Weller five-point scheme: at cells whose stencil
 crosses the boundary, the arms are cut at the exact shape intersection
@@ -19,8 +19,7 @@ scheme second order on disks and grid-aligned polygons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +32,7 @@ __all__ = [
     "DirichletProblem", "DirichletSolver", "forward_solve", "w12_norm",
     "dn_pairing", "alessandrini_check", "AlessandriniReport",
     "FamilySpec", "CauchyDistanceReport", "cauchy_distance",
-    "boundary_mode", "Side", "solve_side", "side_distance",
+    "boundary_mode", "Side", "side_distance",
 ]
 
 _THETA_FLOOR = 1e-3
@@ -148,7 +147,7 @@ class DirichletSolver:
         grid = self.domain.grid
         Ug = np.zeros((grid.N, grid.N), dtype=complex)
         Ug[self.domain.mask] = U
-        return DirichletProblem(self.domain, self.q, g, Ug, rel, self)
+        return DirichletProblem(self.domain, self.q, g, Ug, rel)
 
 
 @dataclass
@@ -158,7 +157,6 @@ class DirichletProblem:
     g: object                   # callable datum
     U: np.ndarray               # solution, zero outside the mask
     residual: float             # factorization residual (relative)
-    solver: DirichletSolver = field(repr=False, default=None)
 
 
 def forward_solve(q, g, domain: DomainSpec) -> DirichletProblem:
@@ -190,19 +188,13 @@ def _weak_form(U, V, q, domain: DomainSpec) -> complex:
     return complex(val * grid.cell_measure)
 
 
-def dn_pairing(P1: DirichletProblem, v) -> complex:
+def dn_pairing(P1: DirichletProblem, P2: DirichletProblem) -> complex:
     """(Lambda_q u, v) = int(-grad U . grad V + q U V) dm by midpoint
-    quadrature, V being the q-solve lift of v (or another problem's
-    solution on the same domain)."""
-    if isinstance(v, DirichletProblem):
-        if v.domain is not P1.domain:
-            raise BklabError("pairing requires problems on the same domain")
-        V = v.U
-    elif callable(v):
-        V = P1.solver.solve(v).U
-    else:
-        raise BklabError("v must be a DirichletProblem or a trace callable")
-    return _weak_form(P1.U, V, P1.q, P1.domain)
+    quadrature, V being the solution of P2, a problem on the same domain
+    (the q-solve lift of v)."""
+    if P2.domain is not P1.domain:
+        raise BklabError("pairing requires problems on the same domain")
+    return _weak_form(P1.U, P2.U, P1.q, P1.domain)
 
 
 @dataclass(frozen=True)
@@ -282,7 +274,7 @@ class FamilySpec:
     taus: tuple
     fd_modes: int = 8
 
-    def validate(self):
+    def __post_init__(self):
         if len(self.z0_points) < 9:
             raise BklabError(f"need at least 9 lattice points, got {len(self.z0_points)}")
         if len(self.taus) < 3:
@@ -308,88 +300,77 @@ class CauchyDistanceReport:
         self.d_hat = max(self.d_hat, rec["value"])
 
 
-def _mode_lifts(domain: DomainSpec, q, modes: int) -> list[tuple[np.ndarray, float]]:
-    """(U_k[mask], ||U_k||_{W^{1,2}}) for the q-lifts of the trigonometric
-    data k = 1..modes, all solved with one factorization."""
-    solver = DirichletSolver(domain, q)
-    lifts = []
-    for k in range(1, modes + 1):
-        U = solver.solve(boundary_mode(domain, k)).U
-        lifts.append((U[domain.mask], w12_norm(U, domain)))
-    return lifts
-
-
-@dataclass
 class Side:
-    """q's holomorphic oscillating solutions over the family's (z0, tau)
-    jobs and its q-lifts of the trigonometric data k = 1..fd_modes, masked
-    to the domain."""
+    """The store of one potential's solutions on a domain: its holomorphic
+    oscillating solution at each (z0, tau) (or the message of a divergence)
+    with its W^{1,2} norm, and its q-lifts of the trigonometric data with
+    their norms, all masked to the domain.  Nothing is solved until it is
+    first asked for; then it is kept.  Threads asking for one (z0, tau) at
+    once may each solve it, to the same result."""
 
-    q: np.ndarray
-    domain: DomainSpec
-    family: FamilySpec
-    solutions: dict      # (z0, tau) -> u[mask] or divergence message
-    lifts: list          # (U_k[mask], ||U_k||_{W^{1,2}})
+    def __init__(self, q, domain: DomainSpec):
+        self.q = domain.grid.check_field(np.asarray(q, dtype=complex))
+        self.domain = domain
+        self._solutions: dict = {}   # (z0, tau) -> u[mask] or divergence message
+        self._norms: dict = {}       # (z0, tau) -> ||u||_{W^{1,2}}
+        self._lifts: list = []       # (U_k[mask], ||U_k||_{W^{1,2}}), k = 1, 2, ...
 
-    @cached_property
-    def norms(self) -> dict:
-        """(z0, tau) -> ||u||_{W^{1,2}} of every stored solution, taken on
-        first read."""
-        m = self.domain.mask
+    def solution(self, z0, tau) -> np.ndarray:
+        """u[mask] at (z0, tau); raises FixedPointDivergenceError with the
+        stored message if the solve diverged."""
+        key = (z0, tau)
+        if key not in self._solutions:
+            try:
+                sol = solve_f(self.q, PhaseParams(tau, z0), self.domain, "holomorphic")
+                self._solutions[key] = assemble_u(sol)[self.domain.mask]
+            except FixedPointDivergenceError as e:
+                self._solutions[key] = str(e)
+        u = self._solutions[key]
+        if isinstance(u, str):
+            raise FixedPointDivergenceError(u)
+        return u
 
-        def norm(u):
+    def norm(self, z0, tau) -> float:
+        """||u||_{W^{1,2}} at (z0, tau)."""
+        key = (z0, tau)
+        if key not in self._norms:
             # the masked gradient reads only masked cells, so zero-filling
             # the rest gives the norm of the full solution
-            fld = np.zeros(m.shape, dtype=complex)
-            fld[m] = u
-            return w12_norm(fld, self.domain)
+            fld = np.zeros(self.domain.mask.shape, dtype=complex)
+            fld[self.domain.mask] = self.solution(z0, tau)
+            self._norms[key] = w12_norm(fld, self.domain)
+        return self._norms[key]
 
-        solved = {job: u for job, u in self.solutions.items() if not isinstance(u, str)}
-        return dict(zip(solved, parallel_map(norm, solved.values())))
+    def lifts(self, modes: int) -> list[tuple[np.ndarray, float]]:
+        """(U_k[mask], ||U_k||_{W^{1,2}}) for the q-lifts of the
+        trigonometric data k = 1..modes; those not yet kept are solved with
+        one factorization."""
+        if len(self._lifts) < modes:
+            solver = DirichletSolver(self.domain, self.q)
+            for k in range(len(self._lifts) + 1, modes + 1):
+                U = solver.solve(boundary_mode(self.domain, k)).U
+                self._lifts.append((U[self.domain.mask], w12_norm(U, self.domain)))
+        return self._lifts[:modes]
 
     def pairing(self, q2, params: PhaseParams) -> tuple[complex, np.ndarray]:
         """(int u1 (q - q2) u2 dm, u2) at one job: u1 the stored solution,
         u2 q2's antiholomorphic one, solved now.  Raises
         FixedPointDivergenceError with the stored message if u1 diverged
         (q2 is then not solved), else with q2's if u2 diverges."""
-        u1 = self.solutions[(params.z0, params.tau)]
-        if isinstance(u1, str):
-            raise FixedPointDivergenceError(u1)
+        u1 = self.solution(params.z0, params.tau)
         u2 = assemble_u(solve_f(q2, params, self.domain, "antiholomorphic"))
         m = self.domain.mask
         return interior_pairing(u1, self.q[m] - q2[m], u2[m], self.domain), u2
 
 
-def solve_side(q, domain: DomainSpec, family: FamilySpec) -> Side:
-    """q's side over the family: its holomorphic solve at every job, in
-    parallel, and its mode lifts when fd_modes > 0."""
-    q = domain.grid.check_field(np.asarray(q, dtype=complex))
-    m = domain.mask
-
-    def one(job):
-        z0, tau = job
-        try:
-            sol = solve_f(q, PhaseParams(tau, z0), domain, "holomorphic")
-        except FixedPointDivergenceError as e:
-            return str(e)
-        return assemble_u(sol)[m]
-
-    jobs = list(dict.fromkeys(family.jobs))
-    solutions = dict(zip(jobs, parallel_map(one, jobs)))
-    lifts = _mode_lifts(domain, q, family.fd_modes) if family.fd_modes > 0 else []
-    return Side(q, domain, family, solutions, lifts)
-
-
-def side_distance(side: Side, q2) -> CauchyDistanceReport:
+def side_distance(side: Side, q2, family: FamilySpec) -> CauchyDistanceReport:
     """The Cauchy-data distance of the side's potential to q2: the side
     walked against q2 over the family's jobs, then its lifts against q2's."""
-    domain, family = side.domain, side.family
+    domain = side.domain
     q2 = domain.grid.check_field(np.asarray(q2, dtype=complex))
     report = CauchyDistanceReport(0.0, [], [], {
         "z0_points": len(family.z0_points), "taus": list(family.taus),
         "fd_modes": family.fd_modes})
-
-    norms = side.norms
 
     def one(job):
         z0, tau = job
@@ -397,7 +378,7 @@ def side_distance(side: Side, q2) -> CauchyDistanceReport:
             val, u2 = side.pairing(q2, PhaseParams(tau, z0))
         except FixedPointDivergenceError as e:
             return ("skip", z0, tau, str(e))
-        return ("ok", z0, tau, abs(val) / (norms[job] * w12_norm(u2, domain)))
+        return ("ok", z0, tau, abs(val) / (side.norm(z0, tau) * w12_norm(u2, domain)))
 
     for res in parallel_map(one, family.jobs):
         if res[0] == "ok":
@@ -405,14 +386,13 @@ def side_distance(side: Side, q2) -> CauchyDistanceReport:
                         "value": res[3]})
         else:
             report.skipped.append({"z0": res[1], "tau": res[2], "reason": res[3]})
-    if family.fd_modes > 0:
-        m = domain.mask
-        dq = side.q[m] - q2[m]
-        lifts2 = _mode_lifts(domain, q2, family.fd_modes)
-        for j, (Uj, nj) in enumerate(side.lifts, start=1):
-            for k, (Vk, nk) in enumerate(lifts2, start=1):
-                val = abs(interior_pairing(Uj, dq, Vk, domain))
-                report.add({"kind": "fd", "modes": (j, k), "value": val / (nj * nk)})
+    m = domain.mask
+    dq = side.q[m] - q2[m]
+    lifts2 = Side(q2, domain).lifts(family.fd_modes)
+    for j, (Uj, nj) in enumerate(side.lifts(family.fd_modes), start=1):
+        for k, (Vk, nk) in enumerate(lifts2, start=1):
+            val = abs(interior_pairing(Uj, dq, Vk, domain))
+            report.add({"kind": "fd", "modes": (j, k), "value": val / (nj * nk)})
     return report
 
 
@@ -420,5 +400,4 @@ def cauchy_distance(q1, q2, domain: DomainSpec, family: FamilySpec) -> CauchyDis
     """Max over the family of |int U (q1 - q2) V dm| with both solutions
     normalized in discrete W^{1,2}.  A lower bound on the true supremum,
     reported as such."""
-    family.validate()
-    return side_distance(solve_side(q1, domain, family), q2)
+    return side_distance(Side(q1, domain), q2, family)

@@ -83,7 +83,6 @@ class BukhgeimSolution:
     sup_f: float
     inner_transform: np.ndarray    # Cbar/C(e^{i tau R} chi q f) at the fixed point
     domain: DomainSpec
-    converged: bool
 
     @property
     def contraction(self) -> float:
@@ -113,14 +112,12 @@ def solve_f(q, params: PhaseParams, domain: DomainSpec,
     f = np.ones((grid.N, grid.N), dtype=complex)
     updates: list[float] = []
     growing = 0
-    converged = False
     for it in range(1, _MAX_ITER + 1):
         Sf, t2 = pipe.apply(f)
         fn = 1.0 - 0.25 * Sf
         upd = float(np.abs(fn - f).max())
         updates.append(upd)
         if upd < tol:
-            converged = True
             break
         f = fn
         if len(updates) >= 2 and upd > updates[-2]:
@@ -131,7 +128,7 @@ def solve_f(q, params: PhaseParams, domain: DomainSpec,
                     f"tau is below the contraction threshold")
         else:
             growing = 0
-    if not converged:
+    else:  # no break: the update never fell below tol
         raise FixedPointDivergenceError(
             f"no convergence to {tol} within {_MAX_ITER} iterations at tau={params.tau}")
     ratios = tuple(updates[i] / updates[i - 1] for i in range(1, len(updates))
@@ -139,8 +136,7 @@ def solve_f(q, params: PhaseParams, domain: DomainSpec,
     return BukhgeimSolution(
         f=f, params=params, phase_type=phase_type, iterations=it,
         contraction_ratios=ratios, defect=updates[-1],
-        sup_f=float(np.abs(f).max()), inner_transform=t2, domain=domain,
-        converged=converged)
+        sup_f=float(np.abs(f).max()), inner_transform=t2, domain=domain)
 
 
 def oscillating_phase(params: PhaseParams, grid: Grid, phase_type: str) -> np.ndarray:

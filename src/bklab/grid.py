@@ -51,6 +51,26 @@ def _checked(value, kind: str, where: str):
     return tuple(value) if kind == "list of numbers" else value
 
 
+def _object(value, where: str, keys, optional=()) -> dict:
+    """`value` if it is a JSON object holding every key of `keys` and no
+    other key but those of `optional`; otherwise a configuration error
+    (exit 2) naming `where` and the key.  A dict `keys` maps each allowed
+    "type" of the object to the keys that type takes besides "type"."""
+    d = _checked(value, "object", where)
+    if isinstance(keys, dict):
+        if d.get("type") not in keys:
+            raise BklabError(f"{where}: type must be one of {sorted(keys)}, "
+                             f"got {d.get('type')!r}")
+        keys = ("type", *keys[d["type"]])
+    for key in keys:
+        if key not in d:
+            raise BklabError(f"{where}: missing key {key!r}")
+    extra = sorted(set(d) - set(keys) - set(optional))
+    if extra:
+        raise BklabError(f"{where}: unknown keys {extra}")
+    return d
+
+
 # largest grid size: a transform plan holds a (2N)^2 complex spectrum, 1 GB
 # at N = 4096 and 4 GB at N = 8192 (the tests, bench and docs go up to 1024)
 _MAX_N = 4096
@@ -177,14 +197,12 @@ class Polygon:
 
 
 def _shape_from_dict(d: dict, where: str):
-    kind = _checked(d, "object", where).get("type")
-    if kind == "disk":
+    d = _object(d, where, {"disk": ("center", "radius"), "polygon": ("vertices",)})
+    if d["type"] == "disk":
         return Disk(complex(*_checked(d["center"], "point [x, y]", f"{where}.center")),
                     float(_checked(d["radius"], "number", f"{where}.radius")))
-    if kind == "polygon":
-        return Polygon(tuple(complex(u, v) for u, v in
-                             _checked(d["vertices"], "list of points", f"{where}.vertices")))
-    raise DomainError(f"unknown shape type {kind!r}")
+    return Polygon(tuple(complex(u, v) for u, v in
+                         _checked(d["vertices"], "list of points", f"{where}.vertices")))
 
 
 class DomainSpec:
@@ -450,24 +468,22 @@ def domain_from_spec(L, N, shape, where: str = "") -> DomainSpec:
     return make_domain(grid, _shape_from_dict(shape, f"{where}shape"))
 
 
-def _read_json_object(path) -> dict:
-    """The JSON object in a UTF-8 file; a file that does not decode is a
-    configuration error (exit 2) that names the path."""
+def _read_json_object(path, keys, optional=()) -> dict:
+    """The JSON object in a UTF-8 file, with the keys `_object` checks and
+    `version` 1; a file that does not decode is a configuration error
+    (exit 2) that names the path."""
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise BklabError(f"{path}: {e}") from None
-    return _checked(doc, "object", f"{path}")
+    doc = _object(doc, f"{path}", keys, optional)
+    if _checked(doc["version"], "integer", f"{path}: version") != 1:
+        raise BklabError(f"{path}: unsupported version {doc['version']!r}")
+    return doc
 
 
 def load_domain(path) -> DomainSpec:
-    doc = _read_json_object(path)
-    known = {"version", "grid", "shape"}
-    extra = set(doc) - known
-    if extra:
-        raise BklabError(f"{path}: unknown keys {sorted(extra)}")
-    if _checked(doc.get("version"), "integer", f"{path}: version") != 1:
-        raise BklabError(f"{path}: unsupported version {doc['version']!r}")
-    g = _checked(doc["grid"], "object", f"{path}: grid")
+    doc = _read_json_object(path, ("version", "grid", "shape"))
+    g = _object(doc["grid"], f"{path}: grid", ("L", "N"))
     return domain_from_spec(g["L"], g["N"], doc["shape"], f"{path}: ")

@@ -140,9 +140,18 @@ def norm_of_rearrangement(sr: StepRearrangement, idx: LorentzIndex) -> float:
         return 0.0
     t = sr.breakpoints
     p, q = idx.p, idx.q
-    if not idx.normed:
-        return _seminorm(t, v, p, q)
-    return _norm(t, v, p, q)
+    norm = _norm if idx.normed else _seminorm
+    if math.isinf(q):
+        return norm(t, v, p, q)
+    # the norm is homogeneous: summed over v / v[0] <= 1, the q-th powers of
+    # a tiny or huge field stay in range; a large q can still take the powers
+    # of the measure out of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = v[0] * norm(t, v / v[0], p, q)
+    if not 0.0 < val < math.inf:
+        raise NormError(f"the (p, q) = ({p}, {q}) norm of this field is out of "
+                        f"floating-point range")
+    return float(val)
 
 
 def _power_int(a, b, alpha, tol=1e-12):

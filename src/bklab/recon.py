@@ -8,10 +8,10 @@ The boundary form uses the identity dbar u = -(1/4) e^{-i tau
 the oscillating phases then cancel against the reconstruction weight and
 the boundary integral reduces to (tau/pi) int conj(eta) G dsigma.
 
-The pairing form and the stability experiment's distance are pairings of
-a stored side of q1 (boundary.Side) walked against a streamed q2.  The
-experiment keeps q1's family side, and its pairing side per tau, for as
-long as consecutive pairs share q1, so each potential is solved once.
+The pairing form and the stability experiment's distance walk q1's side
+(boundary.Side, the lazy store of q1's solutions) against a streamed q2.
+The experiment keeps one side while consecutive pairs share q1, so each
+potential is solved once at each (z0, tau).
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import (FamilySpec, Side, interp_bilinear, side_distance, solve_side,
-                       w12_norm)
+from .boundary import FamilySpec, Side, interp_bilinear, side_distance, w12_norm
 from .bukhgeim import solve_f
 from .errors import BklabError, FixedPointDivergenceError
 from .grid import DomainSpec, Grid, PhaseParams
@@ -83,12 +82,10 @@ class ReconstructionResult:
     values: np.ndarray
     ok: np.ndarray                 # False where the fixed point diverged
     lattice_measure: float         # domain measure per lattice point
-    truth: np.ndarray | None = None
-    baseline: np.ndarray | None = None   # pure-smoothing values at the lattice
+    truth: np.ndarray
+    baseline: np.ndarray           # pure-smoothing values at the lattice
 
     def errors(self) -> dict:
-        if self.truth is None:
-            raise BklabError("no ground truth attached")
         d = np.abs(self.values[self.ok] - self.truth[self.ok])
         if d.size == 0:
             raise BklabError("no successful lattice points")
@@ -189,17 +186,9 @@ def reconstruct_pairing(q1, q2, tau: float, lattice,
                         domain: DomainSpec) -> ReconstructionResult:
     """(q1 - q2)(z0) from the two-solution pairing
     (2 tau/pi) int u1 (q1 - q2) u2 dm with opposite phase types."""
-    grid = domain.grid
-    q1 = grid.check_field(np.asarray(q1, dtype=complex))
-    q2 = grid.check_field(np.asarray(q2, dtype=complex))
+    q2 = domain.grid.check_field(np.asarray(q2, dtype=complex))
     lattice = _check_lattice(domain, lattice)
-    return _pairing(_pairing_side(q1, tau, lattice, domain), q2, tau, lattice)
-
-
-def _pairing_side(q1, tau: float, lattice: np.ndarray, domain: DomainSpec) -> Side:
-    """q1's side over the checked lattice x {tau}, without mode lifts."""
-    return solve_side(q1, domain, FamilySpec(tuple(map(complex, lattice)), (tau,),
-                                             fd_modes=0))
+    return _pairing(Side(q1, domain), q2, tau, lattice)
 
 
 def _pairing(side: Side, q2: np.ndarray, tau: float,
@@ -226,6 +215,10 @@ class StabilityConfig:
     b_omega: float | None = None      # None: calibrate from the u-norm growth
     tau_min: float = 2.0
     recon_lattice_n: int = 3
+
+    def __post_init__(self):
+        if self.b_omega is not None and not self.b_omega > 0:
+            raise BklabError(f"b_omega must be positive or None, got {self.b_omega}")
 
 
 @dataclass
@@ -264,13 +257,12 @@ def stability_experiment(pairs, domain: DomainSpec,
     choose tau = ln(1/d)/2B clamped to the admissible window, run the
     pairing reconstruction, and record both sides of the stability trend.
     Pairs with identical potentials are excluded from the records.  q1's
-    sides are solved once and kept while consecutive pairs share q1."""
+    side is kept while consecutive pairs share q1."""
     grid = domain.grid
     s = config.smoothness
     lattice = make_z0_lattice(domain, config.lattice_n)
     fam = FamilySpec(tuple(lattice), tuple(config.family_taus),
                      fd_modes=config.fd_modes)
-    fam.validate()
     if config.b_omega is None:
         B = 1.0 + 2.0 * calibrate_exponential_rate(domain)
     else:
@@ -278,7 +270,7 @@ def stability_experiment(pairs, domain: DomainSpec,
     guard = grid.aliasing_guard()
     rl = make_z0_lattice(domain, config.recon_lattice_n)
     records = []
-    side, pairing_sides = None, {}
+    side = None
     for q1, q2 in pairs:
         q1 = grid.check_field(np.asarray(q1, dtype=complex))
         q2 = grid.check_field(np.asarray(q2, dtype=complex))
@@ -291,8 +283,8 @@ def stability_experiment(pairs, domain: DomainSpec,
         # the CLI loads q1 afresh for each pair, so equal q1 are equal
         # arrays rather than one object
         if side is None or not np.array_equal(side.q, q1):
-            side, pairing_sides = solve_side(q1, domain, fam), {}
-        d_hat = side_distance(side, q2).d_hat
+            side = Side(q1, domain)
+        d_hat = side_distance(side, q2, fam).d_hat
         if d_hat <= 0.0:
             records.append(StabilityRecord(dq_weak, d_hat, math.nan, math.nan,
                                            None, True, "identical boundary data"))
@@ -303,9 +295,7 @@ def stability_experiment(pairs, domain: DomainSpec,
             continue
         tau = math.log(1.0 / d_hat) / (2.0 * B)
         tau = float(np.clip(tau, config.tau_min, 0.98 * guard))
-        if tau not in pairing_sides:
-            pairing_sides[tau] = _pairing_side(q1, tau, rl, domain)
-        rec = _pairing(pairing_sides[tau], q2, tau, rl)
+        rec = _pairing(side, q2, tau, rl)
         pairing_l2 = rec.errors()["l2"] if rec.ok.any() else None
         bound = math.log(1.0 / d_hat) ** (-s / 4.0)
         records.append(StabilityRecord(dq_weak, d_hat, bound, tau,

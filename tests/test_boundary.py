@@ -1,14 +1,16 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from bklab import Disk, Polygon, make_domain, make_grid
-from bklab.boundary import (DirichletSolver, FamilySpec, alessandrini_check,
+from bklab import Disk, Polygon, boundary, make_domain, make_grid
+from bklab.boundary import (DirichletSolver, FamilySpec, Side, alessandrini_check,
                             boundary_mode, cauchy_distance, dn_pairing,
                             forward_solve, w12_norm)
 from bklab.errors import BklabError, SingularSystemError
 from bklab.recon import bump_field, make_z0_lattice
+from bklab.util import parallel_map
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +230,37 @@ class TestCauchyDistance:
         with pytest.raises(BklabError):
             cauchy_distance(q, q, d,
                             FamilySpec(tuple(make_z0_lattice(d, 3)), (8.0,)))
+
+
+class TestSide:
+    def test_parallel_walk_keeps_every_solution(self, monkeypatch):
+        # more threads than cores and frequent switches: each job is solved
+        # once and kept, and equals the solve of a side walked serially
+        g = make_grid(1.2, 32)
+        d = make_domain(g, Disk(0j, 1.0))
+        q = d.restrict(bump_field(g, 0.2 + 0.1j, 0.45, 0.5))
+        jobs = [(z0, tau) for z0 in make_z0_lattice(d, 3) for tau in (4.0, 6.0, 8.0)]
+        solves = []
+        solve = boundary.solve_f
+
+        def counting(q, params, domain, phase_type, **kwargs):
+            solves.append((params.z0, params.tau))
+            return solve(q, params, domain, phase_type, **kwargs)
+        monkeypatch.setattr(boundary, "solve_f", counting)
+        monkeypatch.setenv("BKLAB_THREADS", "8")
+        side = Side(q, d)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            norms = parallel_map(lambda job: side.norm(*job), jobs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(solves, key=repr) == sorted(jobs, key=repr)
+        serial = Side(q, d)
+        for (z0, tau), n in zip(jobs, norms):
+            assert np.array_equal(side.solution(z0, tau), serial.solution(z0, tau))
+            assert n == serial.norm(z0, tau)
+        assert len(solves) == 2 * len(jobs)
 
 
 class TestW12Norm:

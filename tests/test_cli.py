@@ -47,10 +47,15 @@ def workspace(tmp_path_factory):
                                       ("bad_N", "grid", "N", 64.5),
                                       ("bad_radius", "shape", "radius", "1.0"),
                                       ("bad_version", None, "version", True),
-                                      ("huge_N", "grid", "N", 2 ** 20)):
+                                      ("huge_N", "grid", "N", 2 ** 20),
+                                      ("typo_grid", "grid", "typo", 3),
+                                      ("typo_shape", "shape", "radiuss", 5)):
         bad = json.loads(json.dumps(doc))
         (bad[section] if section else bad)[key] = value
         (ws / f"{name}.json").write_text(json.dumps(bad))
+    bad = json.loads(json.dumps(doc))
+    del bad["shape"]["center"]
+    (ws / "no_center.json").write_text(json.dumps(bad))
     (ws / "latin1.json").write_bytes(json.dumps(doc).encode()[:-1] + b', "r\xe9": 1}')
     (ws / "notjson.json").write_text("domain: disk\n")
     for name, header in (("ff_header", b"\xffBKFLD1 64 1.2"), ("xy_header", b"BKFLD1 x y"),
@@ -103,6 +108,12 @@ class TestBasics:
         assert r.returncode in (0, 2), r.stderr
         assert "Traceback" not in r.stderr
 
+    def test_lorentz_norm_out_of_range_q_exit_2(self, workspace):
+        # the q-th power sums of a large q leave the floating-point range
+        assert_config_error(run_cli(
+            ["lorentz-norm", "--field", str(workspace / "q.bkfld"), "--p", "2",
+             "--q", "1100"], timeout=60))
+
 
 class TestInputErrors:
     @pytest.mark.parametrize("cmd", [
@@ -139,6 +150,8 @@ class TestInputErrors:
          "--taus", "4,8,16", "--fd-modes", "-3"],
         ["stationary-phase", "--field", "{ws}/gauss.bkfld", "--norm", "-1"],
         ["stationary-phase", "--field", "{ws}/gauss.bkfld", "--norm", "0"],
+        ["carleman-sweep", "--domain", "{ws}/typo_grid.json"],
+        ["carleman-sweep", "--domain", "{ws}/typo_shape.json"],
     ])
     def test_malformed_arguments_exit_2(self, workspace, tmp_path, cmd):
         args = [a.replace("{ws}", str(workspace)) for a in cmd]
@@ -163,6 +176,14 @@ class TestInputErrors:
         r = run_cli(args, timeout=60)
         assert_config_error(r)
         assert args[2] in json.loads(r.stderr)["error"]["message"]
+
+    def test_missing_domain_key_is_named(self, workspace, tmp_path):
+        path = str(workspace / "no_center.json")
+        r = run_cli(["carleman-sweep", "--domain", path, "--out-dir", str(tmp_path)],
+                    timeout=60)
+        assert_config_error(r)
+        message = json.loads(r.stderr)["error"]["message"]
+        assert path in message and "'center'" in message
 
     def test_lorentz_norm_malformed_q_exit_2(self, workspace):
         assert_config_error(run_cli(
@@ -333,8 +354,12 @@ class TestStabilityCli:
     @pytest.mark.parametrize("path, value", [
         (("domain", "L"), "abc"), (("lattice_n",), "3"), (("fd_modes",), 2.5),
         (("pairs", 0, "q1", "center"), 0.2), (("version",), True), (("fd_modes",), -3),
+        (("b_omega",), 0), (("b_omega",), -1), (("domain", "typo"), 3),
+        (("domain", "shape", "radiuss"), 5), (("pairs", 0, "typo"), 1),
+        (("pairs", 0, "q1", "widht"), 0.4),
     ], ids=["domain.L", "lattice_n", "fd_modes", "bump-center", "version",
-            "negative-fd_modes"])
+            "negative-fd_modes", "zero-b_omega", "negative-b_omega", "domain-unknown-key",
+            "shape-unknown-key", "pair-unknown-key", "spec-unknown-key"])
     def test_wrong_typed_config_value_exit_2(self, tmp_path, path, value):
         cfg = json.loads(self._config(tmp_path / "c.json").read_text())
         node = cfg
@@ -346,6 +371,24 @@ class TestStabilityCli:
         assert_config_error(run_cli(
             ["stability", "--config", str(p), "--out-dir", str(tmp_path)], timeout=120))
         assert not (tmp_path / "stability.csv").exists()
+
+    @pytest.mark.parametrize("path", [
+        ("version",), ("domain", "shape", "center"), ("pairs", 0, "q2"),
+        ("pairs", 0, "q1", "width"),
+    ], ids=["version", "shape-center", "pair-q2", "bump-width"])
+    def test_missing_config_key_is_named(self, tmp_path, path):
+        cfg = json.loads(self._config(tmp_path / "c.json").read_text())
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(cfg))
+        r = run_cli(["stability", "--config", str(p), "--out-dir", str(tmp_path)],
+                    timeout=120)
+        assert_config_error(r)
+        message = json.loads(r.stderr)["error"]["message"]
+        assert str(p) in message and repr(path[-1]) in message
 
 
 class TestDeterminism:

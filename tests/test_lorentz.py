@@ -188,6 +188,21 @@ class TestLorentzNorm:
             assert lorentz_norm(2.5j * f, idx, domain=disk128) == pytest.approx(
                 2.5 * base, rel=1e-12)
 
+    def test_large_q_is_homogeneous(self):
+        # the q-th powers of 1e-3 * f underflow at q = 120 unless the sum
+        # is scaled by the largest value
+        g = make_grid(1.2, 64)
+        f = np.exp(-np.abs(g.Z) ** 2 / 0.3)
+        idx = LorentzIndex(2.0, 120.0)
+        assert lorentz_norm(1e-3 * f, idx, grid=g) == pytest.approx(
+            1e-3 * lorentz_norm(f, idx, grid=g), rel=1e-12)
+
+    def test_out_of_range_q_raises(self):
+        g = make_grid(1.2, 64)
+        f = np.exp(-np.abs(g.Z) ** 2 / 0.3)
+        with pytest.raises(NormError):
+            lorentz_norm(f, LorentzIndex(2.0, 1100.0), grid=g)
+
     def test_zero_field(self, disk128):
         assert lorentz_norm(np.zeros((128, 128)), L21, domain=disk128) == 0.0
 
