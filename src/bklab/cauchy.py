@@ -4,15 +4,15 @@ boundary Cauchy integral with its integration-by-parts residual.
 
 The transform is a zero-padded FFT convolution with a displacement kernel
 (1/(pi z) here; `stationary` passes its own) sampled at cell-center
-displacements, computed with pruned FFTs that skip the rows the padding
-leaves zero and the rows the crop discards (`ConvolutionPlan`).  A
-transform holds one 2N x N complex buffer in (xi_x, y) layout and walks it
-in blocks of rows of about `_BLOCK_BYTES`, so its working set is that
-buffer, the output and one block.  The plan keeps its kernel spectrum
-transposed, (xi_x, xi_y), to match, and `kernel_hat` still reads in
-(xi_y, xi_x) orientation.  The origin sample is exactly zero: the mean of
-1/(pi z) over a centered square cell vanishes by odd symmetry, so the
-singular cell needs no regularization parameter.
+displacements, computed with pruned in-place `numpy.fft` transforms that
+skip the rows the padding leaves zero and the rows the crop discards
+(`ConvolutionPlan`).  A transform holds one 2N x N complex buffer in
+(xi_x, y) layout and walks it in blocks of rows of about `_BLOCK_BYTES`,
+so its working set is that buffer, the output and one block.  The plan
+keeps its kernel spectrum in (xi_x, xi_y) to match; `kernel_hat` reads in
+(xi_y, xi_x).  The origin sample is exactly zero: the mean of 1/(pi z)
+over a centered square cell vanishes by odd symmetry, so the singular
+cell needs no regularization parameter.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import BklabError
 from .grid import DomainSpec, Grid
@@ -51,7 +50,8 @@ class ConvolutionPlan:
     frequency axis 2 pi fftfreq(2N, h), from which the Beurling transform
     forms the symbol 0.5 (i xi_x + xi_y) of d one block at a time.
     Immutable and shareable across threads.  `kernel` receives a fresh
-    displacement array and may overwrite it.
+    displacement array and may overwrite it; the complex array it returns
+    is transformed in place into the spectrum.
 
     A transform is pruned on both sides: the input fills only the first N
     rows and columns of the padded grid, and only the first N rows and
@@ -69,12 +69,12 @@ class ConvolutionPlan:
     5. T is inverted along xi_x in place, and its first N rows, (x, y),
        are transposed into the N x N output.
 
-    Passes 1-4 run along contiguous rows of W, which stays in cache.  Pass
-    5 strides, but in place over T.  The passes on the zero or discarded
-    half are skipped.  Each 1-D transform sees the same samples as in the
-    (y, x) layout, so the output is the same bit for bit.
-    `kernel_hat` reads in (xi_y, xi_x) orientation, as a read-only view of
-    the stored spectrum.
+    Every pass is an in-place `numpy.fft` transform (`out=`).  Passes 1-4
+    run along contiguous rows of W, which stays in cache.  Pass 5 strides,
+    but in place over T.  The passes on the zero or discarded half are
+    skipped.  Each 1-D transform sees the same samples as in the (y, x)
+    layout, so the output is the same bit for bit.  `kernel_hat` reads in
+    (xi_y, xi_x) orientation, as a read-only view of the stored spectrum.
     """
 
     def __init__(self, grid: Grid, kernel):
@@ -83,10 +83,10 @@ class ConvolutionPlan:
         M = 2 * N
         d = ((np.arange(M) + N) % M - N) * h
         # the kernel sampled at (x, y) = (d[i], d[j]), transformed along y
-        # and then x: the passes of fft2 on the (y, x) samples, in the same
-        # order, so this is exactly that spectrum transposed
-        self._kernel_hat_t = sfft.fft2(kernel(d[:, None] + 1j * d[None, :]),
-                                       axes=(1, 0), overwrite_x=True)
+        # and then x (numpy runs the last listed axis first): fft2's passes
+        # on the (y, x) samples in order, so exactly that spectrum transposed
+        w = kernel(d[:, None] + 1j * d[None, :])
+        self._kernel_hat_t = np.fft.fft2(w, axes=(0, 1), out=w)
         self._kernel_hat_t.setflags(write=False)
         self._xi = 2 * np.pi * np.fft.fftfreq(M, d=h)
         self._xi.setflags(write=False)
@@ -106,16 +106,16 @@ class ConvolutionPlan:
         for r in range(0, N, b):
             W1[:, :N] = f[r:r + b]
             W1[:, N:] = 0
-            T[:, r:r + b] = sfft.fft(W1, axis=1, overwrite_x=True).T
+            T[:, r:r + b] = np.fft.fft(W1, axis=1, out=W1).T
         for r in range(0, M, b):
             W[:, :N] = T[r:r + b]
             W[:, N:] = 0
-            F = sfft.fft(W, axis=1, overwrite_x=True)
-            F *= self._kernel_hat_t[r:r + b]
+            np.fft.fft(W, axis=1, out=W)
+            W *= self._kernel_hat_t[r:r + b]
             if beurling:  # d = (d_x - i d_y)/2 has symbol 0.5 (i xi_x + xi_y)
-                F *= 0.5 * (1j * self._xi[r:r + b, None] + self._xi[None, :])
-            T[r:r + b] = sfft.ifft(F, axis=1, overwrite_x=True)[:, :N]
-        T = sfft.ifft(T, axis=0, overwrite_x=True)
+                W *= 0.5 * (1j * self._xi[r:r + b, None] + self._xi[None, :])
+            T[r:r + b] = np.fft.ifft(W, axis=1, out=W)[:, :N]
+        np.fft.ifft(T, axis=0, out=T)
         return np.multiply(T[:N].T, self.grid.cell_measure, order="C")
 
     def apply(self, f: np.ndarray) -> np.ndarray:

@@ -163,12 +163,13 @@ def cmd_stationary_phase(ns) -> int:
         rows.append((tau, err, bound))
     _write_csv(os.path.join(out, "stationary_phase.csv"),
                ["tau", "error", "bound"], rows)
-    fit = fit_loglog(taus, [r[1] for r in rows])
+    fit = fit_loglog(taus, [r[1] for r in rows]) if len(taus) >= 2 else None
     _write_svg(os.path.join(out, "stationary_phase.svg"), taus,
                {"error": [r[1] for r in rows], "bound": [r[2] for r in rows]},
                "smoothing error vs tau", "tau", "L2 error",
-               {"error": f"slope {fit.slope:.3f}"})
-    print(f"slope {fit.slope:.4f} over {len(taus)} taus")
+               {"error": f"slope {fit.slope:.3f}"} if fit else None)
+    print(f"slope {fit.slope:.4f} over {len(taus)} taus" if fit
+          else "insufficient tau samples for a slope fit")
     return 0
 
 

@@ -245,17 +245,13 @@ def sobolev_lorentz_norm(field: np.ndarray, idx: LorentzIndex, k: int,
     return total
 
 
-def bessel_multiplier(grid: Grid, s: float) -> np.ndarray:
-    xi = grid.xi
-    return (1.0 + xi[None, :] ** 2 + xi[:, None] ** 2) ** (s / 2.0)
-
-
 def bessel_image(field: np.ndarray, s: float, domain: DomainSpec | None = None,
                  grid: Grid | None = None) -> np.ndarray:
     """F^{-1}((1+|xi|^2)^{s/2} F f) with f zero-extended to the full grid.
 
     s = 0 returns the zero-extended field itself (multiplier identically
-    one), bit for bit.
+    one), bit for bit.  A multiplier that overflows a double raises
+    NormError before any FFT, and so does an image that overflows after.
     """
     grid, mask = _where(domain, grid)
     field = grid.check_field(np.asarray(field, dtype=complex))
@@ -263,7 +259,15 @@ def bessel_image(field: np.ndarray, s: float, domain: DomainSpec | None = None,
         field = domain.restrict(field)
     if s == 0.0:
         return field
-    return np.fft.ifft2(np.fft.fft2(field) * bessel_multiplier(grid, s))
+    xi = grid.xi
+    with np.errstate(over="ignore", invalid="ignore"):
+        mult = (1.0 + xi[None, :] ** 2 + xi[:, None] ** 2) ** (s / 2.0)
+        if not np.isfinite(mult).all():
+            raise NormError(f"Bessel multiplier (1+|xi|^2)^(s/2) overflows at s={s} on {grid}")
+        image = np.fft.ifft2(np.fft.fft2(field) * mult)
+    if not np.isfinite(image).all():
+        raise NormError(f"Bessel image of the field overflows at s={s} on {grid}")
+    return image
 
 
 def bessel_norm(field: np.ndarray, s: float, idx: LorentzIndex,

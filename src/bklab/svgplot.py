@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import BklabError
+
 WIDTH, HEIGHT = 800, 600
 MARGIN = 70
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
@@ -28,7 +30,7 @@ def loglog_svg(xs, series: dict, title: str, xlabel: str, ylabel: str,
     allx = [x for x in xs if x > 0]
     ally = [float(y) for ys in series.values() for y in ys if y > 0]
     if not allx or not ally:
-        raise ValueError("log-log plot needs positive data")
+        raise BklabError("log-log plot needs positive data")
     x0, x1 = min(allx), max(allx)
     y0, y1 = min(ally), max(ally)
     if x0 == x1:

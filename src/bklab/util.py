@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BklabError
+
 
 def thread_count() -> int:
     """Worker count from BKLAB_THREADS (0 or unset means auto)."""
@@ -54,12 +56,12 @@ def fit_loglog(x, y) -> LogLogFit:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 2:
-        raise ValueError("need at least two samples to fit a slope")
+        raise BklabError("need at least two samples to fit a slope")
     if x.size >= 3:
         keep = np.argsort(x)[1:]
         x, y = x[keep], y[keep]
     if np.any(y <= 0) or np.any(x <= 0):
-        raise ValueError("log-log fit needs positive samples")
+        raise BklabError("log-log fit needs positive samples")
     lx, ly = np.log(x), np.log(y)
     A = np.vstack([lx, np.ones_like(lx)]).T
     coef, *_ = np.linalg.lstsq(A, ly, rcond=None)

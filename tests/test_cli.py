@@ -37,6 +37,9 @@ def workspace(tmp_path_factory):
     save_field(ws / "q.bkfld", q, g)
     save_field(ws / "q2.bkfld", q + d.restrict(bump_field(g, -0.15 + 0.2j, 0.35, 0.2)), g)
     save_domain(ws / "disk.json", d)
+    save_field(ws / "zero.bkfld", np.zeros((64, 64), dtype=complex), g)
+    parity = (-1.0) ** np.add.outer(np.arange(64), np.arange(64))
+    save_field(ws / "checker.bkfld", 1e3 * parity.astype(complex), g)
     qnan = q.copy()
     qnan[32, 32] = np.nan  # a cell inside the disk
     save_field(ws / "qnan.bkfld", qnan, g)
@@ -69,15 +72,31 @@ class TestBasics:
         assert_config_error(run_cli(["frobnicate"]))
 
     def test_import_leaves_unused_scipy_modules_unloaded(self):
-        # each is imported where it is used (Dirichlet factorization,
-        # quadrature, the boundary node tree, Halton samples), so a run that
-        # uses none of them does not pay for loading them
-        code = ("import sys, bklab.cli; print([m for m in ('scipy.sparse', 'scipy.integrate', "
-                "'scipy.spatial', 'scipy.stats') if m in sys.modules])")
+        # the FFTs run on numpy.fft, and each scipy module is imported where
+        # it is used (Dirichlet factorization, quadrature, the boundary node
+        # tree, Halton samples), so importing the CLI loads no scipy at all
+        code = ("import sys, bklab.cli; "
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                            timeout=120)
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == "[]"
+
+    def test_sweep_and_reconstruct_runs_load_no_scipy(self, workspace, tmp_path):
+        runs = [["carleman-sweep", "--domain", str(workspace / "disk.json"), "--a", "one",
+                 "--tau", "4:16", "--out-dir", str(tmp_path / "carl")],
+                ["reconstruct", "--q", str(workspace / "q.bkfld"),
+                 "--domain", str(workspace / "disk.json"), "--tau", "8,16",
+                 "--out-dir", str(tmp_path / "rec")]]
+        code = ("import contextlib, io, json, sys; from bklab.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+                "print(codes, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        r = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                           capture_output=True, text=True, timeout=120,
+                           env={**os.environ, "BKLAB_THREADS": "1"})
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "[0, 0] []"
 
     def test_missing_file_error_json(self, workspace):
         r = run_cli(["lorentz-norm", "--field", str(workspace / "nope.bkfld"),
@@ -107,6 +126,16 @@ class TestBasics:
                      "--p", "2", "--q", "1e308"], timeout=60)
         assert r.returncode in (0, 2), r.stderr
         assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("field, s", [("q", "400"), ("q", "1e308"),
+                                          ("checker", "148")])
+    def test_lorentz_norm_overflowing_bessel_exit_2(self, workspace, field, s):
+        # 400 and 1e308 overflow the multiplier on the N=64 grid; at 148 the
+        # multiplier is finite but its product with a rough field is not
+        r = run_cli(["lorentz-norm", "--field", str(workspace / f"{field}.bkfld"),
+                     "--p", "2", "--q", "1", "--s", s], timeout=60)
+        assert_config_error(r)
+        assert f"s={float(s)}" in json.loads(r.stderr)["error"]["message"]
 
     def test_lorentz_norm_out_of_range_q_exit_2(self, workspace):
         # the q-th power sums of a large q leave the floating-point range
@@ -231,6 +260,28 @@ class TestSweeps:
         for ln in lines[1:]:
             tau, err, bound = (float(v) for v in ln.split(","))
             assert err <= bound
+
+    @pytest.mark.parametrize("tau_max", ["4", "7"])
+    def test_stationary_phase_one_tau(self, workspace, tmp_path, tau_max):
+        r = run_cli(["stationary-phase", "--field", str(workspace / "q.bkfld"),
+                     "--tau-min", "4", "--tau-max", tau_max, "--out-dir", str(tmp_path)])
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "insufficient tau samples for a slope fit"
+        lines = (tmp_path / "stationary_phase.csv").read_text().splitlines()
+        data = parse_svg_data((tmp_path / "stationary_phase.svg").read_text())
+        assert len(lines) == 2
+        assert data["error"] == [(4.0, float(lines[1].split(",")[1]))]
+
+    @pytest.mark.parametrize("cmd", [
+        ["stationary-phase", "--field", "{ws}/zero.bkfld"],
+        ["carleman-sweep", "--domain", "{ws}/disk.json", "--a", "{ws}/zero.bkfld",
+         "--tau", "4:16"],
+        ["reconstruct", "--q", "{ws}/zero.bkfld", "--domain", "{ws}/disk.json",
+         "--tau", "4,8"],
+    ])
+    def test_non_positive_sweep_samples_exit_2(self, workspace, tmp_path, cmd):
+        args = [a.replace("{ws}", str(workspace)) for a in cmd]
+        assert_config_error(run_cli(args + ["--out-dir", str(tmp_path)], timeout=120))
 
     def test_cauchy_selftest(self, tmp_path):
         r = run_cli(["cauchy-selftest", "--n", "64", "--out-dir", str(tmp_path)])
