@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bukhgeim import assemble_u, solve_f
+from .bukhgeim import solve_f
 from .errors import BklabError, DomainError, FixedPointDivergenceError, SingularSystemError
 from .grid import Disk, DomainSpec, PhaseParams, Polygon
 from .util import masked_gradient, parallel_map
@@ -173,6 +173,15 @@ def w12_norm(fld: np.ndarray, domain: DomainSpec) -> float:
     return float(np.sqrt(s * grid.cell_measure))
 
 
+def _masked_w12_norm(vals: np.ndarray, domain: DomainSpec) -> float:
+    """w12_norm of a field given by its values on the mask: the masked
+    gradient reads only masked cells, so zero-filling the rest gives the
+    norm of the full field."""
+    fld = np.zeros(domain.mask.shape, dtype=complex)
+    fld[domain.mask] = vals
+    return w12_norm(fld, domain)
+
+
 def interior_pairing(U, dq, V, domain: DomainSpec) -> complex:
     """int U dq V dm over the domain by midpoint quadrature, from the
     samples of each factor on the domain mask."""
@@ -217,13 +226,13 @@ def _normal_derivative(P: DirichletProblem) -> np.ndarray:
     return (3.0 * g0 - 4.0 * u1 + u2) / (2.0 * d)
 
 
-def interp_bilinear(grid, fld: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    gx = (pts.real + grid.L) / grid.h - 0.5
-    gy = (pts.imag + grid.L) / grid.h - 0.5
-    i0 = np.clip(np.floor(gx).astype(int), 0, grid.N - 2)
-    j0 = np.clip(np.floor(gy).astype(int), 0, grid.N - 2)
-    fx = np.clip(gx - i0, 0.0, 1.0)
-    fy = np.clip(gy - j0, 0.0, 1.0)
+def interp_bilinear(grid, fld: np.ndarray, pts: np.ndarray, box=None) -> np.ndarray:
+    """Bilinear interpolation of a field at points.  `fld` holds the cells
+    of `box`, a (rows, columns) pair of slices such as `DomainSpec.box`
+    that holds every point's stencil, or of the whole grid by default."""
+    j0, i0, fy, fx = grid.bilinear_stencil(pts)
+    if box is not None:
+        j0, i0 = j0 - box[0].start, i0 - box[1].start
     return (fld[j0, i0] * (1 - fx) * (1 - fy) + fld[j0, i0 + 1] * fx * (1 - fy)
             + fld[j0 + 1, i0] * (1 - fx) * fy + fld[j0 + 1, i0 + 1] * fx * fy)
 
@@ -321,8 +330,8 @@ class Side:
         key = (z0, tau)
         if key not in self._solutions:
             try:
-                sol = solve_f(self.q, PhaseParams(tau, z0), self.domain, "holomorphic")
-                self._solutions[key] = assemble_u(sol)[self.domain.mask]
+                self._solutions[key] = solve_f(self.q, PhaseParams(tau, z0), self.domain,
+                                               "holomorphic").u_on_mask()
             except FixedPointDivergenceError as e:
                 self._solutions[key] = str(e)
         u = self._solutions[key]
@@ -334,11 +343,7 @@ class Side:
         """||u||_{W^{1,2}} at (z0, tau)."""
         key = (z0, tau)
         if key not in self._norms:
-            # the masked gradient reads only masked cells, so zero-filling
-            # the rest gives the norm of the full solution
-            fld = np.zeros(self.domain.mask.shape, dtype=complex)
-            fld[self.domain.mask] = self.solution(z0, tau)
-            self._norms[key] = w12_norm(fld, self.domain)
+            self._norms[key] = _masked_w12_norm(self.solution(z0, tau), self.domain)
         return self._norms[key]
 
     def lifts(self, modes: int) -> list[tuple[np.ndarray, float]]:
@@ -353,14 +358,14 @@ class Side:
         return self._lifts[:modes]
 
     def pairing(self, q2, params: PhaseParams) -> tuple[complex, np.ndarray]:
-        """(int u1 (q - q2) u2 dm, u2) at one job: u1 the stored solution,
-        u2 q2's antiholomorphic one, solved now.  Raises
+        """(int u1 (q - q2) u2 dm, u2[mask]) at one job: u1 the stored
+        solution, u2 q2's antiholomorphic one, solved now.  Raises
         FixedPointDivergenceError with the stored message if u1 diverged
         (q2 is then not solved), else with q2's if u2 diverges."""
         u1 = self.solution(params.z0, params.tau)
-        u2 = assemble_u(solve_f(q2, params, self.domain, "antiholomorphic"))
+        u2 = solve_f(q2, params, self.domain, "antiholomorphic").u_on_mask()
         m = self.domain.mask
-        return interior_pairing(u1, self.q[m] - q2[m], u2[m], self.domain), u2
+        return interior_pairing(u1, self.q[m] - q2[m], u2, self.domain), u2
 
 
 def side_distance(side: Side, q2, family: FamilySpec) -> CauchyDistanceReport:
@@ -378,7 +383,8 @@ def side_distance(side: Side, q2, family: FamilySpec) -> CauchyDistanceReport:
             val, u2 = side.pairing(q2, PhaseParams(tau, z0))
         except FixedPointDivergenceError as e:
             return ("skip", z0, tau, str(e))
-        return ("ok", z0, tau, abs(val) / (side.norm(z0, tau) * w12_norm(u2, domain)))
+        return ("ok", z0, tau,
+                abs(val) / (side.norm(z0, tau) * _masked_w12_norm(u2, domain)))
 
     for res in parallel_map(one, family.jobs):
         if res[0] == "ok":

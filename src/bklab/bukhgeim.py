@@ -6,15 +6,20 @@ weighted transforms.
 The antiholomorphic variant swaps the two Cauchy transforms and carries
 the phase e^{i tau (zbar - z0bar)^2}; it provides the second member of a
 solution pair.
+
+The Picard loop runs on the domain's bounding box (`DomainSpec.box`),
+since chi q f reads f on the mask only; a solution's full-grid values
+are filled when something reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .cauchy import cauchy, conj_cauchy
+from .cauchy import cauchy, get_plan
 from .errors import BklabError, FixedPointDivergenceError, GridError
 from .grid import DomainSpec, Grid, PhaseParams
 from .lorentz import LorentzIndex, lorentz_norm
@@ -36,7 +41,11 @@ _MAX_ITER = 200
 
 class _SPipeline:
     """One (q, tau, z0, phase_type) instance of the double-transform
-    operator, with the unimodular weights precomputed."""
+    operator, with the unimodular weights precomputed, on the domain's
+    box: both transforms take input supported on the mask, which the box
+    holds, so S f and the inner transform on the box need only the box's
+    plan.  Their full-grid values (`inner_on_grid`, `outer_on_grid`) take
+    one full-grid transform each."""
 
     def __init__(self, q, params: PhaseParams, domain: DomainSpec,
                  phase_type: str):
@@ -45,44 +54,117 @@ class _SPipeline:
         grid = domain.grid
         params.validate_for(grid)
         q = grid.check_field(np.asarray(q, dtype=complex))
-        self.q_masked = domain.restrict(q)
+        self.box = box = domain.box
+        self.q_masked = domain.restrict(q)[box]
         if not np.isfinite(self.q_masked).all():
             raise BklabError("potential q has non-finite samples in the domain")
         self.grid = grid
-        # (inner, outer) transforms: Cbar then C for the holomorphic phase
-        self.inner, self.outer = ((conj_cauchy, cauchy) if phase_type == "holomorphic"
-                                  else (cauchy, conj_cauchy))
-        self.P = params.weight(grid)     # inner weight
-        self.Pc = np.conj(self.P)        # outer weight
-        self.mask = domain.mask
+        self.holomorphic = phase_type == "holomorphic"
+        self.P = params.weight(grid)[box]    # inner weight
+        self.Pc = np.conj(self.P)            # outer weight
+        self.mask = domain.mask[box]
+        self.n = box[0].stop - box[0].start
+        self._plan = get_plan(grid, self.n)
+
+    def _transforms(self, plan):
+        """(inner, outer): Cbar then C for the holomorphic phase."""
+        if self.holomorphic:
+            return plan.apply_conj, plan.apply
+        return plan.apply, plan.apply_conj
+
+    def _inner_input(self, f):
+        return self.P * (self.q_masked * f)
+
+    def _outer_input(self, t2):
+        return np.where(self.mask, self.Pc * t2, 0.0 + 0.0j)
+
+    def inner(self, f) -> np.ndarray:
+        """Cbar/C(e^{i tau R} chi q f) on the box, from f on the box."""
+        return self._transforms(self._plan)[0](self._inner_input(f))
 
     def apply(self, f) -> tuple[np.ndarray, np.ndarray]:
-        """(S f, inner transform Cbar/C(e^{i tau R} chi q f))."""
-        t2 = self.inner(self.P * (self.q_masked * f), self.grid)
-        t3 = np.where(self.mask, self.Pc * t2, 0.0 + 0.0j)
-        return self.outer(t3, self.grid), t2
+        """(S f, inner transform) on the box, from f on the box."""
+        t2 = self.inner(f)
+        return self._transforms(self._plan)[1](self._outer_input(t2)), t2
+
+    def _on_grid(self, k: int, x_box) -> np.ndarray:
+        x = np.zeros((self.grid.N, self.grid.N), dtype=complex)
+        x[self.box] = x_box
+        return self._transforms(get_plan(self.grid))[k](x)
+
+    def inner_on_grid(self, f) -> np.ndarray:
+        """The inner transform over the full grid, from f on the box."""
+        return self._on_grid(0, self._inner_input(f))
+
+    def outer_on_grid(self, t2) -> np.ndarray:
+        """S f over the full grid, from its inner transform t2 on the box
+        (the outer transform reads t2 on the mask only)."""
+        return self._on_grid(1, self._outer_input(t2))
 
 
 def apply_S(q, f, params: PhaseParams, domain: DomainSpec,
             phase_type: str = "holomorphic") -> np.ndarray:
     """S f: mask, phase multiply, inner Cauchy transform, opposite phase
-    multiply, mask, outer Cauchy transform.  Linear in f."""
+    multiply, mask, outer Cauchy transform.  Linear in f.  The inner
+    transform runs on the domain's box, the outer over the full grid."""
     pipe = _SPipeline(q, params, domain, phase_type)
     f = domain.grid.check_field(np.asarray(f, dtype=complex))
-    return pipe.apply(f)[0]
+    return pipe.outer_on_grid(pipe.inner(f[pipe.box]))
 
 
 @dataclass
 class BukhgeimSolution:
-    f: np.ndarray
+    """A Picard fixed point.  The loop ran on the domain's box, and `f_box`
+    and `inner_box` are its values there.  The full-grid `f`, `defect`,
+    `sup_f` and `inner_transform` are filled on first read, each fill
+    taking one full-grid transform; see `solve_f`."""
+
     params: PhaseParams
     phase_type: str
     iterations: int
     contraction_ratios: tuple
-    defect: float                  # sup |f - (1 - S f / 4)| at the returned f
-    sup_f: float
-    inner_transform: np.ndarray    # Cbar/C(e^{i tau R} chi q f) at the fixed point
     domain: DomainSpec
+    f_box: np.ndarray              # f on domain.box
+    inner_box: np.ndarray          # Cbar/C(e^{i tau R} chi q f) on domain.box
+    pipeline: _SPipeline = field(repr=False)
+
+    @property
+    def box(self) -> tuple[slice, slice]:
+        return self.pipeline.box
+
+    @property
+    def weight(self) -> np.ndarray:
+        """e^{i tau R} on the box."""
+        return self.pipeline.P
+
+    @cached_property
+    def _filled(self) -> tuple[np.ndarray, float]:
+        # f is f_box on the box and 1 - S f/4 off it, so its residual off
+        # the box is exactly zero
+        f = 1.0 - 0.25 * self.pipeline.outer_on_grid(self.inner_box)
+        defect = float(np.abs(self.f_box - f[self.box]).max())
+        f[self.box] = self.f_box
+        return f, defect
+
+    @property
+    def f(self) -> np.ndarray:
+        return self._filled[0]
+
+    @property
+    def defect(self) -> float:
+        """sup |f - (1 - S f / 4)| over the grid at the returned f."""
+        return self._filled[1]
+
+    @cached_property
+    def sup_f(self) -> float:
+        return float(np.abs(self.f).max())
+
+    @cached_property
+    def inner_transform(self) -> np.ndarray:
+        """Cbar/C(e^{i tau R} chi q f) over the grid, inner_box on the box."""
+        G = self.pipeline.inner_on_grid(self.f_box)
+        G[self.box] = self.inner_box
+        return G
 
     @property
     def contraction(self) -> float:
@@ -93,23 +175,38 @@ class BukhgeimSolution:
         """Discrete surrogate for the 4/3 fixed-point norm control."""
         return self.sup_f <= (4.0 / 3.0) * 1.10
 
+    def u_on_mask(self) -> np.ndarray:
+        """u at the masked cells, in `domain.mask` order, from the box
+        values alone."""
+        m = self.domain.mask
+        return (oscillating_phase(self.params, self.domain.grid.Z[m], self.phase_type)
+                * self.f_box[m[self.box]])
+
 
 def solve_f(q, params: PhaseParams, domain: DomainSpec,
             phase_type: str = "holomorphic", tol: float = _TOL) -> BukhgeimSolution:
     """Picard iteration f_0 = 1, f_{k+1} = 1 - S f_k / 4.
 
-    Stops when the sup-norm update |f_{k+1} - f_k| drops below tol and
-    returns f_k, the iterate S was last applied to: its inner transform
-    and its defect sup |f_k - (1 - S f_k / 4)| (the last update) come from
-    that apply, so a solve makes exactly `iterations` S applies.  Five
+    The loop runs on the domain's box (`DomainSpec.box`), the mask with a
+    margin, since S f reads f on the mask only: each S apply is two
+    transforms of the box.  It stops when the sup-norm update
+    |f_{k+1} - f_k| over the box drops below tol and returns f_k, the
+    iterate S was last applied to, with its inner transform, both on the
+    box.  So a solve makes exactly `iterations` S applies.  Five
     consecutive growing updates raise FixedPointDivergenceError: tau is
     below the contraction threshold for this potential.
+
+    The full-grid values are filled only when read.  `f`, `defect` and
+    `sup_f` take one full-grid outer transform: f is f_k on the box and
+    1 - S f_k / 4 off it, so `defect`, sup |f - (1 - S f / 4)| over the
+    grid, is the box's residual under that transform and agrees with the
+    last update to round-off.  `inner_transform` takes one full-grid inner
+    transform and keeps the box's values on the box.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise BklabError(f"tolerance must be a positive number, got {tol}")
     pipe = _SPipeline(q, params, domain, phase_type)
-    grid = domain.grid
-    f = np.ones((grid.N, grid.N), dtype=complex)
+    f = np.ones((pipe.n, pipe.n), dtype=complex)
     updates: list[float] = []
     growing = 0
     for it in range(1, _MAX_ITER + 1):
@@ -134,23 +231,24 @@ def solve_f(q, params: PhaseParams, domain: DomainSpec,
     ratios = tuple(updates[i] / updates[i - 1] for i in range(1, len(updates))
                    if updates[i - 1] > 0)
     return BukhgeimSolution(
-        f=f, params=params, phase_type=phase_type, iterations=it,
-        contraction_ratios=ratios, defect=updates[-1],
-        sup_f=float(np.abs(f).max()), inner_transform=t2, domain=domain)
+        params=params, phase_type=phase_type, iterations=it,
+        contraction_ratios=ratios, domain=domain, f_box=f, inner_box=t2,
+        pipeline=pipe)
 
 
-def oscillating_phase(params: PhaseParams, grid: Grid, phase_type: str) -> np.ndarray:
-    """e^{i tau (z-z0)^2}, or e^{i tau (zbar-z0bar)^2} for the
-    antiholomorphic type."""
-    dz = grid.Z - params.z0
+def oscillating_phase(params: PhaseParams, Z: np.ndarray, phase_type: str) -> np.ndarray:
+    """e^{i tau (z-z0)^2} at the points Z, or e^{i tau (zbar-z0bar)^2} for
+    the antiholomorphic type."""
+    dz = Z - params.z0
     if phase_type == "holomorphic":
         return np.exp(1j * params.tau * dz * dz)
     return np.exp(1j * params.tau * np.conj(dz) ** 2)
 
 
 def assemble_u(sol: BukhgeimSolution) -> np.ndarray:
-    """u = e^{i tau (z-z0)^2} f, or the conjugate-phase variant."""
-    return oscillating_phase(sol.params, sol.domain.grid, sol.phase_type) * sol.f
+    """u = e^{i tau (z-z0)^2} f over the grid, or the conjugate-phase
+    variant."""
+    return oscillating_phase(sol.params, sol.domain.grid.Z, sol.phase_type) * sol.f
 
 
 def dbar_u(sol: BukhgeimSolution) -> np.ndarray:
@@ -159,7 +257,7 @@ def dbar_u(sol: BukhgeimSolution) -> np.ndarray:
     of the oscillatory field.  (Holomorphic phase type.)"""
     if sol.phase_type != "holomorphic":
         raise BklabError("dbar_u uses the holomorphic-phase fixed point")
-    holo = oscillating_phase(sol.params, sol.domain.grid, "holomorphic")
+    holo = oscillating_phase(sol.params, sol.domain.grid.Z, "holomorphic")
     return -0.25 * np.conj(holo) * sol.inner_transform
 
 

@@ -6,11 +6,15 @@ The transform is a zero-padded FFT convolution with a displacement kernel
 (1/(pi z) here; `stationary` passes its own) sampled at cell-center
 displacements, computed with pruned in-place `numpy.fft` transforms that
 skip the rows the padding leaves zero and the rows the crop discards
-(`ConvolutionPlan`).  A transform holds one 2N x N complex buffer in
-(xi_x, y) layout and walks it in blocks of rows of about `_BLOCK_BYTES`,
+(`ConvolutionPlan`).  A plan convolves an n x n box of cells, n <= N,
+into the same box: the full grid is the box n = N.  It pads to the
+smallest length M = 2^a c >= 2n - 1 with c in {1, 3, 5, 7}, at most 2N,
+which is 2N for the full grid.  A transform holds one M x n complex
+buffer in (xi_x, y) layout and walks it in blocks of rows of about
+`_BLOCK_BYTES`, the last block of a pass holding whatever rows remain,
 so its working set is that buffer, the output and one block.  The plan
-keeps its kernel spectrum in (xi_x, xi_y) to match; `kernel_hat` reads in
-(xi_y, xi_x).  The origin sample is exactly zero: the mean of 1/(pi z)
+keeps its kernel spectrum in (xi_x, xi_y) to match; `kernel_hat` reads
+in (xi_y, xi_x).  The origin sample is exactly zero: the mean of 1/(pi z)
 over a centered square cell vanishes by odd symmetry, so the singular
 cell needs no regularization parameter.
 """
@@ -21,7 +25,7 @@ import threading
 
 import numpy as np
 
-from .errors import BklabError
+from .errors import BklabError, GridError
 from .grid import DomainSpec, Grid
 from .util import masked_gradient
 
@@ -44,44 +48,66 @@ def _cauchy_kernel(w: np.ndarray) -> np.ndarray:
     return np.divide(1.0, w, out=w, where=nz)
 
 
+def _padded_length(n: int, N: int) -> int:
+    """The smallest 2^a c >= 2n - 1 with c in {1, 3, 5, 7}, at most 2N.
+    Timed at N = 256, n = 218: M = 448 (7 * 64) took 6.95 ms a transform,
+    the 11-smooth M = 440 took 9.67 ms and the full 2N = 512 grid 10.07 ms
+    (2-CPU Xeon, numpy 2.4.6, one thread)."""
+    best = 2 * N
+    for c in (1, 3, 5, 7):
+        m = c
+        while m < 2 * n - 1:
+            m *= 2
+        best = min(best, m)
+    return best
+
+
 class ConvolutionPlan:
     """Precomputed forward transform of `kernel(w)` at the cell-center
-    displacements w of the zero-padded 2N x 2N grid, and the padded grid's
-    frequency axis 2 pi fftfreq(2N, h), from which the Beurling transform
-    forms the symbol 0.5 (i xi_x + xi_y) of d one block at a time.
-    Immutable and shareable across threads.  `kernel` receives a fresh
-    displacement array and may overwrite it; the complex array it returns
-    is transformed in place into the spectrum.
+    displacements w of an n x n box of cells zero-padded to M x M, and the
+    padded frequency axis 2 pi fftfreq(M, h), from which the Beurling
+    transform forms the symbol 0.5 (i xi_x + xi_y) of d one block at a
+    time.  The box defaults to the whole grid, n = N, where M = 2N; a box
+    of n < N cells pads to the smallest M = 2^a c >= 2n - 1 with c in
+    {1, 3, 5, 7}.  A convolution is translation invariant, so one plan
+    serves every box of side n.  Immutable and shareable across threads.
+    `kernel` receives a fresh displacement array and may overwrite it; the
+    complex array it returns is transformed in place into the spectrum.
 
-    A transform is pruned on both sides: the input fills only the first N
-    rows and columns of the padded grid, and only the first N rows and
-    columns of the output are kept.  It holds one 2N x N complex buffer T,
-    (xi_x, y), and walks it in blocks of b rows, b * 2N * 16 bytes being
-    about `_BLOCK_BYTES` (b <= 2N), through one zero-padded b x 2N block W:
+    A transform is pruned on both sides: the input fills only the first n
+    rows and columns of the padded grid, and only the first n rows and
+    columns of the output are kept.  It holds one M x n complex buffer T,
+    (xi_x, y), and walks it in blocks of b rows, b * M * 16 bytes being
+    about `_BLOCK_BYTES` (b <= M), through one zero-padded b x M block W.
+    b need not divide n or M: the last block of a pass takes only the
+    rows that remain.
 
-    1. each block of b data rows, (y, x), is copied into W, transformed
-       along x, and its transpose written into b columns of T;
-    2. each block of b rows of T is copied into W and transformed along y,
+    1. each block of data rows, (y, x), is copied into W, transformed
+       along x, and its transpose written into as many columns of T;
+    2. each block of rows of T is copied into W and transformed along y,
     3. multiplied by the kernel's spectrum, which the plan stores in the
        same (xi_x, xi_y) orientation (and, for Beurling, by the block's
        rows of the symbol of d),
-    4. inverted along xi_y, and its first N columns written back into T;
-    5. T is inverted along xi_x in place, and its first N rows, (x, y),
-       are transposed into the N x N output.
+    4. inverted along xi_y, and its first n columns written back into T;
+    5. T is inverted along xi_x in place, and its first n rows, (x, y),
+       are transposed into the n x n output.
 
     Every pass is an in-place `numpy.fft` transform (`out=`).  Passes 1-4
     run along contiguous rows of W, which stays in cache.  Pass 5 strides,
-    but in place over T.  The passes on the zero or discarded half are
+    but in place over T.  The passes on the zero or discarded part are
     skipped.  Each 1-D transform sees the same samples as in the (y, x)
     layout, so the output is the same bit for bit.  `kernel_hat` reads in
     (xi_y, xi_x) orientation, as a read-only view of the stored spectrum.
     """
 
-    def __init__(self, grid: Grid, kernel):
+    def __init__(self, grid: Grid, kernel, n: int | None = None):
         self.grid = grid
         N, h = grid.N, grid.h
-        M = 2 * N
-        d = ((np.arange(M) + N) % M - N) * h
+        self.n = N if n is None else int(n)
+        if not 1 <= self.n <= N:
+            raise GridError(f"box side must be in [1, {N}], got {n}")
+        self.M = M = _padded_length(self.n, N)
+        d = ((np.arange(M) + self.n) % M - self.n) * h
         # the kernel sampled at (x, y) = (d[i], d[j]), transformed along y
         # and then x (numpy runs the last listed axis first): fft2's passes
         # on the (y, x) samples in order, so exactly that spectrum transposed
@@ -97,44 +123,50 @@ class ConvolutionPlan:
         return self._kernel_hat_t.T
 
     def _convolve(self, f: np.ndarray, beurling: bool) -> np.ndarray:
-        N = self.grid.N
-        M = 2 * N
+        n, M = self.n, self.M
         b = min(M, max(1, _BLOCK_BYTES // (16 * M)))
-        T = np.empty((M, N), dtype=complex)
+        T = np.empty((M, n), dtype=complex)
         W = np.empty((b, M), dtype=complex)  # one block, zero-padded in place
-        W1 = W[:min(b, N)]  # pass 1 has only N rows
-        for r in range(0, N, b):
-            W1[:, :N] = f[r:r + b]
-            W1[:, N:] = 0
-            T[:, r:r + b] = np.fft.fft(W1, axis=1, out=W1).T
+        for r in range(0, n, b):
+            Wr = W[:min(b, n - r)]
+            Wr[:, :n] = f[r:r + b]
+            Wr[:, n:] = 0
+            T[:, r:r + b] = np.fft.fft(Wr, axis=1, out=Wr).T
         for r in range(0, M, b):
-            W[:, :N] = T[r:r + b]
-            W[:, N:] = 0
-            np.fft.fft(W, axis=1, out=W)
-            W *= self._kernel_hat_t[r:r + b]
+            Wr = W[:min(b, M - r)]
+            Wr[:, :n] = T[r:r + b]
+            Wr[:, n:] = 0
+            np.fft.fft(Wr, axis=1, out=Wr)
+            Wr *= self._kernel_hat_t[r:r + b]
             if beurling:  # d = (d_x - i d_y)/2 has symbol 0.5 (i xi_x + xi_y)
-                W *= 0.5 * (1j * self._xi[r:r + b, None] + self._xi[None, :])
-            T[r:r + b] = np.fft.ifft(W, axis=1, out=W)[:, :N]
+                Wr *= 0.5 * (1j * self._xi[r:r + b, None] + self._xi[None, :])
+            T[r:r + b] = np.fft.ifft(Wr, axis=1, out=Wr)[:, :n]
         np.fft.ifft(T, axis=0, out=T)
-        return np.multiply(T[:N].T, self.grid.cell_measure, order="C")
+        return np.multiply(T[:n].T, self.grid.cell_measure, order="C")
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         return self._convolve(f, False)
+
+    def apply_conj(self, f: np.ndarray) -> np.ndarray:
+        """conj(apply(conj f)): with the Cauchy kernel, Cbar f."""
+        return np.conj(self.apply(np.conj(f)))
 
     def apply_beurling(self, f: np.ndarray) -> np.ndarray:
         return self._convolve(f, True)
 
 
-_PLANS: dict[tuple[float, int], ConvolutionPlan] = {}
+_PLANS: dict[tuple[float, int, int], ConvolutionPlan] = {}
 _PLANS_LOCK = threading.Lock()
 
 
-def get_plan(grid: Grid) -> ConvolutionPlan:
-    key = (grid.L, grid.N)
+def get_plan(grid: Grid, n: int | None = None) -> ConvolutionPlan:
+    """The shared Cauchy plan of an n x n box of the grid (default the
+    whole grid), keyed on (L, N, n)."""
+    key = (grid.L, grid.N, grid.N if n is None else int(n))
     with _PLANS_LOCK:
         plan = _PLANS.get(key)
         if plan is None:
-            plan = _PLANS[key] = ConvolutionPlan(grid, _cauchy_kernel)
+            plan = _PLANS[key] = ConvolutionPlan(grid, _cauchy_kernel, key[2])
     return plan
 
 
@@ -145,8 +177,7 @@ def cauchy(f: np.ndarray, grid: Grid) -> np.ndarray:
 
 def conj_cauchy(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Cbar f = (1/(pi zbar)) * f = conj(C(conj f)), bit for bit."""
-    f = grid.check_field(np.asarray(f, dtype=complex))
-    return np.conj(get_plan(grid).apply(np.conj(f)))
+    return get_plan(grid).apply_conj(grid.check_field(np.asarray(f, dtype=complex)))
 
 
 def beurling(f: np.ndarray, grid: Grid) -> np.ndarray:

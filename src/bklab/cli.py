@@ -6,7 +6,8 @@ carleman-sweep, bukhgeim, cauchy-distance, reconstruct, stability.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 Errors are emitted as a JSON object on stderr.  Sweeps write a CSV (the
 authoritative artifact) and an SVG log-log plot encoding the same sample
-values.  BKLAB_THREADS caps parallelism (0 = auto).
+values; both are made before the first file is written, so a run that
+fails writes nothing.  BKLAB_THREADS caps parallelism (0 = auto).
 """
 
 from __future__ import annotations
@@ -52,10 +53,9 @@ def _write_json(path, doc):
         f.write("\n")
 
 
-def _write_svg(path, *plot):
-    svg = svgplot.loglog_svg(*plot)
+def _write_text(path, text: str):
     with open(path, "w") as f:
-        f.write(svg)
+        f.write(text)
 
 
 def _parse_numbers(spec: str, sep: str, what: str, count: int = 0, kind=float) -> list:
@@ -161,13 +161,14 @@ def cmd_stationary_phase(ns) -> int:
         err = float(np.sqrt((np.abs(field - sm) ** 2).sum() * h2))
         bound = 2.0 * tau ** (-ns.s / 2.0) * hnorm
         rows.append((tau, err, bound))
+    fit = fit_loglog(taus, [r[1] for r in rows]) if len(taus) >= 2 else None
+    svg = svgplot.loglog_svg(
+        taus, {"error": [r[1] for r in rows], "bound": [r[2] for r in rows]},
+        "smoothing error vs tau", "tau", "L2 error",
+        {"error": f"slope {fit.slope:.3f}"} if fit else None)
     _write_csv(os.path.join(out, "stationary_phase.csv"),
                ["tau", "error", "bound"], rows)
-    fit = fit_loglog(taus, [r[1] for r in rows]) if len(taus) >= 2 else None
-    _write_svg(os.path.join(out, "stationary_phase.svg"), taus,
-               {"error": [r[1] for r in rows], "bound": [r[2] for r in rows]},
-               "smoothing error vs tau", "tau", "L2 error",
-               {"error": f"slope {fit.slope:.3f}"} if fit else None)
+    _write_text(os.path.join(out, "stationary_phase.svg"), svg)
     print(f"slope {fit.slope:.4f} over {len(taus)} taus" if fit
           else "insufficient tau samples for a slope fit")
     return 0
@@ -183,24 +184,25 @@ def cmd_carleman_sweep(ns) -> int:
         a, _ = _load_field_on(ns.a, domain)
     rec = carleman_sweep(a, _parse_taus(ns.tau), domain, _parse_z0(ns.z0),
                          mode=ns.mode)
-    if rec.insufficient:
-        print("insufficient tau samples for a slope fit")
     rows = []
     for i, tau in enumerate(rec.taus):
         ref = rec.values["weak"][0] * (tau / rec.taus[0]) ** -1 \
             * (1 + math.log(tau)) / (1 + math.log(rec.taus[0]))
         rows.append((tau, rec.values["weak"][i], rec.values["sup"][i], ref))
-    _write_csv(os.path.join(out, "carleman_sweep.csv"),
-               ["tau", "norm_l2weak", "norm_sup", "bound"], rows)
     ann = {}
     if not rec.insufficient:
         ann = {"norm_l2weak": f"slope {rec.slopes['weak'].slope:.3f}",
                "norm_sup": f"slope {rec.slopes['sup'].slope:.3f}"}
-    _write_svg(os.path.join(out, "carleman_sweep.svg"), list(rec.taus),
-               {"norm_l2weak": list(rec.values["weak"]),
-                "norm_sup": list(rec.values["sup"]),
-                "bound": [r[3] for r in rows]},
-               "weighted-transform decay", "tau", "norm", ann)
+    svg = svgplot.loglog_svg(
+        list(rec.taus), {"norm_l2weak": list(rec.values["weak"]),
+                         "norm_sup": list(rec.values["sup"]),
+                         "bound": [r[3] for r in rows]},
+        "weighted-transform decay", "tau", "norm", ann)
+    _write_csv(os.path.join(out, "carleman_sweep.csv"),
+               ["tau", "norm_l2weak", "norm_sup", "bound"], rows)
+    _write_text(os.path.join(out, "carleman_sweep.svg"), svg)
+    if rec.insufficient:
+        print("insufficient tau samples for a slope fit")
     for t in rec.skipped:
         print(f"skipped tau={t:g}: aliasing guard")
     if not rec.insufficient:
@@ -265,24 +267,27 @@ def cmd_reconstruct(ns) -> int:
     forms = ("interior", "boundary") if ns.form == "both" else (ns.form,)
     metrics: dict = {"taus": taus, "forms": list(forms), "errors": {}}
     sweep_err: dict = {f: [] for f in forms}
+    fields = {}
     for tau in taus:
         for res in recon.reconstruct(q, tau, lattice, domain, forms):
             errs = res.errors()
             metrics["errors"].setdefault(res.form, {})[repr(tau)] = errs
             sweep_err[res.form].append(errs["sup"])
             if tau == taus[-1]:
-                fld = np.zeros((grid.N, grid.N), dtype=complex)
+                fld = fields[res.form] = np.zeros((grid.N, grid.N), dtype=complex)
                 for z, v in zip(res.z0, res.values):
                     fld[grid.cell_index(z)] = v
-                save_field(os.path.join(out, f"recon_{res.form}.bkfld"), fld, grid)
-    _write_json(os.path.join(out, "recon_metrics.json"), metrics)
     rows = [(tau, *(sweep_err[f][i] for f in forms)) for i, tau in enumerate(taus)]
+    svg = svgplot.loglog_svg(taus, {f: sweep_err[f] for f in forms},
+                             "reconstruction error vs tau", "tau",
+                             "sup error") if len(taus) >= 2 else None
+    for form, fld in fields.items():
+        save_field(os.path.join(out, f"recon_{form}.bkfld"), fld, grid)
+    _write_json(os.path.join(out, "recon_metrics.json"), metrics)
     _write_csv(os.path.join(out, "recon_sweep.csv"),
                ["tau", *(f"sup_err_{f}" for f in forms)], rows)
-    if len(taus) >= 2:
-        _write_svg(os.path.join(out, "recon_sweep.svg"), taus,
-                   {f: sweep_err[f] for f in forms},
-                   "reconstruction error vs tau", "tau", "sup error")
+    if svg is not None:
+        _write_text(os.path.join(out, "recon_sweep.svg"), svg)
     for form in forms:
         print(f"{form}: sup errors {['%.3e' % e for e in sweep_err[form]]}")
     return 0
@@ -325,20 +330,22 @@ def cmd_stability(ns) -> int:
     rows = [(i, r.dq_weak, r.d_hat, r.bound_value, r.tau,
              r.pairing_l2 if r.pairing_l2 is not None else math.nan,
              int(r.excluded)) for i, r in enumerate(records)]
+    used = [r for r in records if not r.excluded]
+    svg = None
+    if len(used) >= 3:
+        rho = recon.stability_trend(records)
+        svg = svgplot.loglog_svg(
+            [r.bound_value for r in used], {"dq_weak": [r.dq_weak for r in used]},
+            "stability trend", "(ln 1/d)^(-s/4)", "||q1-q2|| weak",
+            {"dq_weak": f"spearman {rho:.3f}"})
     _write_csv(os.path.join(out, "stability.csv"),
                ["pair", "dq_weak", "d_hat", "bound_value", "tau",
                 "pairing_l2", "excluded"], rows)
-    used = [r for r in records if not r.excluded]
-    if len(used) >= 3:
-        rho = recon.stability_trend(records)
-        _write_svg(os.path.join(out, "stability.svg"),
-                   [r.bound_value for r in used],
-                   {"dq_weak": [r.dq_weak for r in used]},
-                   "stability trend", "(ln 1/d)^(-s/4)", "||q1-q2|| weak",
-                   {"dq_weak": f"spearman {rho:.3f}"})
-        print(f"spearman rank correlation: {rho:.4f} over {len(used)} pairs")
-    else:
+    if svg is None:
         print("fewer than 3 usable pairs; no trend computed")
+    else:
+        _write_text(os.path.join(out, "stability.svg"), svg)
+        print(f"spearman rank correlation: {rho:.4f} over {len(used)} pairs")
     return 0
 
 

@@ -139,6 +139,16 @@ class Grid:
         iy = min(round((z.imag + self.L) / self.h - 0.5), self.N - 1)
         return iy, ix
 
+    def bilinear_stencil(self, pts: np.ndarray):
+        """(j0, i0, fy, fx): the lower-left cell (j0, i0) of the 2 x 2 block
+        of cell centers that bilinear interpolation at `pts` reads, clipped
+        to the grid, and the fractional offsets in [0, 1] from its center."""
+        gx = (pts.real + self.L) / self.h - 0.5
+        gy = (pts.imag + self.L) / self.h - 0.5
+        i0 = np.clip(np.floor(gx).astype(int), 0, self.N - 2)
+        j0 = np.clip(np.floor(gy).astype(int), 0, self.N - 2)
+        return j0, i0, np.clip(gy - j0, 0.0, 1.0), np.clip(gx - i0, 0.0, 1.0)
+
     def aliasing_guard(self) -> float:
         """Largest admissible tau: pi*N/(8 L^2)."""
         return np.pi * self.N / (8.0 * self.L * self.L)
@@ -234,6 +244,22 @@ class DomainSpec:
                                          regular=isinstance(self.shape, Disk))
         distance.setflags(write=False)
         return distance
+
+    @cached_property
+    def box(self) -> tuple[slice, slice]:
+        """(rows, columns) of the square of cells the oscillating solutions
+        are solved on: the mask's bounding box with a margin of 2 cells,
+        grown to hold the bilinear stencil of every quadrature node,
+        clipped to the grid and widened to a square of side n."""
+        N = self.grid.N
+        j0, i0, _, _ = self.grid.bilinear_stencil(self.nodes)
+        lo, hi = [], []
+        for axis, stencil in ((1, j0), (0, i0)):
+            cells = np.flatnonzero(self.mask.any(axis=axis))
+            lo.append(max(0, int(min(cells[0] - 2, stencil.min()))))
+            hi.append(min(N, int(max(cells[-1] + 3, stencil.max() + 2))))
+        n = max(b - a for a, b in zip(lo, hi))
+        return tuple(slice(s, s + n) for s in (min(a, N - n) for a in lo))
 
     @property
     def measure(self) -> float:

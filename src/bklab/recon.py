@@ -111,15 +111,15 @@ def _check_lattice(domain: DomainSpec, lattice) -> np.ndarray:
 
 
 def _interior_value(sol, q) -> complex:
-    grid, m = sol.domain.grid, sol.domain.mask
-    P = sol.params.weight(grid)
+    m = sol.domain.mask
+    mb = m[sol.box]
     return (2 * sol.params.tau / np.pi) * complex(
-        (P[m] * q[m] * sol.f[m]).sum() * grid.cell_measure)
+        (sol.weight[mb] * q[m] * sol.f_box[mb]).sum() * sol.domain.grid.cell_measure)
 
 
 def _boundary_value(sol, q) -> complex:
     d = sol.domain
-    Gb = interp_bilinear(d.grid, sol.inner_transform, d.nodes)
+    Gb = interp_bilinear(d.grid, sol.inner_box, d.nodes, sol.box)
     return (sol.params.tau / np.pi) * complex(np.sum(np.conj(d.normals) * Gb * d.weights))
 
 

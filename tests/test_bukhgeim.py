@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -9,10 +10,12 @@ from bklab import (Disk, LorentzIndex, PhaseParams, apply_S, assemble_u,
 from bklab.bukhgeim import _SPipeline, apply_S_dense, dbar_u, solve_f_dense
 from bklab.errors import (AliasingGuardError, BklabError,
                           FixedPointDivergenceError, GridError)
-from bklab.recon import bump_field
+from bklab.recon import bump_field, make_z0_lattice, reconstruct
 from bklab.util import fit_loglog
 
 Z0 = 0.1 + 0.05j
+# the package re-exports the function cauchy under the module's name
+cauchy_module = importlib.import_module("bklab.cauchy")
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +161,44 @@ class TestSolveF:
             solve_f(bad, PhaseParams(4.0, Z0), d)
         with pytest.raises(BklabError, match="non-finite"):
             apply_S(bad, np.ones_like(bad), PhaseParams(4.0, Z0), d)
+
+
+class TestBox:
+    """The Picard loop runs on the domain's box; what a solution reports
+    over the full grid is the same as a full-grid loop would give."""
+
+    def test_box_contract_on_recon_lattice(self, disk_bump, monkeypatch):
+        # the seed-0 recon workload: N = 256, 3 x 3 lattice, tau 8, 16, 32
+        g, d, q = disk_bump
+        lattice = make_z0_lattice(d, 3)
+        n = d.box[0].stop - d.box[0].start
+        assert n == 218
+        monkeypatch.setattr(cauchy_module, "_PLANS", {})
+        reconstruct(q, 32.0, lattice, d)
+        assert sorted(cauchy_module._PLANS) == [(g.L, g.N, n)]
+        for phase in ("holomorphic", "antiholomorphic"):
+            for tau in (8.0, 16.0, 32.0):
+                for z0 in lattice:
+                    params = PhaseParams(tau, complex(z0))
+                    sol = solve_f(q, params, d, phase)
+                    assert sol.iterations == _full_grid_iterations(q, params, d, phase)
+                    S = apply_S(q, sol.f, params, d, phase)
+                    assert sol.defect == np.abs(sol.f - (1.0 - 0.25 * S)).max()
+                    assert sol.sup_f == np.abs(sol.f).max()
+                    m = d.mask
+                    assert np.array_equal(sol.f[m], sol.f_box[m[sol.box]])
+
+
+def _full_grid_iterations(q, params, domain, phase_type):
+    """Iterations of the Picard loop run over the full grid, with the
+    stopping rule of solve_f."""
+    f = np.ones(q.shape, dtype=complex)
+    for it in range(1, 201):
+        fn = 1.0 - 0.25 * apply_S(q, f, params, domain, phase_type)
+        if np.abs(fn - f).max() < 1e-10:
+            return it
+        f = fn
+    raise AssertionError("the full-grid loop did not converge")
 
 
 class TestAssembleU:

@@ -6,7 +6,7 @@ import pytest
 from bklab import (LorentzIndex, beurling, boundary_cauchy, cauchy,
                    conj_cauchy, ibp_check, lorentz_norm, make_grid,
                    wirtinger)
-from bklab.cauchy import ConvolutionPlan, _cauchy_kernel, get_plan
+from bklab.cauchy import ConvolutionPlan, _cauchy_kernel, _padded_length, get_plan
 from bklab.errors import GridError
 
 
@@ -186,10 +186,16 @@ class TestPlan:
         K = np.fft.ifft2(get_plan(g).kernel_hat)
         assert abs(K[0, 0]) <= 1e-12 * np.abs(K).max()
 
-    # at N = 512 the transform walks its buffer in several row blocks
-    @pytest.mark.parametrize("N", [8, 32, 128, 512])
-    def test_pruned_matches_full_padded_fft(self, N):
-        # reference: zero-pad to 2N x 2N, full 2-D FFTs, crop to N x N
+    # at N = 512 the transform walks its buffer in several row blocks.  The
+    # box plans of side n pad to M = 64, 224 and 448; at n = 218 the blocks
+    # of 146 rows divide neither n nor M, so each pass ends on a short block
+    @pytest.mark.parametrize("N, n", [(8, 8), (32, 32), (128, 128), (512, 512),
+                                      (32, 30), (128, 110), (256, 218)],
+                             ids=["8", "32", "128", "512",
+                                  "32-box30", "128-box110", "256-box218"])
+    def test_pruned_matches_full_padded_fft(self, N, n):
+        # reference: zero-pad to 2N x 2N, full 2-D FFTs, crop to N x N.  A
+        # plan of an n x n box gives the full transform cropped to the box
         g = make_grid(1.0, N)
         plan = get_plan(g)
         rng = np.random.default_rng(N)
@@ -209,6 +215,24 @@ class TestPlan:
                           (conj_cauchy(f, g), np.conj(padded(np.conj(f))))):
             assert got.shape == (N, N)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        if n < N:
+            box = np.s_[(N - n) // 2:(N - n) // 2 + n, N - n:]
+            fb = np.zeros_like(f)
+            fb[box] = f[box]
+            box_plan = get_plan(g, n)
+            assert box_plan.n == n
+            for got, want in ((box_plan.apply(f[box]), plan.apply(fb)[box]),
+                              (box_plan.apply_conj(f[box]), conj_cauchy(fb, g)[box])):
+                assert got.shape == (n, n)
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    def test_padded_length_rule(self):
+        # the smallest 2^a c >= 2n - 1, c in {1, 3, 5, 7}; the full grid pads
+        # to 2N, and the 11-smooth 440 is not a candidate
+        for N in (8, 64, 1024):
+            assert _padded_length(N, N) == 2 * N
+        assert [_padded_length(n, 256) for n in (30, 110, 218, 250)] == [64, 224, 448, 512]
+        assert _padded_length(5, 8) == 10 and _padded_length(1, 8) == 1
 
     def test_apply_working_set(self, traced_peak):
         # one 2N x N buffer, the N x N output and a block of rows.  The

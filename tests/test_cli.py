@@ -283,6 +283,24 @@ class TestSweeps:
         args = [a.replace("{ws}", str(workspace)) for a in cmd]
         assert_config_error(run_cli(args + ["--out-dir", str(tmp_path)], timeout=120))
 
+    @pytest.mark.parametrize("cmd", [
+        ["stationary-phase", "--field", "{ws}/zero.bkfld"],
+        ["carleman-sweep", "--domain", "{ws}/disk.json", "--a", "{ws}/zero.bkfld",
+         "--tau", "4:16"],
+        ["reconstruct", "--q", "{ws}/zero.bkfld", "--domain", "{ws}/disk.json",
+         "--tau", "4,8"],
+        ["carleman-sweep", "--domain", "{ws}/disk.json", "--a", "{ws}/zero.bkfld",
+         "--tau", "4"],
+    ], ids=["stationary-phase", "carleman-sweep", "reconstruct", "carleman-one-tau"])
+    def test_failed_sweep_writes_nothing(self, workspace, tmp_path, cmd):
+        # the slope fit and the plot are made before the first file is
+        # written; with one tau there is no fit, and the plot rejects the zeros
+        args = [a.replace("{ws}", str(workspace)) for a in cmd]
+        r = run_cli(args + ["--out-dir", str(tmp_path)], timeout=120)
+        assert_config_error(r)
+        assert r.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_cauchy_selftest(self, tmp_path):
         r = run_cli(["cauchy-selftest", "--n", "64", "--out-dir", str(tmp_path)])
         assert r.returncode == 0, r.stderr
