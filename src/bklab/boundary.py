@@ -72,7 +72,20 @@ def _arm_cuts(shape, zc: np.ndarray, ex: int, ey: int, h: float) -> np.ndarray:
 
 class DirichletSolver:
     """Factorized (Delta_h + q) with Dirichlet data on the cut stencil;
-    reusable across boundary data for a fixed (domain, q)."""
+    reusable across boundary data for a fixed (domain, q).
+
+    The Shortley-Weller matrix has a symmetric pattern, so the LU factor
+    takes the minimum-degree ordering of A^T + A, which fills in far less
+    than the default COLAMD (unit disk on L=1.2, a 0.5 bump; best of 5 on
+    a 2-CPU Xeon, one BLAS thread):
+
+    | N   | ordering      | factor (ms) | solve (ms) | nnz(L) + nnz(U) |
+    |-----|---------------|-------------|------------|-----------------|
+    | 128 | COLAMD        | 40          | 2.8        | 613k            |
+    | 128 | MMD_AT_PLUS_A | 31          | 1.7        | 333k            |
+    | 256 | COLAMD        | 299         | 14.6       | 3.27M           |
+    | 256 | MMD_AT_PLUS_A | 265         | 8.3        | 1.76M           |
+    """
 
     def __init__(self, domain: DomainSpec, q):
         import scipy.sparse as sp
@@ -114,7 +127,7 @@ class DirichletSolver:
         order = np.argsort(bk, kind="stable")
         self._bc_rows, self._bc_coeff, self._bc_z = bk[order], bcoeff[order], bz[order]
         try:
-            self.factor = spla.splu(self.matrix)
+            self.factor = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as e:
             raise SingularSystemError(f"Dirichlet system is singular: {e}") from e
         # conditioning probe: q at (or extremely near) a discrete interior
@@ -165,10 +178,15 @@ def forward_solve(q, g, domain: DomainSpec) -> DirichletProblem:
 
 def w12_norm(fld: np.ndarray, domain: DomainSpec) -> float:
     """Discrete W^{1,2} norm with the same centered-difference gradient
-    the pairing quadrature uses."""
+    the pairing quadrature uses.  It is taken on the domain's box: the
+    masked gradient reads at most 2 cells from a masked cell, and the box
+    holds the mask with a margin of 2 (or up to the grid's edge), so the
+    box gives the full grid's norm bit for bit."""
     grid = domain.grid
-    fx, fy = masked_gradient(np.asarray(fld, dtype=complex), domain.mask, grid.h)
-    m = domain.mask
+    box = domain.box
+    fld = np.asarray(fld, dtype=complex)[box]
+    m = domain.mask[box]
+    fx, fy = masked_gradient(fld, m, grid.h)
     s = (np.abs(fld[m]) ** 2 + np.abs(fx[m]) ** 2 + np.abs(fy[m]) ** 2).sum()
     return float(np.sqrt(s * grid.cell_measure))
 

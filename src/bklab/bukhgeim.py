@@ -41,11 +41,14 @@ _MAX_ITER = 200
 
 class _SPipeline:
     """One (q, tau, z0, phase_type) instance of the double-transform
-    operator, with the unimodular weights precomputed, on the domain's
-    box: both transforms take input supported on the mask, which the box
-    holds, so S f and the inner transform on the box need only the box's
-    plan.  Their full-grid values (`inner_on_grid`, `outer_on_grid`) take
-    one full-grid transform each."""
+    operator on the domain's box: both transforms take input supported on
+    the mask, which the box holds, so S f and the inner transform on the
+    box need only the box's plan.  Their full-grid values (`inner_on_grid`,
+    `outer_on_grid`) take one full-grid transform each.
+
+    Two box factors of the weight P = e^{i tau R} are precomputed, so each
+    transform's input is one multiply: the inner factor P chi q and the
+    outer factor chi conj(P)."""
 
     def __init__(self, q, params: PhaseParams, domain: DomainSpec,
                  phase_type: str):
@@ -55,14 +58,13 @@ class _SPipeline:
         params.validate_for(grid)
         q = grid.check_field(np.asarray(q, dtype=complex))
         self.box = box = domain.box
-        self.q_masked = domain.restrict(q)[box]
-        if not np.isfinite(self.q_masked).all():
+        P = params.weight(grid)[box]
+        self.Pq = P * domain.restrict(q)[box]
+        if not np.isfinite(self.Pq).all():
             raise BklabError("potential q has non-finite samples in the domain")
+        self.Pc = np.where(domain.mask[box], np.conj(P), 0.0 + 0.0j)
         self.grid = grid
         self.holomorphic = phase_type == "holomorphic"
-        self.P = params.weight(grid)[box]    # inner weight
-        self.Pc = np.conj(self.P)            # outer weight
-        self.mask = domain.mask[box]
         self.n = box[0].stop - box[0].start
         self._plan = get_plan(grid, self.n)
 
@@ -73,10 +75,10 @@ class _SPipeline:
         return plan.apply, plan.apply_conj
 
     def _inner_input(self, f):
-        return self.P * (self.q_masked * f)
+        return self.Pq * f
 
     def _outer_input(self, t2):
-        return np.where(self.mask, self.Pc * t2, 0.0 + 0.0j)
+        return self.Pc * t2
 
     def inner(self, f) -> np.ndarray:
         """Cbar/C(e^{i tau R} chi q f) on the box, from f on the box."""
@@ -133,9 +135,9 @@ class BukhgeimSolution:
         return self.pipeline.box
 
     @property
-    def weight(self) -> np.ndarray:
-        """e^{i tau R} on the box."""
-        return self.pipeline.P
+    def weighted_q(self) -> np.ndarray:
+        """e^{i tau R} chi q on the box."""
+        return self.pipeline.Pq
 
     @cached_property
     def _filled(self) -> tuple[np.ndarray, float]:
@@ -322,11 +324,14 @@ def carleman_sweep(a_or_q, taus, domain: DomainSpec, z0: complex,
     used = [t for t in taus if t <= guard * (1 + 1e-12)]
     skipped = tuple(t for t in taus if t not in used)
     weak_idx = LorentzIndex(2.0, np.inf, normed=True)
+    chi_a = domain.restrict(a)
 
     def one(tau: float):
         params = PhaseParams(tau, z0)
         if mode == "field":
-            v = cauchy(params.weight(grid, -1) * domain.restrict(a), grid)
+            v = params.weight(grid, -1)
+            v *= chi_a
+            v = cauchy(v, grid)
         else:
             v = apply_S(a, np.ones_like(a), params, domain)
         return (lorentz_norm(v, weak_idx, grid=grid), float(np.abs(v).max()))

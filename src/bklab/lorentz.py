@@ -7,7 +7,9 @@ cell measure h^2.  On each interval the maximal-average function f** has
 the closed form c + D/t, so norms are computed by per-interval closed
 forms where available (integer q below 32, or D = 0) and 32-point
 Gauss-Legendre quadrature otherwise, plus the exact tail integral beyond
-the support.
+the support.  For finite q each term of the q-th power is formed from its
+log and the terms are added by log-sum-exp, so a large q keeps them in
+range.
 
 Fourier convention (fixed everywhere): F f(xi) = (1/2pi) int f e^{-i x.xi} dm,
 which is unitary on L^2(R^2).
@@ -143,31 +145,45 @@ def norm_of_rearrangement(sr: StepRearrangement, idx: LorentzIndex) -> float:
     norm = _norm if idx.normed else _seminorm
     if math.isinf(q):
         return norm(t, v, p, q)
-    # the norm is homogeneous: summed over v / v[0] <= 1, the q-th powers of
-    # a tiny or huge field stay in range; a large q can still take the powers
-    # of the measure out of it
-    with np.errstate(over="ignore", invalid="ignore"):
-        val = v[0] * norm(t, v / v[0], p, q)
+    # the q-th power is summed from the logs of its terms, and the norm is
+    # homogeneous: taken of v / v[0] <= 1, the running masses stay below the
+    # total measure, so only a norm that is itself out of range leaves it
+    with np.errstate(over="ignore"):
+        val = float(v[0] * norm(t, v / v[0], p, q))
     if not 0.0 < val < math.inf:
         raise NormError(f"the (p, q) = ({p}, {q}) norm of this field is out of "
                         f"floating-point range")
-    return float(val)
+    return val
 
 
-def _power_int(a, b, alpha, tol=1e-12):
-    """int_a^b t^{alpha - 1} dt over 0 < a < b, elementwise in (a, b)."""
+def _log_power_int(a, b, alpha, tol=1e-12):
+    """log int_a^b t^{alpha - 1} dt over 0 <= a < b, elementwise in (a, b);
+    a = 0 needs alpha > 0."""
     alpha = float(alpha)
+    with np.errstate(divide="ignore"):
+        la, lb = np.log(a), np.log(b)
     if abs(alpha) < tol:
-        return np.log(b / a)
-    return (b ** alpha - a ** alpha) / alpha
+        return np.log(lb - la)
+    # b^alpha - a^alpha = hi^alpha (1 - (lo/hi)^alpha), hi the larger power
+    hi = alpha * (lb if alpha > 0 else la)
+    return hi + np.log(-np.expm1(-abs(alpha) * (lb - la))) - math.log(abs(alpha))
+
+
+def _qth_root_of_sum(logs, q) -> float:
+    """(sum of exp(logs))^(1/q), the sum taken by log-sum-exp."""
+    logs = np.concatenate([np.ravel(x) for x in logs])
+    top = logs.max()
+    with np.errstate(over="ignore", under="ignore"):
+        return float(np.exp((top + math.log(np.exp(logs - top).sum())) / q))
 
 
 def _seminorm(t, v, p, q):
     if math.isinf(q):
         return float(np.max(v * t[1:] ** (1.0 / p)))
     # f* is constant per interval: integral has a closed form
-    total = np.sum(v ** q * (p / q) * (t[1:] ** (q / p) - t[:-1] ** (q / p)))
-    return float(total ** (1.0 / q))
+    with np.errstate(divide="ignore"):
+        lv = np.log(v)
+    return _qth_root_of_sum([q * lv + _log_power_int(t[:-1], t[1:], q / p)], q)
 
 
 def _norm(t, v, p, q):
@@ -184,31 +200,39 @@ def _norm(t, v, p, q):
     D = S[:-1] - v * a  # f**(t) = c + D/t on [a, b]; D >= 0
     A = S[-1]
     tM = t[-1]
-    total = 0.0
+    # each term of int (t^{1/p} f**)^q dt/t is positive: its log goes in
+    # `logs` (a zero value has log -inf and adds nothing)
+    with np.errstate(divide="ignore"):
+        lc = np.log(c)
+    logs = []
     zero_D = D <= 0.0
     if zero_D.any():
-        cz, az, bz = c[zero_D], a[zero_D], b[zero_D]
-        total += float(np.sum(cz ** q * (p / q) * (bz ** (q / p) - az ** (q / p))))
+        logs.append(q * lc[zero_D] + _log_power_int(a[zero_D], b[zero_D], q / p))
     gl = ~zero_D
     if gl.any():
         ag, bg, cg, Dg = a[gl], b[gl], c[gl], D[gl]
+        lcg, lDg = lc[gl], np.log(Dg)
         if q == int(q) and q < _GL_POINTS:
             # (c + D/t)^q t^{q/p - 1} expanded binomially, one power of t a
             # term: exact, and no more terms than the quadrature has points
             n = int(q)
             for k in range(n + 1):
-                total += float(np.sum(math.comb(n, k) * cg ** (n - k) * Dg ** k
-                                      * _power_int(ag, bg, q / p - k)))
+                lt = math.log(math.comb(n, k)) + _log_power_int(ag, bg, q / p - k)
+                if k < n:
+                    lt = lt + (n - k) * lcg
+                if k:
+                    lt = lt + k * lDg
+                logs.append(lt)
         else:
             x, w = gauss_legendre(_GL_POINTS)
             mid = 0.5 * (ag + bg)[:, None]
             rad = 0.5 * (bg - ag)[:, None]
             tt = mid + rad * x[None, :]
-            integ = tt ** (q / p - 1.0) * (cg[:, None] + Dg[:, None] / tt) ** q
-            total += float(np.sum(rad * integ * w[None, :]))
+            logs.append(np.log(rad) + (q / p - 1.0) * np.log(tt)
+                        + q * np.log(cg[:, None] + Dg[:, None] / tt) + np.log(w)[None, :])
     # tail: f** = A/t for t >= t_M
-    total += A ** q * tM ** (q / p - q) * p / (q * (p - 1.0))
-    return float(total ** (1.0 / q))
+    logs.append(q * math.log(A) + (q / p - q) * math.log(tM) + math.log(p / (q * (p - 1.0))))
+    return _qth_root_of_sum(logs, q)
 
 
 def indicator_norm(measure: float, idx: LorentzIndex) -> float:

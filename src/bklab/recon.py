@@ -110,14 +110,13 @@ def _check_lattice(domain: DomainSpec, lattice) -> np.ndarray:
     return lattice
 
 
-def _interior_value(sol, q) -> complex:
-    m = sol.domain.mask
-    mb = m[sol.box]
+def _interior_value(sol) -> complex:
+    mb = sol.domain.mask[sol.box]
     return (2 * sol.params.tau / np.pi) * complex(
-        (sol.weight[mb] * q[m] * sol.f_box[mb]).sum() * sol.domain.grid.cell_measure)
+        (sol.weighted_q[mb] * sol.f_box[mb]).sum() * sol.domain.grid.cell_measure)
 
 
-def _boundary_value(sol, q) -> complex:
+def _boundary_value(sol) -> complex:
     d = sol.domain
     Gb = interp_bilinear(d.grid, sol.inner_box, d.nodes, sol.box)
     return (sol.params.tau / np.pi) * complex(np.sum(np.conj(d.normals) * Gb * d.weights))
@@ -163,7 +162,7 @@ def reconstruct(q, tau: float, lattice, domain: DomainSpec,
 
     def values(params):
         sol = solve_f(q, params, domain, "holomorphic")
-        return tuple(_FORMS[f](sol, q) for f in forms)
+        return tuple(_FORMS[f](sol) for f in forms)
     return _lattice_results(tuple(forms), q, tau, lattice, domain, values)
 
 

@@ -10,7 +10,7 @@ from bklab.boundary import (DirichletSolver, FamilySpec, Side, alessandrini_chec
                             forward_solve, w12_norm)
 from bklab.errors import BklabError, SingularSystemError
 from bklab.recon import bump_field, make_z0_lattice
-from bklab.util import parallel_map
+from bklab.util import masked_gradient, parallel_map
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +117,27 @@ class TestForwardSolve:
         with pytest.raises(SingularSystemError):
             forward_solve(np.full((128, 128), lam_h, dtype=complex),
                           lambda z: np.ones_like(z, dtype=complex), d)
+
+
+class TestFactor:
+    def test_ordering_cuts_fill(self, disk_q):
+        import scipy.sparse.linalg as spla
+        _, d, q = disk_q
+        solver = DirichletSolver(d, q)
+        colamd = spla.splu(solver.matrix, permc_spec="COLAMD")
+        fill = solver.factor.L.nnz + solver.factor.U.nnz
+        assert fill <= 0.6 * (colamd.L.nnz + colamd.U.nnz)
+
+    def test_solve_matches_spsolve(self, disk_q):
+        import scipy.sparse.linalg as spla
+        _, d, q = disk_q
+        solver = DirichletSolver(d, q)
+        g = boundary_mode(d, 3)
+        b = np.zeros(solver.n, dtype=complex)
+        np.add.at(b, solver._bc_rows, -solver._bc_coeff * g(solver._bc_z))
+        ref = spla.spsolve(solver.matrix, b)
+        U = solver.solve(g).U[d.mask]
+        assert np.abs(U - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestDnPairing:
@@ -264,6 +285,23 @@ class TestSide:
 
 
 class TestW12Norm:
+    @pytest.mark.parametrize("L, N, shape", [
+        (1.2, 128, Disk(0j, 1.0)),
+        (1.2, 128, Polygon((-0.9 - 0.7j, 0.8 - 0.9j, 0.6 + 0.8j, -0.5 + 0.6j))),
+        # the mask reaches the outermost cells, so the box meets the grid's edge
+        (1.0, 16, Disk(0j, 0.97)),
+    ], ids=["disk", "polygon", "disk-in-outer-cells"])
+    def test_box_norm_equals_full_grid(self, L, N, shape):
+        d = make_domain(make_grid(L, N), shape)
+        rng = np.random.default_rng(1)
+        f = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+        m = d.mask
+        fx, fy = masked_gradient(f, m, d.grid.h)
+        ref = float(np.sqrt((np.abs(f[m]) ** 2 + np.abs(fx[m]) ** 2
+                             + np.abs(fy[m]) ** 2).sum() * d.grid.cell_measure))
+        assert w12_norm(f, d) == ref
+        assert boundary._masked_w12_norm(f[m], d) == w12_norm(d.restrict(f), d) == ref
+
     def test_scaling(self, disk_q):
         g, d, q = disk_q
         rng = np.random.default_rng(0)

@@ -137,10 +137,21 @@ class TestBasics:
         assert_config_error(r)
         assert f"s={float(s)}" in json.loads(r.stderr)["error"]["message"]
 
-    def test_lorentz_norm_out_of_range_q_exit_2(self, workspace):
-        # the q-th power sums of a large q leave the floating-point range
+    def test_lorentz_norm_large_q_exit_0(self, tmp_path):
+        # the q-th power sum is e^-529, summed in logs
+        g = make_grid(1.2, 64)
+        save_field(tmp_path / "gauss.bkfld", np.exp(-np.abs(g.Z) ** 2 / 0.3), g)
+        r = run_cli(["lorentz-norm", "--field", str(tmp_path / "gauss.bkfld"),
+                     "--p", "2", "--q", "1100"], timeout=60)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.startswith("0.618")
+
+    def test_lorentz_norm_out_of_range_norm_exit_2(self, tmp_path):
+        # a norm beyond the largest double
+        g = make_grid(1.2, 64)
+        save_field(tmp_path / "huge.bkfld", np.full((64, 64), 1.5e308), g)
         assert_config_error(run_cli(
-            ["lorentz-norm", "--field", str(workspace / "q.bkfld"), "--p", "2",
+            ["lorentz-norm", "--field", str(tmp_path / "huge.bkfld"), "--p", "2",
              "--q", "1100"], timeout=60))
 
 

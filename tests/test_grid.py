@@ -44,6 +44,18 @@ class TestPhase:
         w = p.weight(g)
         assert np.abs(np.abs(w) - 1.0).max() < 5e-16
 
+    @pytest.mark.parametrize("N", [32, 1024])
+    def test_separable_weight_matches_phase_field(self, N):
+        g = make_grid(1.2, N)
+        eps = np.finfo(float).eps
+        for z0 in (0j, 0.3 - 0.2j, -0.7 + 0.55j):
+            for tau in (0.5, 3.0, g.aliasing_guard()):
+                p = PhaseParams(tau, z0)
+                tR = tau * p.phase_field(g)
+                for sign in (1, -1):
+                    err = np.abs(p.weight(g, sign) - np.exp(1j * sign * tR)).max()
+                    assert err <= 16 * eps * np.abs(tR).max()
+
     def test_aliasing_guard(self):
         g = make_grid(1.0, 32)
         PhaseParams(g.aliasing_guard() * 0.99, 0j).validate_for(g)

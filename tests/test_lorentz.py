@@ -197,11 +197,47 @@ class TestLorentzNorm:
         assert lorentz_norm(1e-3 * f, idx, grid=g) == pytest.approx(
             1e-3 * lorentz_norm(f, idx, grid=g), rel=1e-12)
 
-    def test_out_of_range_q_raises(self):
+    def test_large_q_sums_in_logs(self):
+        # the q-th power sum is e^-529 here, and the powers of the measure
+        # alone leave the double range
         g = make_grid(1.2, 64)
         f = np.exp(-np.abs(g.Z) ** 2 / 0.3)
-        with pytest.raises(NormError):
-            lorentz_norm(f, LorentzIndex(2.0, 1100.0), grid=g)
+        p, q = 2.0, 1100.0
+        # reference: int_0^inf t^{q/p - 1} f**(t)^q dt by adaptive quadrature
+        # per cell, f** from a running sum of the sorted samples, each piece
+        # scaled by the integrand's largest value
+        h2 = g.cell_measure
+        s = np.sort(np.abs(f).ravel())[::-1]
+        cum = np.concatenate([[0.0], np.cumsum(s) * h2])
+        t = np.arange(s.size + 1) * h2
+
+        def log_integrand(x, k):
+            return (q / p - 1) * math.log(x) + q * math.log((cum[k] + s[k] * (x - t[k])) / x)
+
+        top = max(log_integrand(t[k + 1], k) for k in range(s.size))
+        total = sum(quad(lambda x: math.exp(log_integrand(x, k) - top), t[k], t[k + 1],
+                         epsabs=0, epsrel=1e-13)[0] for k in range(s.size))
+        total += math.exp(q * math.log(cum[-1]) + (q / p - q) * math.log(t[-1])
+                          - math.log(q - q / p) - top)
+        ref = math.exp((top + math.log(total)) / q)
+        val = lorentz_norm(f, LorentzIndex(p, q), grid=g)
+        assert val == pytest.approx(ref, rel=1e-10)
+        assert 0.618 < val < 0.619
+
+    def test_huge_field_with_norm_in_range(self):
+        # its mass, 4e308, is beyond the largest double; its norm is not
+        g = make_grid(10.0, 64)
+        f = np.full((64, 64), 1e306)
+        assert lorentz_norm(f, LorentzIndex(2.0, 2.0), grid=g) == pytest.approx(
+            indicator_norm(400.0, LorentzIndex(2.0, 2.0)) * 1e306, rel=1e-12)
+
+    def test_out_of_range_norm_raises(self):
+        # a norm that is itself beyond the largest double
+        g = make_grid(1.2, 64)
+        f = np.full((64, 64), 1.5e308)
+        for q in (2.0, 1100.0):
+            with pytest.raises(NormError):
+                lorentz_norm(f, LorentzIndex(2.0, q), grid=g)
 
     def test_zero_field(self, disk128):
         assert lorentz_norm(np.zeros((128, 128)), L21, domain=disk128) == 0.0
