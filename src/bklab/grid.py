@@ -17,6 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AliasingGuardError, BklabError, DomainError, GridError
+from .util import mask_stencil
 
 __all__ = [
     "Grid", "PhaseParams", "Disk", "Polygon", "DomainSpec", "BeltResult",
@@ -250,6 +251,16 @@ class DomainSpec:
                                          regular=isinstance(self.shape, Disk))
         distance.setflags(write=False)
         return distance
+
+    @cached_property
+    def stencil(self) -> tuple:
+        """The mask's difference classes (`util.mask_stencil`), read-only."""
+        stencil = mask_stencil(self.mask)
+        for axis in stencil:
+            for cls in axis:
+                for a in cls:
+                    a.setflags(write=False)
+        return stencil
 
     @cached_property
     def box(self) -> tuple[slice, slice]:

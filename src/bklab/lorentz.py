@@ -143,13 +143,13 @@ def norm_of_rearrangement(sr: StepRearrangement, idx: LorentzIndex) -> float:
     t = sr.breakpoints
     p, q = idx.p, idx.q
     norm = _norm if idx.normed else _seminorm
-    if math.isinf(q):
-        return norm(t, v, p, q)
-    # the q-th power is summed from the logs of its terms, and the norm is
-    # homogeneous: taken of v / v[0] <= 1, the running masses stay below the
-    # total measure, so only a norm that is itself out of range leaves it
+    # the norm is homogeneous: taken of v / 2^e < 1, 2^e the power of two
+    # just above v[0], the running masses stay below the total measure, so
+    # only a norm that is itself out of range leaves it.  Scaling by a power
+    # of two is exact, so q = inf, which sums no logs, keeps its unscaled bits
+    e = math.frexp(v[0])[1]
     with np.errstate(over="ignore"):
-        val = float(v[0] * norm(t, v / v[0], p, q))
+        val = float(np.ldexp(norm(t, np.ldexp(v, -e), p, q), e))
     if not 0.0 < val < math.inf:
         raise NormError(f"the (p, q) = ({p}, {q}) norm of this field is out of "
                         f"floating-point range")
@@ -188,12 +188,18 @@ def _seminorm(t, v, p, q):
 
 def _norm(t, v, p, q):
     a, b = t[:-1], t[1:]
-    S = np.concatenate([[0.0], np.cumsum(v * (b - a))])
+    # S[i] = int_0^{t_i} f*, the running masses, built in one buffer
+    S = np.empty(t.size)
+    S[0] = 0.0
+    np.subtract(b, a, out=S[1:])
+    S[1:] *= v
+    np.cumsum(S[1:], out=S[1:])
     if math.isinf(q):
         # t^{1/p} f**(t) = t^{1/p} (c + D/t) has one critical point on a
         # step, t = D(p-1)/c, and it is a minimum for p > 1: the supremum
         # is at a breakpoint
-        avg = S[1:] / b
+        avg = S[1:]
+        avg /= b
         avg *= b ** (1.0 / p)
         return float(np.max(avg))
     c = v

@@ -80,39 +80,61 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[n]
 
 
+def mask_stencil(mask: np.ndarray) -> tuple:
+    """The difference classes of a mask's cells, for x and then y.
+
+    Cells are numbered in the order of `field[mask]`, neighbours beyond the
+    grid's edge count as unmasked, and each axis holds five index tuples
+    (cell, neighbours...): centered (c, +1, -1) where both neighbours are
+    masked; second-order one-sided (c, +1, +2) and (c, -1, -2) at the mask
+    edge; first-order (c, +1) and (c, -1) where only one neighbour exists.
+    A cell in no class (an isolated one) has zero derivative."""
+    mask = np.asarray(mask, dtype=bool)
+    rows, cols = mask.shape
+    idx = np.full((rows + 4, cols + 4), -1, dtype=np.int32)
+    idx[2:-2, 2:-2][mask] = np.arange(int(mask.sum()), dtype=np.int32)
+    stencil = []
+    for axis in (1, 0):
+        def nb(k):
+            dy, dx = (0, k) if axis == 1 else (k, 0)
+            return idx[2 + dy:2 + dy + rows, 2 + dx:2 + dx + cols][mask]
+        p, m, pp, mm = nb(1), nb(-1), nb(2), nb(-2)
+        hp, hm, hpp, hmm = p >= 0, m >= 0, pp >= 0, mm >= 0
+        classes = []
+        for cls, arms in ((hp & hm, (p, m)), (hp & hpp & ~hm, (p, pp)),
+                          (hm & hmm & ~hp, (m, mm)), (hp & ~hpp & ~hm, (p,)),
+                          (hm & ~hmm & ~hp, (m,))):
+            c = np.flatnonzero(cls).astype(np.int32)
+            classes.append((c, *(a[c] for a in arms)))
+        stencil.append(tuple(classes))
+    return tuple(stencil)
+
+
+def gradient_on_mask(vals: np.ndarray, stencil: tuple, h: float):
+    """(d/dx, d/dy) on the mask of a field given by its values there,
+    `stencil` being the mask's `mask_stencil`."""
+    out = []
+    for (cen, fwd2, bwd2, fwd1, bwd1) in stencil:
+        d = np.zeros_like(vals)
+        c, p, m = cen
+        d[c] = (vals[p] - vals[m]) / (2 * h)
+        c, p, pp = fwd2
+        d[c] = (-3 * vals[c] + 4 * vals[p] - vals[pp]) / (2 * h)
+        c, m, mm = bwd2
+        d[c] = (3 * vals[c] - 4 * vals[m] + vals[mm]) / (2 * h)
+        c, p = fwd1
+        d[c] = (vals[p] - vals[c]) / h
+        c, m = bwd1
+        d[c] = (vals[c] - vals[m]) / h
+        out.append(d)
+    return tuple(out)
+
+
 def masked_gradient(field: np.ndarray, mask: np.ndarray, h: float):
-    """(d/dx, d/dy) of a field known on `mask`, by centered differences
-    where both neighbours are masked, second-order one-sided at the mask
-    edge, first-order where only one neighbour exists, zero on isolated
-    cells.  Returns arrays that are zero outside the mask."""
-    fx = _masked_diff_axis(field, mask, h, axis=1)
-    fy = _masked_diff_axis(field, mask, h, axis=0)
-    return fx, fy
-
-
-def _masked_diff_axis(f, mask, h, axis):
-    m = mask
-    out = np.zeros_like(f)
-    n = f.shape[axis]
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (2, 2)
-    fpad, mpad = np.pad(f, pad), np.pad(m, pad)
-
-    def shift(a, k):
-        return a[(slice(None),) * axis + (slice(2 + k, 2 + k + n),)]
-
-    fp, fm = shift(fpad, 1), shift(fpad, -1)
-    mp, mm = shift(mpad, 1), shift(mpad, -1)
-    fpp, mpp = shift(fpad, 2), shift(mpad, 2)
-    fmm, mmm = shift(fpad, -2), shift(mpad, -2)
-    centered = m & mp & mm
-    out[centered] = (fp[centered] - fm[centered]) / (2 * h)
-    fwd2 = m & mp & mpp & ~mm
-    out[fwd2] = (-3 * f[fwd2] + 4 * fp[fwd2] - fpp[fwd2]) / (2 * h)
-    bwd2 = m & mm & mmm & ~mp
-    out[bwd2] = (3 * f[bwd2] - 4 * fm[bwd2] + fmm[bwd2]) / (2 * h)
-    fwd1 = m & mp & ~mpp & ~mm
-    out[fwd1] = (fp[fwd1] - f[fwd1]) / h
-    bwd1 = m & mm & ~mmm & ~mp
-    out[bwd1] = (f[bwd1] - fm[bwd1]) / h
-    return out
+    """(d/dx, d/dy) of a field known on `mask`, by `gradient_on_mask` over
+    the mask's stencil.  Returns arrays that are zero outside the mask."""
+    field, mask = np.asarray(field), np.asarray(mask, dtype=bool)
+    out = np.zeros((2,) + field.shape, dtype=field.dtype)
+    for o, d in zip(out, gradient_on_mask(field[mask], mask_stencil(mask), h)):
+        o[mask] = d
+    return out[0], out[1]

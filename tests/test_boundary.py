@@ -140,6 +140,42 @@ class TestFactor:
         assert np.abs(U - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+    def test_block_solve_equals_single_solves(self, disk_q):
+        _, d, q = disk_q
+        solver = DirichletSolver(d, q)
+        gs = [boundary_mode(d, k) for k in range(1, 9)]
+        U, rel = solver.solve_on_mask(gs)
+        for k, g in enumerate(gs):
+            P = solver.solve(g)
+            assert np.array_equal(U[:, k], P.U[d.mask])
+            assert rel[k] <= 1e-6
+        assert np.abs(P.U[~d.mask]).max() == 0.0
+
+    def test_lifts_in_two_steps_equal_single_solves(self, disk_q):
+        # lifts(3) then lifts(8): the second call factors again and solves
+        # modes 4..8 as one block
+        _, d, q = disk_q
+        side = Side(q, d)
+        first = side.lifts(3)
+        lifts = side.lifts(8)
+        assert len(lifts) == 8 and all(a is b for a, b in zip(first, lifts))
+        solver = DirichletSolver(d, q)
+        for k, (u, n) in enumerate(lifts, start=1):
+            U = solver.solve(boundary_mode(d, k)).U
+            assert np.array_equal(u, U[d.mask])
+            assert n == w12_norm(U, d)
+
+    def test_exact_one_norm_bounds_estimate(self, disk_q):
+        # ||A||_1 (the largest column abs-sum) bounds Higham-Tisseur's
+        # estimate from below, up to the rounding of the estimate's sums
+        import scipy.sparse.linalg as spla
+        _, d, q = disk_q
+        A = DirichletSolver(d, q).matrix
+        exact = float(abs(A).sum(axis=0).max())
+        for _ in range(3):
+            assert exact >= spla.onenormest(A) * (1 - 1e-14)
+
+
 class TestDnPairing:
     def test_orthogonal_linears(self, square):
         Px = forward_solve(_zeros(square), lambda z: z.real.astype(complex), square)
@@ -284,6 +320,26 @@ class TestSide:
         assert len(solves) == 2 * len(jobs)
 
 
+    def test_distance_report_independent_of_threads(self, monkeypatch):
+        # the pool holds the lift job and the oscillating jobs: the report
+        # is the same for one worker and for two.  A large potential makes
+        # some solves diverge, so `skipped` is not empty
+        g = make_grid(1.2, 32)
+        d = make_domain(g, Disk(0j, 1.0))
+        q1 = d.restrict(bump_field(g, 0.2 + 0.1j, 0.45, 0.5))
+        q2 = d.restrict(bump_field(g, -0.1 + 0.2j, 0.35, 40.0))
+        fam = FamilySpec(tuple(make_z0_lattice(d, 3)), (2.0, 4.0, 8.0), fd_modes=3)
+        reports = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("BKLAB_THREADS", threads)
+            reports.append(boundary.side_distance(Side(q1, d), q2, fam))
+        one, two = reports
+        assert one.pairs == two.pairs and one.skipped == two.skipped
+        assert one.d_hat == two.d_hat
+        assert len(one.pairs) == 27 - len(one.skipped) + 9
+        assert one.skipped
+
+
 class TestW12Norm:
     @pytest.mark.parametrize("L, N, shape", [
         (1.2, 128, Disk(0j, 1.0)),
@@ -301,6 +357,20 @@ class TestW12Norm:
                              + np.abs(fy[m]) ** 2).sum() * d.grid.cell_measure))
         assert w12_norm(f, d) == ref
         assert boundary._masked_w12_norm(f[m], d) == w12_norm(d.restrict(f), d) == ref
+
+    @pytest.mark.parametrize("L, N, shape", [
+        (1.2, 128, Polygon((-0.9 - 0.7j, 0.8 - 0.9j, 0.6 + 0.8j, -0.5 + 0.6j))),
+        (1.0, 16, Disk(0j, 0.97)),
+    ], ids=["polygon", "disk-at-edge"])
+    def test_stencil_norm_matches_padded_differences(self, L, N, shape, padded_gradient):
+        d = make_domain(make_grid(L, N), shape)
+        rng = np.random.default_rng(4)
+        f = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+        m = d.mask
+        fx, fy = padded_gradient(f, m, d.grid.h)
+        ref = float(np.sqrt((np.abs(f[m]) ** 2 + np.abs(fx[m]) ** 2
+                             + np.abs(fy[m]) ** 2).sum() * d.grid.cell_measure))
+        assert w12_norm(f, d) == boundary._masked_w12_norm(f[m], d) == ref
 
     def test_scaling(self, disk_q):
         g, d, q = disk_q

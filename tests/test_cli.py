@@ -154,6 +154,16 @@ class TestBasics:
             ["lorentz-norm", "--field", str(tmp_path / "huge.bkfld"), "--p", "2",
              "--q", "1100"], timeout=60))
 
+    def test_lorentz_norm_weak_out_of_range_exit_2(self, tmp_path):
+        # the weak (2, inf) norm of a constant 1e308 is 2.4e308, and it is
+        # rejected without a numpy overflow warning on stderr
+        g = make_grid(1.2, 64)
+        save_field(tmp_path / "huge.bkfld", np.full((64, 64), 1e308), g)
+        r = run_cli(["lorentz-norm", "--field", str(tmp_path / "huge.bkfld"), "--p", "2",
+                     "--q", "inf"], timeout=60)
+        assert_config_error(r)
+        assert "Warning" not in r.stderr
+
 
 class TestInputErrors:
     @pytest.mark.parametrize("cmd", [

@@ -239,6 +239,24 @@ class TestLorentzNorm:
             with pytest.raises(NormError):
                 lorentz_norm(f, LorentzIndex(2.0, q), grid=g)
 
+    def test_weak_norm_out_of_range_raises(self):
+        # the (2, inf) norms of a constant 1e308 on [-1.2, 1.2]^2 are 2.4e308
+        g = make_grid(1.2, 64)
+        f = np.full((64, 64), 1e308)
+        for normed in (True, False):
+            with pytest.raises(NormError):
+                lorentz_norm(f, LorentzIndex(2.0, math.inf, normed), grid=g)
+
+    def test_huge_field_with_weak_norm_in_range(self):
+        # the mass of a constant 1e306 on [-10, 10]^2, 4e308, is beyond the
+        # largest double; its weak norm, 2e307, is not
+        g = make_grid(10.0, 64)
+        f = np.full((64, 64), 1e306)
+        for normed in (True, False):
+            idx = LorentzIndex(2.0, math.inf, normed)
+            assert lorentz_norm(f, idx, grid=g) == pytest.approx(
+                indicator_norm(400.0, idx) * 1e306, rel=1e-12)
+
     def test_zero_field(self, disk128):
         assert lorentz_norm(np.zeros((128, 128)), L21, domain=disk128) == 0.0
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from bklab import Disk, Polygon, make_domain, make_grid
 from bklab.svgplot import loglog_svg, parse_svg_data
-from bklab.util import fit_loglog, masked_gradient, parallel_map, thread_count
+from bklab.util import (fit_loglog, gradient_on_mask, mask_stencil, masked_gradient,
+                        parallel_map, thread_count)
 
 
 class TestFit:
@@ -39,7 +41,6 @@ class TestParallelMap:
 
 class TestMaskedGradient:
     def test_linear_exact_inside(self):
-        from bklab import make_grid
         g = make_grid(1.0, 32)
         mask = np.abs(g.Z) < 0.8
         fx, fy = masked_gradient(g.X + 2j * g.Y, mask, g.h)
@@ -47,6 +48,36 @@ class TestMaskedGradient:
         assert np.abs(fx[inner] - 1.0).max() < 1e-12
         assert np.abs(fy[inner] - 2j).max() < 1e-12
         assert np.abs(fx[~mask]).max() == 0.0
+
+    @pytest.mark.parametrize("L, N, shape", [
+        (1.2, 128, Polygon((-0.9 - 0.7j, 0.8 - 0.9j, 0.6 + 0.8j, -0.5 + 0.6j))),
+        (1.0, 16, Disk(0j, 0.97)),
+        (1.2, 64, "all-ones"),
+        (1.2, 64, "random"),
+    ], ids=["polygon", "disk-at-edge", "all-ones", "random"])
+    def test_stencil_matches_padded_differences(self, L, N, shape, padded_gradient):
+        # bitwise: the stencil gathers the same samples and applies the same
+        # arithmetic as differences of zero-padded shifted copies.  The
+        # all-ones mask is the one `cauchy.wirtinger` differences; a random
+        # mask has cells of every class, isolated ones too
+        g = make_grid(L, N)
+        rng = np.random.default_rng(2)
+        if shape == "all-ones":
+            mask = np.ones((N, N), dtype=bool)
+        elif shape == "random":
+            mask = rng.random((N, N)) < 0.6
+        else:
+            mask = make_domain(g, shape).mask
+        f = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+        ref = padded_gradient(f, mask, g.h)
+        for got, want in zip(masked_gradient(f, mask, g.h), ref):
+            assert np.array_equal(got, want)
+        for got, want in zip(gradient_on_mask(f[mask], mask_stencil(mask), g.h), ref):
+            assert np.array_equal(got, want[mask])
+        for axis in mask_stencil(mask):
+            for cls in axis:
+                assert all(a.dtype == np.int32 for a in cls)
+                assert shape != "random" or cls[0].size > 0
 
 
 class TestSvg:
