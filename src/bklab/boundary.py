@@ -102,8 +102,9 @@ class DirichletSolver:
     | 256 | 87.1                     | 53.3                    |
 
     The conditioning probe multiplies the exact ||A||_1 (the largest column
-    abs-sum) by Higham-Tisseur's block estimate of ||A^{-1}||_1, whose
-    blocks are multi-column solves too.
+    abs-sum) by the Hager-Higham estimate of ||A^{-1}||_1 with one column
+    (`onenormest` with t=1): a few one-column solves, deterministic, and
+    numpy's global random state is never drawn from.
     """
 
     def __init__(self, domain: DomainSpec, q):
@@ -151,16 +152,14 @@ class DirichletSolver:
             raise SingularSystemError(f"Dirichlet system is singular: {e}") from e
         # conditioning probe: q at (or extremely near) a discrete interior
         # Dirichlet eigenvalue makes the factored system unusable.  ||A||_1
-        # is exact; ||A^{-1}||_1 is the block estimate, each block of which
-        # is one multi-column solve
+        # is exact; ||A^{-1}||_1 is the one-column estimate, which never
+        # draws random sign vectors
         inv_op = spla.LinearOperator(
             self.matrix.shape, dtype=complex,
             matvec=lambda b: self.factor.solve(b.astype(complex)),
-            rmatvec=lambda b: self.factor.solve(b.astype(complex), trans="H"),
-            matmat=lambda B: self.factor.solve(B.astype(complex)),
-            rmatmat=lambda B: self.factor.solve(B.astype(complex), trans="H"))
+            rmatvec=lambda b: self.factor.solve(b.astype(complex), trans="H"))
         with np.errstate(all="ignore"):
-            inv_norm = float(spla.onenormest(inv_op))
+            inv_norm = float(spla.onenormest(inv_op, t=1))
             cond = float(abs(self.matrix).sum(axis=0).max()) * inv_norm
         if not np.isfinite(cond) or cond > 1e12:
             raise SingularSystemError(

@@ -43,8 +43,8 @@ class _SPipeline:
     """One (q, tau, z0, phase_type) instance of the double-transform
     operator on the domain's box: both transforms take input supported on
     the mask, which the box holds, so S f and the inner transform on the
-    box need only the box's plan.  Their full-grid values (`inner_on_grid`,
-    `outer_on_grid`) take one full-grid transform each.
+    box need only the box's plan.  `on_grid` runs either transform over
+    the full grid from its input on the box.
 
     Two box factors of the weight P = e^{i tau R} are precomputed, so each
     transform's input is one multiply: the inner factor P chi q and the
@@ -74,34 +74,19 @@ class _SPipeline:
             return plan.apply_conj, plan.apply
         return plan.apply, plan.apply_conj
 
-    def _inner_input(self, f):
-        return self.Pq * f
-
-    def _outer_input(self, t2):
-        return self.Pc * t2
-
-    def inner(self, f) -> np.ndarray:
-        """Cbar/C(e^{i tau R} chi q f) on the box, from f on the box."""
-        return self._transforms(self._plan)[0](self._inner_input(f))
-
     def apply(self, f) -> tuple[np.ndarray, np.ndarray]:
         """(S f, inner transform) on the box, from f on the box."""
-        t2 = self.inner(f)
-        return self._transforms(self._plan)[1](self._outer_input(t2)), t2
+        inner, outer = self._transforms(self._plan)
+        t2 = inner(self.Pq * f)
+        return outer(self.Pc * t2), t2
 
-    def _on_grid(self, k: int, x_box) -> np.ndarray:
+    def on_grid(self, k: int, x_box) -> np.ndarray:
+        """The inner (k = 0) or outer (k = 1) transform over the full grid
+        of the input x_box on the box, zero off it: Pq f for the inner
+        transform, Pc t2 for the outer one."""
         x = np.zeros((self.grid.N, self.grid.N), dtype=complex)
         x[self.box] = x_box
         return self._transforms(get_plan(self.grid))[k](x)
-
-    def inner_on_grid(self, f) -> np.ndarray:
-        """The inner transform over the full grid, from f on the box."""
-        return self._on_grid(0, self._inner_input(f))
-
-    def outer_on_grid(self, t2) -> np.ndarray:
-        """S f over the full grid, from its inner transform t2 on the box
-        (the outer transform reads t2 on the mask only)."""
-        return self._on_grid(1, self._outer_input(t2))
 
 
 def apply_S(q, f, params: PhaseParams, domain: DomainSpec,
@@ -111,7 +96,11 @@ def apply_S(q, f, params: PhaseParams, domain: DomainSpec,
     transform runs on the domain's box, the outer over the full grid."""
     pipe = _SPipeline(q, params, domain, phase_type)
     f = domain.grid.check_field(np.asarray(f, dtype=complex))
-    return pipe.outer_on_grid(pipe.inner(f[pipe.box]))
+    inner, _ = pipe._transforms(pipe._plan)
+    # t2 is named: numpy would multiply an unnamed temporary in place with
+    # the operands swapped, and a fused complex product is not commutative
+    t2 = inner(pipe.Pq * f[pipe.box])
+    return pipe.on_grid(1, pipe.Pc * t2)
 
 
 @dataclass
@@ -119,7 +108,7 @@ class BukhgeimSolution:
     """A Picard fixed point.  The loop ran on the domain's box, and `f_box`
     and `inner_box` are its values there.  The full-grid `f`, `defect`,
     `sup_f` and `inner_transform` are filled on first read, each fill
-    taking one full-grid transform; see `solve_f`."""
+    taking one full-grid transform (`_SPipeline.on_grid`); see `solve_f`."""
 
     params: PhaseParams
     phase_type: str
@@ -143,7 +132,7 @@ class BukhgeimSolution:
     def _filled(self) -> tuple[np.ndarray, float]:
         # f is f_box on the box and 1 - S f/4 off it, so its residual off
         # the box is exactly zero
-        f = 1.0 - 0.25 * self.pipeline.outer_on_grid(self.inner_box)
+        f = 1.0 - 0.25 * self.pipeline.on_grid(1, self.pipeline.Pc * self.inner_box)
         defect = float(np.abs(self.f_box - f[self.box]).max())
         f[self.box] = self.f_box
         return f, defect
@@ -164,7 +153,7 @@ class BukhgeimSolution:
     @cached_property
     def inner_transform(self) -> np.ndarray:
         """Cbar/C(e^{i tau R} chi q f) over the grid, inner_box on the box."""
-        G = self.pipeline.inner_on_grid(self.f_box)
+        G = self.pipeline.on_grid(0, self.pipeline.Pq * self.f_box)
         G[self.box] = self.inner_box
         return G
 

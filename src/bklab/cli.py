@@ -242,16 +242,10 @@ def cmd_cauchy_distance(ns) -> int:
     fam = FamilySpec(tuple(lattice), tuple(_parse_taus(ns.taus)),
                      fd_modes=ns.fd_modes)
     rep = cauchy_distance(q1, q2, domain, fam)
-    doc = {
-        "d_hat": rep.d_hat,
-        "family": rep.family,
-        "pairs": [
-            {k: ([v.real, v.imag] if isinstance(v, complex) else v)
-             for k, v in p.items()} for p in rep.pairs],
-        "skipped": [
-            {k: ([v.real, v.imag] if isinstance(v, complex) else v)
-             for k, v in p.items()} for p in rep.skipped],
-    }
+    doc = {"d_hat": rep.d_hat, "family": rep.family}
+    for key in ("pairs", "skipped"):
+        doc[key] = [{k: ([v.real, v.imag] if isinstance(v, complex) else v)
+                     for k, v in p.items()} for p in getattr(rep, key)]
     _write_json(os.path.join(out, "cauchy_distance.json"), doc)
     print(f"d_hat = {rep.d_hat:.6e} over {len(rep.pairs)} pairs "
           f"({len(rep.skipped)} skipped)")

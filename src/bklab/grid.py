@@ -113,16 +113,19 @@ class Grid:
         return xi
 
     @cached_property
-    def X(self) -> np.ndarray:
-        return np.broadcast_to(self.axis[None, :], (self.N, self.N)).copy()
-
-    @cached_property
-    def Y(self) -> np.ndarray:
-        return np.broadcast_to(self.axis[:, None], (self.N, self.N)).copy()
-
-    @cached_property
     def Z(self) -> np.ndarray:
-        return self.X + 1j * self.Y
+        """Cell centers x + iy, read-only; `X` and `Y` are views of it."""
+        Z = self.axis[None, :] + 1j * self.axis[:, None]
+        Z.setflags(write=False)
+        return Z
+
+    @property
+    def X(self) -> np.ndarray:
+        return self.Z.real
+
+    @property
+    def Y(self) -> np.ndarray:
+        return self.Z.imag
 
     def check_field(self, field: np.ndarray) -> np.ndarray:
         field = np.asarray(field)

@@ -247,13 +247,10 @@ def indicator_norm(measure: float, idx: LorentzIndex) -> float:
     p, q = idx.p, idx.q
     if measure <= 0:
         return 0.0
-    if not idx.normed:
-        if math.isinf(q):
-            return measure ** (1.0 / p)
-        return (p / q) ** (1.0 / q) * measure ** (1.0 / p)
     if math.isinf(q):
         return measure ** (1.0 / p)
-    return (p / q + p / (q * (p - 1.0))) ** (1.0 / q) * measure ** (1.0 / p)
+    c = p / q + p / (q * (p - 1.0)) if idx.normed else p / q
+    return c ** (1.0 / q) * measure ** (1.0 / p)
 
 
 def sobolev_lorentz_norm(field: np.ndarray, idx: LorentzIndex, k: int,

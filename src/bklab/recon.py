@@ -241,7 +241,7 @@ def calibrate_exponential_rate(domain: DomainSpec, taus=(2.0, 4.0, 8.0, 16.0)) -
         best = 0.0
         for z0 in z0s:
             u = np.exp(1j * tau * (grid.Z - z0) ** 2)
-            best = max(best, w12_norm(domain.restrict(u), domain))
+            best = max(best, w12_norm(u, domain))
         vals.append(best)
     lt = np.asarray(taus, dtype=float)
     ly = np.log(np.asarray(vals))

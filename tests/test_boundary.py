@@ -165,6 +165,16 @@ class TestFactor:
             assert np.array_equal(u, U[d.mask])
             assert n == w12_norm(U, d)
 
+    def test_global_random_state_untouched(self, disk_q):
+        # the conditioning probe's one-column estimate draws no random sign
+        # vectors, so a caller's seeded stream does not move
+        _, d, q = disk_q
+        np.random.seed(0)
+        want = np.random.rand()
+        np.random.seed(0)
+        DirichletSolver(d, q)
+        assert np.random.rand() == want
+
     def test_exact_one_norm_bounds_estimate(self, disk_q):
         # ||A||_1 (the largest column abs-sum) bounds Higham-Tisseur's
         # estimate from below, up to the rounding of the estimate's sums
@@ -287,6 +297,43 @@ class TestCauchyDistance:
         with pytest.raises(BklabError):
             cauchy_distance(q, q, d,
                             FamilySpec(tuple(make_z0_lattice(d, 3)), (8.0,)))
+
+
+@pytest.fixture(scope="module")
+def square32():
+    g = make_grid(1.2, 32)
+    return make_domain(g, Polygon((-0.8 - 0.8j, 0.8 - 0.8j, 0.8 + 0.8j, -0.8 + 0.8j)))
+
+
+class TestPolygonCauchyData:
+    """Off disks the trigonometric data run in nearest-node arclength."""
+
+    def test_arclength_at_nodes(self, square32):
+        d = square32
+        verts = np.asarray(d.vertices)
+        ends = np.roll(verts, -1)
+        start = np.concatenate([[0.0], np.cumsum(np.abs(ends - verts))])
+        # each node's boundary length from the first vertex, edge by edge
+        want = np.full(d.nodes.size, np.nan)
+        for i, (a, b) in enumerate(zip(verts, ends)):
+            on = np.abs(np.abs(d.nodes - a) + np.abs(b - d.nodes) - abs(b - a)) < 1e-12
+            want[on] = start[i] + np.abs(d.nodes[on] - a)
+        s = d.arclength_at(d.nodes)
+        assert np.abs(s - want).max() <= 1e-12
+        # a point just off the boundary takes its nearest node's coordinate
+        step = d.perimeter / d.nodes.size
+        assert np.array_equal(d.arclength_at(d.nodes + 0.1 * step * d.normals), s)
+        assert np.array_equal(boundary_mode(d, 3)(d.nodes),
+                              np.exp(2j * np.pi * 3 * s / d.perimeter))
+
+    def test_identical_potentials(self, square32):
+        d = square32
+        q = d.restrict(bump_field(d.grid, 0.1 + 0.1j, 0.4, 0.5))
+        fam = FamilySpec(tuple(make_z0_lattice(d, 3)), (2.0, 4.0, 8.0), fd_modes=2)
+        rep = cauchy_distance(q, q, d, fam)
+        assert rep.d_hat == 0.0 and not rep.skipped
+        assert [p["modes"] for p in rep.pairs if p["kind"] == "fd"] == [
+            (1, 1), (1, 2), (2, 1), (2, 2)]
 
 
 class TestSide:

@@ -8,6 +8,7 @@ import pytest
 
 from bklab import (Disk, cli, load_domain, make_domain, make_grid, recon,
                    save_domain, save_field)
+from bklab.boundary import FamilySpec, cauchy_distance
 from bklab.recon import bump_field
 from bklab.svgplot import parse_svg_data
 
@@ -322,6 +323,21 @@ class TestSweeps:
         assert r.stdout == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("taus, stdout", [
+        ("4", ["insufficient tau samples for a slope fit"]),
+        ("4,32", ["insufficient tau samples for a slope fit",
+                  "skipped tau=32: aliasing guard"]),
+    ], ids=["one-tau", "one-tau-and-one-above-guard"])
+    def test_carleman_one_tau(self, workspace, tmp_path, monkeypatch, capsys,
+                              taus, stdout):
+        # the guard on the N=64, L=1.2 grid is pi 64 / (8 1.2^2) = 17.5
+        monkeypatch.setenv("BKLAB_THREADS", "1")
+        assert cli.main(["carleman-sweep", "--domain", str(workspace / "disk.json"),
+                         "--a", "one", "--tau", taus, "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines() == stdout
+        lines = (tmp_path / "carleman_sweep.csv").read_text().splitlines()
+        assert [ln.split(",")[0] for ln in lines] == ["tau", "4.0"]
+
     def test_cauchy_selftest(self, tmp_path):
         r = run_cli(["cauchy-selftest", "--n", "64", "--out-dir", str(tmp_path)])
         assert r.returncode == 0, r.stderr
@@ -361,6 +377,32 @@ class TestSolvers:
         doc = json.loads((tmp_path / "cauchy_distance.json").read_text())
         assert doc["d_hat"] > 0
         assert len(doc["pairs"]) >= 27
+
+    def test_cauchy_distance_skipped_z0_is_point(self, tmp_path, monkeypatch, capsys):
+        # a large q2 makes some solves diverge: their records carry z0 as
+        # [x, y], like those of the pairs
+        monkeypatch.setenv("BKLAB_THREADS", "1")
+        g = make_grid(1.2, 32)
+        d = make_domain(g, Disk(0j, 1.0))
+        q1 = d.restrict(bump_field(g, 0.2 + 0.1j, 0.45, 0.5))
+        q2 = d.restrict(bump_field(g, -0.1 + 0.2j, 0.35, 40.0))
+        save_domain(tmp_path / "disk.json", d)
+        save_field(tmp_path / "q1.bkfld", q1, g)
+        save_field(tmp_path / "q2.bkfld", q2, g)
+        assert cli.main(["cauchy-distance", "--q1", str(tmp_path / "q1.bkfld"),
+                         "--q2", str(tmp_path / "q2.bkfld"),
+                         "--domain", str(tmp_path / "disk.json"), "--z0-grid", "3x3",
+                         "--taus", "2,4,8", "--fd-modes", "1",
+                         "--out-dir", str(tmp_path / "out")]) == 0
+        rep = cauchy_distance(q1, q2, d, FamilySpec(
+            tuple(recon.make_z0_lattice(d, 3)), (2.0, 4.0, 8.0), fd_modes=1))
+        assert rep.skipped
+        assert f"({len(rep.skipped)} skipped)" in capsys.readouterr().out
+        doc = json.loads((tmp_path / "out" / "cauchy_distance.json").read_text())
+        assert doc["skipped"] == [
+            {"z0": [r["z0"].real, r["z0"].imag], "tau": r["tau"], "reason": r["reason"]}
+            for r in rep.skipped]
+        assert all(len(r["z0"]) == 2 for r in doc["pairs"] if r["kind"] == "oscillating")
 
     def test_reconstruct_outputs(self, workspace, tmp_path):
         out = tmp_path / "rec"
@@ -431,6 +473,27 @@ class TestStabilityCli:
         lines = (tmp_path / "stability.csv").read_text().splitlines()
         assert lines[0].startswith("pair,dq_weak,d_hat,bound_value,tau")
         assert len(lines) == 4
+
+    def test_field_spec_matches_bump_spec(self, tmp_path, monkeypatch):
+        # the bench's form: a pair given as field files gives the CSV of the
+        # same pair given inline as bumps
+        monkeypatch.setenv("BKLAB_THREADS", "1")
+        cfg = json.loads(self._config(tmp_path / "bump.json").read_text())
+        cfg["pairs"] = cfg["pairs"][:1]
+        (tmp_path / "bump.json").write_text(json.dumps(cfg))
+        g = make_grid(1.2, 64)
+        d = make_domain(g, Disk(0j, 1.0))
+        for key, spec in cfg["pairs"][0].items():
+            field = d.restrict(bump_field(g, complex(*spec["center"]), spec["width"],
+                                          complex(spec["amplitude"])))
+            save_field(tmp_path / f"{key}.bkfld", field, g)
+            cfg["pairs"][0][key] = {"type": "field", "path": str(tmp_path / f"{key}.bkfld")}
+        (tmp_path / "field.json").write_text(json.dumps(cfg))
+        for name in ("bump", "field"):
+            assert cli.main(["stability", "--config", str(tmp_path / f"{name}.json"),
+                             "--out-dir", str(tmp_path / name)]) == 0
+        csv = [(tmp_path / name / "stability.csv").read_bytes() for name in ("bump", "field")]
+        assert csv[0] == csv[1] and len(csv[0].splitlines()) == 2
 
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfg = json.loads(self._config(tmp_path / "c.json").read_text())
