@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cauchy import cauchy, get_plan
+from .cauchy import get_plan
 from .errors import BklabError, FixedPointDivergenceError, GridError
 from .grid import DomainSpec, Grid, PhaseParams
 from .lorentz import LorentzIndex, lorentz_norm
@@ -299,7 +299,8 @@ def carleman_sweep(a_or_q, taus, domain: DomainSpec, z0: complex,
     mode='field':    v_tau = C(e^{-i tau R} chi_Omega a); records the
                      normed weak-L^2 norm and the sup norm of v_tau.
     mode='operator': v_tau = S 1 for the potential q; same norms.
-    Guard-violating taus are skipped and reported.
+    Guard-violating taus are skipped and reported; BklabError if no tau
+    is left.
     """
     if mode not in ("field", "operator"):
         raise BklabError(f"unknown sweep mode {mode!r}")
@@ -312,15 +313,17 @@ def carleman_sweep(a_or_q, taus, domain: DomainSpec, z0: complex,
         raise BklabError("tau samples must be strictly increasing")
     used = [t for t in taus if t <= guard * (1 + 1e-12)]
     skipped = tuple(t for t in taus if t not in used)
+    if not used:
+        raise BklabError(f"no tau at or below the aliasing guard {guard:.6g}")
     weak_idx = LorentzIndex(2.0, np.inf, normed=True)
     chi_a = domain.restrict(a)
 
     def one(tau: float):
         params = PhaseParams(tau, z0)
-        if mode == "field":
+        if mode == "field":  # each tau's input is transformed in place
             v = params.weight(grid, -1)
             v *= chi_a
-            v = cauchy(v, grid)
+            get_plan(grid).apply(v, out=v)
         else:
             v = apply_S(a, np.ones_like(a), params, domain)
         return (lorentz_norm(v, weak_idx, grid=grid), float(np.abs(v).max()))

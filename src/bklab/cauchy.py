@@ -14,9 +14,13 @@ buffer in (xi_x, y) layout and walks it in blocks of rows of about
 `_BLOCK_BYTES`, the last block of a pass holding whatever rows remain,
 so its working set is that buffer, the output and one block.  The plan
 keeps its kernel spectrum in (xi_x, xi_y) to match; `kernel_hat` reads
-in (xi_y, xi_x).  The origin sample is exactly zero: the mean of 1/(pi z)
-over a centered square cell vanishes by odd symmetry, so the singular
-cell needs no regularization parameter.
+in (xi_y, xi_x).  The rows of the buffer and of the plan build's M x M
+array carry two spare elements (`_ROW_PAD`), so that a pass down their
+columns does not hit the same few cache sets at every step when the row
+length is a power of two: at N = 1024 that made a transform about 20%
+faster (`_ROW_PAD` has the timings).  The origin sample is exactly
+zero: the mean of 1/(pi z) over a centered square cell vanishes by odd
+symmetry, so the singular cell needs no regularization parameter.
 """
 
 from __future__ import annotations
@@ -38,6 +42,25 @@ __all__ = [
 # and 1024 on a 2-CPU Xeon with 2 MB of L2 per core: 1 MB was the fastest
 # or tied.
 _BLOCK_BYTES = 1 << 20
+
+# spare complex elements at the end of each row of a transform's buffer
+# and of the plan build's M x M array, which the passes never read.  A
+# pass down the columns of an array whose rows are a power of two long
+# (16 KiB for the N = 1024 buffer, 32 KiB for its build array) maps every
+# step onto the same few cache sets.  Timed with two spare elements
+# against none on one thread of a 2-CPU Xeon (numpy 2.4.6), whose speed
+# drifts by up to 2x: at N = 1024 the inverse pass along xi_x took 19-21
+# against 35-41 ms and the transposed read into the output 6-7 against
+# 16-17 ms (shuffled rounds in one process); a whole transform took
+# 130-147 against 156-183 ms (medians of alternated processes) and the
+# plan build 174-223 against 184-249 ms.  The box plans, whose rows are
+# not a power of two long, were neutral (n = 111: 0.864 against 0.859
+# ms; n = 218: 5.761 against 5.740 ms, medians of shuffled rounds) once
+# the build stores its spectrum without the gaps: multiplying a block by
+# gapped spectrum rows took 96 against 61 us at n = 111.  Each 1-D
+# transform reads the same samples in the same order, so the results are
+# the same bit for bit.
+_ROW_PAD = 2
 
 
 def _cauchy_kernel(w: np.ndarray) -> np.ndarray:
@@ -71,8 +94,9 @@ class ConvolutionPlan:
     of n < N cells pads to the smallest M = 2^a c >= 2n - 1 with c in
     {1, 3, 5, 7}.  A convolution is translation invariant, so one plan
     serves every box of side n.  Immutable and shareable across threads.
-    `kernel` receives a fresh displacement array and may overwrite it; the
-    complex array it returns is transformed in place into the spectrum.
+    `kernel` receives a fresh displacement array and may overwrite it and
+    return it; the complex array it returns is transformed in place into
+    the spectrum (copied in first if it is a new array).
 
     A transform is pruned on both sides: the input fills only the first n
     rows and columns of the padded grid, and only the first n rows and
@@ -80,7 +104,12 @@ class ConvolutionPlan:
     (xi_x, y), and walks it in blocks of b rows, b * M * 16 bytes being
     about `_BLOCK_BYTES` (b <= M), through one zero-padded b x M block W.
     b need not divide n or M: the last block of a pass takes only the
-    rows that remain.
+    rows that remain.  The rows of T and of the build's M x M array carry
+    two spare elements (`_ROW_PAD`), so that the walks down their columns
+    spread over the cache sets: at N = 1024 the rows would otherwise be
+    16 KiB and 32 KiB long, and the padding took a transform from 156-183
+    to 130-147 ms.  The build then closes the gaps, so the stored
+    spectrum is contiguous.
 
     1. each block of data rows, (y, x), is copied into W, transformed
        along x, and its transpose written into as many columns of T;
@@ -90,7 +119,8 @@ class ConvolutionPlan:
        rows of the symbol of d),
     4. inverted along xi_y, and its first n columns written back into T;
     5. T is inverted along xi_x in place, and its first n rows, (x, y),
-       are transposed into the n x n output.
+       are transposed into the n x n output (the caller's `out`, if
+       given; it may be `f` itself, which pass 1 has read in full).
 
     Every pass is an in-place `numpy.fft` transform (`out=`).  Passes 1-4
     run along contiguous rows of W, which stays in cache.  Pass 5 strides,
@@ -109,10 +139,19 @@ class ConvolutionPlan:
         self.M = M = _padded_length(self.n, N)
         d = ((np.arange(M) + self.n) % M - self.n) * h
         # the kernel sampled at (x, y) = (d[i], d[j]), transformed along y
-        # and then x (numpy runs the last listed axis first): fft2's passes
-        # on the (y, x) samples in order, so exactly that spectrum transposed
-        w = kernel(d[:, None] + 1j * d[None, :])
-        self._kernel_hat_t = np.fft.fft2(w, axes=(0, 1), out=w)
+        # and then x (numpy runs the last listed axis first): fft2 over axes
+        # (1, 0) of the (y, x) samples, transposed, bit for bit
+        buf = np.empty((M, M + _ROW_PAD), dtype=complex)
+        w = buf[:, :M]
+        np.add(d[:, None], 1j * d[None, :], out=w)
+        w[...] = kernel(w)  # no copy when the kernel returns w itself
+        np.fft.fft2(w, axes=(0, 1), out=w)
+        # close the row gaps in place, first row first: pass 3 multiplies
+        # by blocks of rows, which run as one loop only when contiguous
+        flat = buf.reshape(-1)
+        for i in range(1, M):
+            flat[i * M:(i + 1) * M] = w[i]
+        self._kernel_hat_t = flat[:M * M].reshape(M, M)
         self._kernel_hat_t.setflags(write=False)
         self._xi = 2 * np.pi * np.fft.fftfreq(M, d=h)
         self._xi.setflags(write=False)
@@ -122,10 +161,10 @@ class ConvolutionPlan:
         """Spectrum of the sampled kernel, (xi_y, xi_x)."""
         return self._kernel_hat_t.T
 
-    def _convolve(self, f: np.ndarray, beurling: bool) -> np.ndarray:
+    def _convolve(self, f: np.ndarray, beurling: bool, out=None) -> np.ndarray:
         n, M = self.n, self.M
         b = min(M, max(1, _BLOCK_BYTES // (16 * M)))
-        T = np.empty((M, n), dtype=complex)
+        T = np.empty((M, n + _ROW_PAD), dtype=complex)[:, :n]
         W = np.empty((b, M), dtype=complex)  # one block, zero-padded in place
         for r in range(0, n, b):
             Wr = W[:min(b, n - r)]
@@ -142,10 +181,12 @@ class ConvolutionPlan:
                 Wr *= 0.5 * (1j * self._xi[r:r + b, None] + self._xi[None, :])
             T[r:r + b] = np.fft.ifft(Wr, axis=1, out=Wr)[:, :n]
         np.fft.ifft(T, axis=0, out=T)
-        return np.multiply(T[:n].T, self.grid.cell_measure, order="C")
+        return np.multiply(T[:n].T, self.grid.cell_measure, out=out, order="C")
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        return self._convolve(f, False)
+    def apply(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The convolution of f, written into `out` (which may be f) if
+        given, else into a new array."""
+        return self._convolve(f, False, out)
 
     def apply_conj(self, f: np.ndarray) -> np.ndarray:
         """conj(apply(conj f)): with the Cauchy kernel, Cbar f."""

@@ -122,7 +122,9 @@ def rearrange(field: np.ndarray, domain: DomainSpec | None = None,
     starts += 1
     values = np.empty(starts.size + 1, dtype=v.dtype)
     values[0] = v[0]
-    np.take(v, starts, out=values[1:])
+    # indexing, not np.take(v, starts, out=...): take from the reversed
+    # view runs 10x slower (15 vs 1.5 ms for 2^20 distinct values)
+    values[1:] = v[starts]
     breakpoints = np.empty(starts.size + 2)
     breakpoints[0] = 0.0
     np.multiply(starts, h2, out=breakpoints[1:-1])

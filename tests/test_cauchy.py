@@ -252,3 +252,26 @@ class TestPlan:
         N = 512
         g = make_grid(1.0, N)
         assert traced_peak(lambda: ConvolutionPlan(g, _cauchy_kernel)) <= 1.5 * (2 * N) ** 2 * 16
+
+    @pytest.mark.parametrize("N, n", [(64, 64), (512, 512), (256, 218)],
+                             ids=["64", "512", "256-box218"])
+    def test_spectrum_matches_contiguous_fft2(self, N, n):
+        # the plan transforms its samples inside rows with spare elements;
+        # the same passes on a contiguous array give the same bits
+        g = make_grid(1.0, N)
+        plan = ConvolutionPlan(g, _cauchy_kernel, n)
+        M = plan.M
+        d = ((np.arange(M) + n) % M - n) * g.h
+        w = _cauchy_kernel(d[:, None] + 1j * d[None, :])  # (x, y)
+        assert w.flags.c_contiguous
+        assert np.array_equal(plan.kernel_hat, np.fft.fft2(w, axes=(0, 1)).T)
+
+    @pytest.mark.parametrize("N, n", [(512, 512), (256, 218)], ids=["512", "256-box218"])
+    def test_apply_in_place(self, N, n):
+        # pass 1 reads all of f before pass 5 writes the output into it
+        plan = get_plan(make_grid(1.0, N), n)
+        rng = np.random.default_rng(n)
+        f = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        want = plan.apply(f)
+        assert plan.apply(f, out=f) is f
+        assert np.array_equal(f, want)

@@ -338,6 +338,18 @@ class TestSweeps:
         lines = (tmp_path / "carleman_sweep.csv").read_text().splitlines()
         assert [ln.split(",")[0] for ln in lines] == ["tau", "4.0"]
 
+    @pytest.mark.parametrize("taus", ["1000", "1000,2000"])
+    def test_carleman_every_tau_above_guard(self, workspace, tmp_path, taus):
+        # the error names the guard, not the empty plot, and no file is written
+        r = run_cli(["carleman-sweep", "--domain", str(workspace / "disk.json"),
+                     "--a", "one", "--tau", taus, "--out-dir", str(tmp_path)])
+        assert_config_error(r)
+        guard = make_grid(1.2, 64).aliasing_guard()
+        assert json.loads(r.stderr)["error"]["message"] == \
+            f"no tau at or below the aliasing guard {guard:.6g}"
+        assert r.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_cauchy_selftest(self, tmp_path):
         r = run_cli(["cauchy-selftest", "--n", "64", "--out-dir", str(tmp_path)])
         assert r.returncode == 0, r.stderr
