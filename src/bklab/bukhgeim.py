@@ -22,7 +22,7 @@ import numpy as np
 from .cauchy import get_plan
 from .errors import BklabError, FixedPointDivergenceError, GridError
 from .grid import DomainSpec, Grid, PhaseParams
-from .lorentz import LorentzIndex, lorentz_norm
+from .lorentz import LorentzIndex, norm_of_rearrangement, rearrange
 from .util import LogLogFit, fit_loglog, parallel_map
 
 __all__ = [
@@ -300,7 +300,13 @@ def carleman_sweep(a_or_q, taus, domain: DomainSpec, z0: complex,
                      normed weak-L^2 norm and the sup norm of v_tau.
     mode='operator': v_tau = S 1 for the potential q; same norms.
     Guard-violating taus are skipped and reported; BklabError if no tau
-    is left.
+    is left, or if a tau is given twice.
+
+    Field mode forms chi_Omega a once, transposed, (x, y).  Each tau
+    writes its weight times chi_Omega a straight into one transform
+    buffer (`ConvolutionPlan.apply_xy`), keeps |v_tau| and lets the buffer
+    go.  Both modes read both norms from one rearrangement of |v_tau|:
+    the sup is its first value.
     """
     if mode not in ("field", "operator"):
         raise BklabError(f"unknown sweep mode {mode!r}")
@@ -309,24 +315,32 @@ def carleman_sweep(a_or_q, taus, domain: DomainSpec, z0: complex,
     a = grid.check_field(np.asarray(a_or_q, dtype=complex))
     guard = grid.aliasing_guard()
     taus = sorted(float(t) for t in taus)
-    if len(taus) != len(set(taus)):
-        raise BklabError("tau samples must be strictly increasing")
+    for t0, t1 in zip(taus, taus[1:]):
+        if t0 == t1:
+            raise BklabError(f"tau sample {t0:g} is given more than once")
     used = [t for t in taus if t <= guard * (1 + 1e-12)]
     skipped = tuple(t for t in taus if t not in used)
     if not used:
         raise BklabError(f"no tau at or below the aliasing guard {guard:.6g}")
     weak_idx = LorentzIndex(2.0, np.inf, normed=True)
-    chi_a = domain.restrict(a)
+    if mode == "field":
+        chi_a_xy = np.ascontiguousarray(domain.restrict(a).T)
 
     def one(tau: float):
         params = PhaseParams(tau, z0)
-        if mode == "field":  # each tau's input is transformed in place
-            v = params.weight(grid, -1)
-            v *= chi_a
-            get_plan(grid).apply(v, out=v)
+        if mode == "field":
+            row, col = params.weight_factors(grid, -1)
+
+            def fill(x):  # PhaseParams.weight's operands, in its order
+                np.multiply(row[None, :], col[:, None], out=x)
+                x *= chi_a_xy
+            v = get_plan(grid).apply_xy(fill)
         else:
             v = apply_S(a, np.ones_like(a), params, domain)
-        return (lorentz_norm(v, weak_idx, grid=grid), float(np.abs(v).max()))
+        v = np.abs(v)  # the buffer goes here, and |v| after the rearrangement
+        sr = rearrange(v, grid=grid)
+        del v
+        return norm_of_rearrangement(sr, weak_idx), float(sr.values[0])
 
     results = parallel_map(one, used)
     weak = tuple(r[0] for r in results)

@@ -12,7 +12,9 @@ smallest length M = 2^a c >= 2n - 1 with c in {1, 3, 5, 7}, at most 2N,
 which is 2N for the full grid.  A transform holds one M x n complex
 buffer in (xi_x, y) layout and walks it in blocks of rows of about
 `_BLOCK_BYTES`, the last block of a pass holding whatever rows remain,
-so its working set is that buffer, the output and one block.  The plan
+so its working set is that buffer, the output and one block; a caller
+that writes its input into the buffer (`ConvolutionPlan.apply_xy`) gets
+the result back in it, (x, y), with no output beside it.  The plan
 keeps its kernel spectrum in (xi_x, xi_y) to match; `kernel_hat` reads
 in (xi_y, xi_x).  The rows of the buffer and of the plan build's M x M
 array carry two spare elements (`_ROW_PAD`), so that a pass down their
@@ -119,8 +121,7 @@ class ConvolutionPlan:
        rows of the symbol of d),
     4. inverted along xi_y, and its first n columns written back into T;
     5. T is inverted along xi_x in place, and its first n rows, (x, y),
-       are transposed into the n x n output (the caller's `out`, if
-       given; it may be `f` itself, which pass 1 has read in full).
+       are transposed into a new n x n output.
 
     Every pass is an in-place `numpy.fft` transform (`out=`).  Passes 1-4
     run along contiguous rows of W, which stays in cache.  Pass 5 strides,
@@ -128,6 +129,15 @@ class ConvolutionPlan:
     skipped.  Each 1-D transform sees the same samples as in the (y, x)
     layout, so the output is the same bit for bit.  `kernel_hat` reads in
     (xi_y, xi_x) orientation, as a read-only view of the stored spectrum.
+
+    `apply_xy` is the same transform for a caller that writes its input,
+    transposed, straight into the first n rows of T: pass 1 is then one
+    in-place transform of T along its columns, passes 2-5 are the ones
+    above, and the result is T's first n rows scaled in place, (x, y),
+    with no transposed copy on either side.  Every 1-D transform still
+    sees the same samples in the same order, so `apply_xy` gives
+    `apply(f).T` bit for bit.  It holds T alone where `apply` holds T,
+    the input and the output.
     """
 
     def __init__(self, grid: Grid, kernel, n: int | None = None):
@@ -161,16 +171,19 @@ class ConvolutionPlan:
         """Spectrum of the sampled kernel, (xi_y, xi_x)."""
         return self._kernel_hat_t.T
 
-    def _convolve(self, f: np.ndarray, beurling: bool, out=None) -> np.ndarray:
-        n, M = self.n, self.M
-        b = min(M, max(1, _BLOCK_BYTES // (16 * M)))
-        T = np.empty((M, n + _ROW_PAD), dtype=complex)[:, :n]
-        W = np.empty((b, M), dtype=complex)  # one block, zero-padded in place
-        for r in range(0, n, b):
-            Wr = W[:min(b, n - r)]
-            Wr[:, :n] = f[r:r + b]
-            Wr[:, n:] = 0
-            T[:, r:r + b] = np.fft.fft(Wr, axis=1, out=Wr).T
+    def _buffer(self) -> np.ndarray:
+        """A fresh M x n buffer T, each row followed by `_ROW_PAD` spare
+        elements."""
+        return np.empty((self.M, self.n + _ROW_PAD), dtype=complex)[:, :self.n]
+
+    def _block(self) -> np.ndarray:
+        """One zero-padded b x M block W of about `_BLOCK_BYTES`."""
+        M = self.M
+        return np.empty((min(M, max(1, _BLOCK_BYTES // (16 * M))), M), dtype=complex)
+
+    def _finish(self, T: np.ndarray, W: np.ndarray, beurling: bool) -> None:
+        """Passes 2-5 over T, which holds the input transformed along x."""
+        n, M, b = self.n, self.M, W.shape[0]
         for r in range(0, M, b):
             Wr = W[:min(b, M - r)]
             Wr[:, :n] = T[r:r + b]
@@ -181,12 +194,38 @@ class ConvolutionPlan:
                 Wr *= 0.5 * (1j * self._xi[r:r + b, None] + self._xi[None, :])
             T[r:r + b] = np.fft.ifft(Wr, axis=1, out=Wr)[:, :n]
         np.fft.ifft(T, axis=0, out=T)
-        return np.multiply(T[:n].T, self.grid.cell_measure, out=out, order="C")
 
-    def apply(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The convolution of f, written into `out` (which may be f) if
-        given, else into a new array."""
-        return self._convolve(f, False, out)
+    def _convolve(self, f: np.ndarray, beurling: bool) -> np.ndarray:
+        n = self.n
+        T, W = self._buffer(), self._block()
+        b = W.shape[0]
+        for r in range(0, n, b):
+            Wr = W[:min(b, n - r)]
+            Wr[:, :n] = f[r:r + b]
+            Wr[:, n:] = 0
+            T[:, r:r + b] = np.fft.fft(Wr, axis=1, out=Wr).T
+        self._finish(T, W, beurling)
+        return np.multiply(T[:n].T, self.grid.cell_measure, order="C")
+
+    def apply(self, f: np.ndarray) -> np.ndarray:
+        """The convolution of f, (y, x), into a new array."""
+        return self._convolve(f, False)
+
+    def apply_xy(self, fill) -> np.ndarray:
+        """apply(f).T, bit for bit, for the f whose transpose `fill(x)`
+        writes into the n x n array x, (x, y).  x is the first n rows of
+        the transform's buffer T: pass 1 transforms T in place along x, and
+        the result is T's first n rows, scaled in place.  So no n x n array
+        is held beside T, but the result, a view, holds all of T."""
+        n = self.n
+        T = self._buffer()
+        fill(T[:n])
+        T[n:] = 0
+        np.fft.fft(T, axis=0, out=T)
+        self._finish(T, self._block(), False)
+        x = T[:n]
+        x *= self.grid.cell_measure
+        return x
 
     def apply_conj(self, f: np.ndarray) -> np.ndarray:
         """conj(apply(conj f)): with the Cauchy kernel, Cbar f."""

@@ -179,7 +179,7 @@ def cmd_carleman_sweep(ns) -> int:
     domain = load_domain(ns.domain)
     grid = domain.grid
     if ns.a == "one":
-        a = np.ones((grid.N, grid.N), dtype=complex)
+        a = np.broadcast_to(1 + 0j, (grid.N, grid.N))  # no N x N array of ones
     else:
         a, _ = _load_field_on(ns.a, domain)
     rec = carleman_sweep(a, _parse_taus(ns.tau), domain, _parse_z0(ns.z0),

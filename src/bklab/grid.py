@@ -114,7 +114,8 @@ class Grid:
 
     @cached_property
     def Z(self) -> np.ndarray:
-        """Cell centers x + iy, read-only; `X` and `Y` are views of it."""
+        """Cell centers x + iy, read-only, built on first read; `X` and `Y`
+        are views of it."""
         Z = self.axis[None, :] + 1j * self.axis[:, None]
         Z.setflags(write=False)
         return Z
@@ -187,13 +188,19 @@ class PhaseParams:
 
     def weight(self, grid: Grid, sign: int = +1) -> np.ndarray:
         """e^{i sign tau R}; unimodular since R is real.  R separates into
-        2(x-x0)^2 - 2(y-y0)^2, so the weight is the outer product of a row
-        factor e^{-2i sign tau (y-y0)^2} and a column factor
-        e^{2i sign tau (x-x0)^2}: 2N exponentials instead of N^2."""
+        2(x-x0)^2 - 2(y-y0)^2, so the weight is the outer product of the
+        `weight_factors`: 2N exponentials instead of N^2."""
+        row, col = self.weight_factors(grid, sign)
+        return row[:, None] * col[None, :]
+
+    def weight_factors(self, grid: Grid, sign: int = +1) -> tuple[np.ndarray, np.ndarray]:
+        """(row, column) factors of the weight, e^{-2i sign tau (y-y0)^2}
+        over y and e^{2i sign tau (x-x0)^2} over x: the weight at (y, x) is
+        row[y] * col[x], in that operand order."""
         st = 2.0 * sign * self.tau
         dx = grid.axis - self.z0.real
         dy = grid.axis - self.z0.imag
-        return np.exp(-1j * st * (dy * dy))[:, None] * np.exp(1j * st * (dx * dx))[None, :]
+        return np.exp(-1j * st * (dy * dy)), np.exp(1j * st * (dx * dx))
 
 
 @dataclass(frozen=True)
@@ -359,7 +366,11 @@ def _make_disk(grid: Grid, disk: Disk) -> DomainSpec:
     nodes = c + r * np.exp(1j * th_n)
     normals = np.exp(1j * th_n)
     weights = np.full(M, 2 * r * np.tan(half))
-    mask = np.abs(grid.Z - c) < r
+    # from the axis, not grid.Z, which a disk then never builds: the same
+    # complex differences, so the same bits (np.hypot differs in the last bit)
+    dx = grid.axis - c.real
+    dy = grid.axis - c.imag
+    mask = np.abs(dx[None, :] + 1j * dy[:, None]) < r
     if not mask.any():
         raise DomainError("disk does not contain any cell center")
     return DomainSpec(grid, disk, mask, vertices, nodes, normals, weights)

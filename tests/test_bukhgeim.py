@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from bklab import (Disk, LorentzIndex, PhaseParams, apply_S, assemble_u,
-                   bessel_norm, carleman_sweep, make_domain,
-                   make_grid, pde_residual, solve_f)
+                   bessel_norm, carleman_sweep, load_field, lorentz_norm,
+                   make_domain, make_grid, pde_residual, save_field, solve_f)
 from bklab.bukhgeim import _SPipeline, apply_S_dense, dbar_u, solve_f_dense
 from bklab.errors import (AliasingGuardError, BklabError,
                           FixedPointDivergenceError, GridError)
@@ -305,6 +305,53 @@ class TestCarlemanSweep:
         rec = carleman_sweep(ones, [8.0, 16.0, 4 * guard], d, Z0)
         assert rec.skipped == (4 * guard,)
         assert rec.taus == (8.0, 16.0)
+
+    def test_repeated_tau_named(self, disk_bump):
+        g, d, _ = disk_bump
+        ones = np.ones((256, 256), dtype=complex)
+        with pytest.raises(BklabError, match=r"^tau sample 8 is given more than once$"):
+            carleman_sweep(ones, [8.0, 4.0, 8.0], d, Z0)
+
+    @pytest.mark.parametrize("a", ["one", "loaded"])
+    def test_field_values_match_weighted_transform(self, disk_bump, tmp_path, a):
+        # the weight and chi a are written transposed into the transform's
+        # buffer and both norms come from one rearrangement: the same bits
+        # as the weighted field's (y, x) transform and its two norms
+        g, d, q = disk_bump
+        if a == "one":
+            a = np.broadcast_to(1 + 0j, (256, 256))
+        else:
+            save_field(tmp_path / "a.bkfld", np.exp(2j * g.Z) * (1.5 + g.X) + q, g)
+            a, _ = load_field(tmp_path / "a.bkfld")
+        z0 = -0.31 + 0.17j
+        rec = carleman_sweep(a, [4.0, 16.0, 64.0], d, z0)
+        weak = LorentzIndex(2.0, np.inf, normed=True)
+        for i, tau in enumerate(rec.taus):
+            v = PhaseParams(tau, z0).weight(g, -1)
+            v *= d.restrict(a)
+            v = cauchy_module.get_plan(g).apply(v)
+            assert rec.values["weak"][i] == lorentz_norm(v, weak, grid=g)
+            assert rec.values["sup"][i] == float(np.abs(v).max())
+
+    def test_operator_values_match_S1(self, disk_bump):
+        g, d, q = disk_bump
+        rec = carleman_sweep(q, [8.0, 16.0], d, Z0, mode="operator")
+        weak = LorentzIndex(2.0, np.inf, normed=True)
+        for i, tau in enumerate(rec.taus):
+            v = apply_S(q, np.ones_like(q), PhaseParams(tau, Z0), d)
+            assert rec.values["weak"][i] == lorentz_norm(v, weak, grid=g)
+            assert rec.values["sup"][i] == float(np.abs(v).max())
+
+    def test_field_working_set(self, traced_peak, monkeypatch):
+        # chi a, one 2N x N buffer and |v|: the weighted input is formed in
+        # the buffer, and the buffer is let go before the rearrangement
+        monkeypatch.setenv("BKLAB_THREADS", "1")
+        N = 512
+        g = make_grid(1.0, N)
+        d = make_domain(g, Disk(0j, 0.8))
+        cauchy_module.get_plan(g)
+        ones = np.broadcast_to(1 + 0j, (N, N))
+        assert traced_peak(lambda: carleman_sweep(ones, [8.0], d, Z0)) <= 3.75 * N * N * 16
 
     def test_linearity_of_measured_norms(self, disk_bump):
         g, d, _ = disk_bump

@@ -266,12 +266,17 @@ class TestPlan:
         assert w.flags.c_contiguous
         assert np.array_equal(plan.kernel_hat, np.fft.fft2(w, axes=(0, 1)).T)
 
-    @pytest.mark.parametrize("N, n", [(512, 512), (256, 218)], ids=["512", "256-box218"])
-    def test_apply_in_place(self, N, n):
-        # pass 1 reads all of f before pass 5 writes the output into it
+    @pytest.mark.parametrize("N, n", [(64, 64), (512, 512), (256, 218)],
+                             ids=["64", "512", "256-box218"])
+    def test_apply_xy_matches_apply_transposed(self, N, n):
+        # the input written transposed into the buffer, pass 1 down its
+        # columns and the output left in place: the same 1-D transforms
         plan = get_plan(make_grid(1.0, N), n)
         rng = np.random.default_rng(n)
         f = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        want = plan.apply(f)
-        assert plan.apply(f, out=f) is f
-        assert np.array_equal(f, want)
+
+        def fill(x):
+            assert x.shape == (n, n)
+            x[...] = f.T
+
+        assert np.array_equal(plan.apply_xy(fill), plan.apply(f).T)

@@ -350,6 +350,15 @@ class TestSweeps:
         assert r.stdout == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_carleman_repeated_tau(self, workspace, tmp_path):
+        # the sweep sorts its taus: the error names the repeated one, not
+        # their order
+        r = run_cli(["carleman-sweep", "--domain", str(workspace / "disk.json"),
+                     "--a", "one", "--tau", "8,4,8", "--out-dir", str(tmp_path)])
+        assert_config_error(r)
+        assert json.loads(r.stderr)["error"]["message"] == "tau sample 8 is given more than once"
+        assert list(tmp_path.iterdir()) == []
+
     def test_cauchy_selftest(self, tmp_path):
         r = run_cli(["cauchy-selftest", "--n", "64", "--out-dir", str(tmp_path)])
         assert r.returncode == 0, r.stderr

@@ -120,6 +120,22 @@ class TestMakeDomain:
         east = d2.normals[np.abs(d2.nodes.real - 1.0) < 1e-12]
         assert np.abs(east - 1.0).max() < 1e-12
 
+    @pytest.mark.parametrize("L, N, center, radius", [
+        (1.0, 8, 0.125 + 0.125j, 0.5),  # the cell at (0.625, 0.125) is on the circle
+        (3.0, 32, 1.0 - 0.5j, 1.2),
+        (1.2, 64, 0.1 - 0.05j, 0.9),
+        (1.28, 128, -0.3 + 0.2j, 0.77),
+        (1.5, 256, 0j, 1.0),
+        (1.1, 512, 0.01 + 0.03j, 1.0),
+    ])
+    def test_disk_mask_matches_cell_centers(self, L, N, center, radius):
+        # the mask is formed from the axis, bit for bit the distance from
+        # the cell centers, and leaves Grid.Z unbuilt
+        g = make_grid(L, N)
+        d = make_domain(g, Disk(center, radius))
+        assert "Z" not in vars(g)
+        assert np.array_equal(d.mask, np.abs(g.Z - center) < radius)
+
     @pytest.mark.parametrize("grid, shape", [
         (make_grid(1.2, 64), Disk(0.1 - 0.05j, 0.9)),
         (make_grid(1.2, 128), Polygon((-0.8 - 0.7j, 0.9 - 0.6j, 0.7 + 0.8j,
