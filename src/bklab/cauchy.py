@@ -5,24 +5,11 @@ boundary Cauchy integral with its integration-by-parts residual.
 The transform is a zero-padded FFT convolution with a displacement kernel
 (1/(pi z) here; `stationary` passes its own) sampled at cell-center
 displacements, computed with pruned in-place `numpy.fft` transforms that
-skip the rows the padding leaves zero and the rows the crop discards
-(`ConvolutionPlan`).  A plan convolves an n x n box of cells, n <= N,
-into the same box: the full grid is the box n = N.  It pads to the
-smallest length M = 2^a c >= 2n - 1 with c in {1, 3, 5, 7}, at most 2N,
-which is 2N for the full grid.  A transform holds one M x n complex
-buffer in (xi_x, y) layout and walks it in blocks of rows of about
-`_BLOCK_BYTES`, the last block of a pass holding whatever rows remain,
-so its working set is that buffer, the output and one block; a caller
-that writes its input into the buffer (`ConvolutionPlan.apply_xy`) gets
-the result back in it, (x, y), with no output beside it.  The plan
-keeps its kernel spectrum in (xi_x, xi_y) to match; `kernel_hat` reads
-in (xi_y, xi_x).  The rows of the buffer and of the plan build's M x M
-array carry two spare elements (`_ROW_PAD`), so that a pass down their
-columns does not hit the same few cache sets at every step when the row
-length is a power of two: at N = 1024 that made a transform about 20%
-faster (`_ROW_PAD` has the timings).  The origin sample is exactly
-zero: the mean of 1/(pi z) over a centered square cell vanishes by odd
-symmetry, so the singular cell needs no regularization parameter.
+skip the rows the padding leaves zero and the rows the crop discards.
+`ConvolutionPlan` lists the passes; `_ROW_PAD` gives the timings of the
+spare elements its rows carry.  The origin sample is exactly zero: the
+mean of 1/(pi z) over a centered square cell vanishes by odd symmetry, so
+the singular cell needs no regularization parameter.
 """
 
 from __future__ import annotations
@@ -103,41 +90,33 @@ class ConvolutionPlan:
     A transform is pruned on both sides: the input fills only the first n
     rows and columns of the padded grid, and only the first n rows and
     columns of the output are kept.  It holds one M x n complex buffer T,
-    (xi_x, y), and walks it in blocks of b rows, b * M * 16 bytes being
-    about `_BLOCK_BYTES` (b <= M), through one zero-padded b x M block W.
-    b need not divide n or M: the last block of a pass takes only the
-    rows that remain.  The rows of T and of the build's M x M array carry
-    two spare elements (`_ROW_PAD`), so that the walks down their columns
-    spread over the cache sets: at N = 1024 the rows would otherwise be
-    16 KiB and 32 KiB long, and the padding took a transform from 156-183
-    to 130-147 ms.  The build then closes the gaps, so the stored
-    spectrum is contiguous.
+    (xi_x, y), and one zero-padded b x M block W, b * M * 16 bytes being
+    about `_BLOCK_BYTES` (b <= M; the last block of a pass takes only the
+    rows that remain).  The rows of T and of the build's M x M array carry
+    `_ROW_PAD` spare elements; the build then closes the gaps, so the
+    stored spectrum is contiguous.
 
-    1. each block of data rows, (y, x), is copied into W, transformed
-       along x, and its transpose written into as many columns of T;
+    1. the input, (x, y), fills the first n rows of T, the rest of T is
+       zeroed, and T is transformed in place along x;
     2. each block of rows of T is copied into W and transformed along y,
     3. multiplied by the kernel's spectrum, which the plan stores in the
        same (xi_x, xi_y) orientation (and, for Beurling, by the block's
        rows of the symbol of d),
     4. inverted along xi_y, and its first n columns written back into T;
-    5. T is inverted along xi_x in place, and its first n rows, (x, y),
-       are transposed into a new n x n output.
+    5. T is inverted along xi_x in place; its first n rows, (x, y), scaled
+       by the cell measure, are the result.
 
-    Every pass is an in-place `numpy.fft` transform (`out=`).  Passes 1-4
-    run along contiguous rows of W, which stays in cache.  Pass 5 strides,
-    but in place over T.  The passes on the zero or discarded part are
+    Every pass is an in-place `numpy.fft` transform (`out=`).  Passes 2-4
+    run along contiguous rows of W, which stays in cache; passes 1 and 5
+    stride, in place over T.  The passes on the zero or discarded part are
     skipped.  Each 1-D transform sees the same samples as in the (y, x)
     layout, so the output is the same bit for bit.  `kernel_hat` reads in
     (xi_y, xi_x) orientation, as a read-only view of the stored spectrum.
 
-    `apply_xy` is the same transform for a caller that writes its input,
-    transposed, straight into the first n rows of T: pass 1 is then one
-    in-place transform of T along its columns, passes 2-5 are the ones
-    above, and the result is T's first n rows scaled in place, (x, y),
-    with no transposed copy on either side.  Every 1-D transform still
-    sees the same samples in the same order, so `apply_xy` gives
-    `apply(f).T` bit for bit.  It holds T alone where `apply` holds T,
-    the input and the output.
+    `apply_xy` lets its caller write the input into T and scales T's first
+    n rows in place: it holds T alone.  `apply` and `apply_beurling` copy
+    f.T into T and return a scaled, transposed copy, so they hold T, the
+    input and the output.
     """
 
     def __init__(self, grid: Grid, kernel, n: int | None = None):
@@ -171,19 +150,16 @@ class ConvolutionPlan:
         """Spectrum of the sampled kernel, (xi_y, xi_x)."""
         return self._kernel_hat_t.T
 
-    def _buffer(self) -> np.ndarray:
-        """A fresh M x n buffer T, each row followed by `_ROW_PAD` spare
-        elements."""
-        return np.empty((self.M, self.n + _ROW_PAD), dtype=complex)[:, :self.n]
-
-    def _block(self) -> np.ndarray:
-        """One zero-padded b x M block W of about `_BLOCK_BYTES`."""
-        M = self.M
-        return np.empty((min(M, max(1, _BLOCK_BYTES // (16 * M))), M), dtype=complex)
-
-    def _finish(self, T: np.ndarray, W: np.ndarray, beurling: bool) -> None:
-        """Passes 2-5 over T, which holds the input transformed along x."""
-        n, M, b = self.n, self.M, W.shape[0]
+    def _xy(self, fill, beurling: bool) -> np.ndarray:
+        """Passes 1-5 over the input that `fill(x)` writes into the first n
+        rows x of a fresh T, (x, y); returns those rows, unscaled."""
+        n, M = self.n, self.M
+        T = np.empty((M, n + _ROW_PAD), dtype=complex)[:, :n]
+        fill(T[:n])
+        T[n:] = 0
+        np.fft.fft(T, axis=0, out=T)
+        W = np.empty((min(M, max(1, _BLOCK_BYTES // (16 * M))), M), dtype=complex)
+        b = W.shape[0]
         for r in range(0, M, b):
             Wr = W[:min(b, M - r)]
             Wr[:, :n] = T[r:r + b]
@@ -194,36 +170,20 @@ class ConvolutionPlan:
                 Wr *= 0.5 * (1j * self._xi[r:r + b, None] + self._xi[None, :])
             T[r:r + b] = np.fft.ifft(Wr, axis=1, out=Wr)[:, :n]
         np.fft.ifft(T, axis=0, out=T)
-
-    def _convolve(self, f: np.ndarray, beurling: bool) -> np.ndarray:
-        n = self.n
-        T, W = self._buffer(), self._block()
-        b = W.shape[0]
-        for r in range(0, n, b):
-            Wr = W[:min(b, n - r)]
-            Wr[:, :n] = f[r:r + b]
-            Wr[:, n:] = 0
-            T[:, r:r + b] = np.fft.fft(Wr, axis=1, out=Wr).T
-        self._finish(T, W, beurling)
-        return np.multiply(T[:n].T, self.grid.cell_measure, order="C")
+        return T[:n]
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """The convolution of f, (y, x), into a new array."""
-        return self._convolve(f, False)
+        x = self._xy(lambda x: np.copyto(x, f.T), False)
+        return np.multiply(x.T, self.grid.cell_measure, order="C")
 
     def apply_xy(self, fill) -> np.ndarray:
         """apply(f).T, bit for bit, for the f whose transpose `fill(x)`
         writes into the n x n array x, (x, y).  x is the first n rows of
-        the transform's buffer T: pass 1 transforms T in place along x, and
-        the result is T's first n rows, scaled in place.  So no n x n array
-        is held beside T, but the result, a view, holds all of T."""
-        n = self.n
-        T = self._buffer()
-        fill(T[:n])
-        T[n:] = 0
-        np.fft.fft(T, axis=0, out=T)
-        self._finish(T, self._block(), False)
-        x = T[:n]
+        the transform's buffer T, and the result is x scaled in place: no
+        n x n array is held beside T, but the result, a view, holds all of
+        T."""
+        x = self._xy(fill, False)
         x *= self.grid.cell_measure
         return x
 
@@ -232,7 +192,8 @@ class ConvolutionPlan:
         return np.conj(self.apply(np.conj(f)))
 
     def apply_beurling(self, f: np.ndarray) -> np.ndarray:
-        return self._convolve(f, True)
+        x = self._xy(lambda x: np.copyto(x, f.T), True)
+        return np.multiply(x.T, self.grid.cell_measure, order="C")
 
 
 _PLANS: dict[tuple[float, int, int], ConvolutionPlan] = {}

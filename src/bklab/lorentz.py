@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _GL_POINTS = 32
+_WEAK_BLOCK = 1 << 14  # steps of a q = inf norm taken at a time
 
 
 @dataclass(frozen=True)
@@ -144,31 +145,58 @@ def norm_of_rearrangement(sr: StepRearrangement, idx: LorentzIndex) -> float:
         return 0.0
     t = sr.breakpoints
     p, q = idx.p, idx.q
-    norm = _norm if idx.normed else _seminorm
     # the norm is homogeneous: taken of v / 2^e < 1, 2^e the power of two
     # just above v[0], the running masses stay below the total measure, so
     # only a norm that is itself out of range leaves it.  Scaling by a power
     # of two is exact, so q = inf, which sums no logs, keeps its unscaled bits
     e = math.frexp(v[0])[1]
+    if math.isinf(q):
+        val = _weak(t, v, e, p, idx.normed)
+    else:
+        val = (_norm if idx.normed else _seminorm)(t, np.ldexp(v, -e), p, q)
     with np.errstate(over="ignore"):
-        val = float(np.ldexp(norm(t, np.ldexp(v, -e), p, q), e))
+        val = float(np.ldexp(val, e))
     if not 0.0 < val < math.inf:
         raise NormError(f"the (p, q) = ({p}, {q}) norm of this field is out of "
                         f"floating-point range")
     return val
 
 
-def _log_power_int(a, b, alpha, tol=1e-12):
+def _weak(t, v, e, p, normed) -> float:
+    """The q = inf norm of v / 2^e: the largest t^{1/p} f**(t) (normed) or
+    t^{1/p} f*(t) at a breakpoint.  On a step t^{1/p} f**(t) = t^{1/p} (c +
+    D/t) has one critical point, t = D(p-1)/c, a minimum for p > 1, so the
+    supremum is at a breakpoint.  Taken `_WEAK_BLOCK` steps at a time, the
+    running mass carried into the slot before each block: the cumulative
+    sum adds in the same order as over the whole, and no array as long as
+    v is formed."""
+    best = 0.0
+    buf = np.zeros(min(v.size, _WEAK_BLOCK) + 1)
+    for s in range(0, v.size, _WEAK_BLOCK):
+        b = t[s + 1:s + 1 + _WEAK_BLOCK]
+        x = buf[:b.size + 1]
+        x[1:] = np.ldexp(v[s:s + b.size], -e)
+        if normed:
+            x[1:] *= b - t[s:s + b.size]
+            np.cumsum(x, out=x)  # the running masses int_0^b f*
+            buf[0] = x[-1]
+            x[1:] /= b
+        x[1:] *= b ** (1.0 / p)
+        best = max(best, float(x[1:].max()))
+    return best
+
+
+def _log_power_int(a, b, alpha):
     """log int_a^b t^{alpha - 1} dt over 0 <= a < b, elementwise in (a, b);
     a = 0 needs alpha > 0."""
     alpha = float(alpha)
     with np.errstate(divide="ignore"):
         la, lb = np.log(a), np.log(b)
-    if abs(alpha) < tol:
-        return np.log(lb - la)
-    # b^alpha - a^alpha = hi^alpha (1 - (lo/hi)^alpha), hi the larger power
-    hi = alpha * (lb if alpha > 0 else la)
-    return hi + np.log(-np.expm1(-abs(alpha) * (lb - la))) - math.log(abs(alpha))
+        if alpha == 0.0:
+            return np.log(lb - la)
+        # b^alpha - a^alpha = hi^alpha (1 - (lo/hi)^alpha), hi the larger power
+        hi = alpha * (lb if alpha > 0 else la)
+        return hi + np.log(-np.expm1(-abs(alpha) * (lb - la))) - math.log(abs(alpha))
 
 
 def _qth_root_of_sum(logs, q) -> float:
@@ -180,8 +208,6 @@ def _qth_root_of_sum(logs, q) -> float:
 
 
 def _seminorm(t, v, p, q):
-    if math.isinf(q):
-        return float(np.max(v * t[1:] ** (1.0 / p)))
     # f* is constant per interval: integral has a closed form
     with np.errstate(divide="ignore"):
         lv = np.log(v)
@@ -196,14 +222,6 @@ def _norm(t, v, p, q):
     np.subtract(b, a, out=S[1:])
     S[1:] *= v
     np.cumsum(S[1:], out=S[1:])
-    if math.isinf(q):
-        # t^{1/p} f**(t) = t^{1/p} (c + D/t) has one critical point on a
-        # step, t = D(p-1)/c, and it is a minimum for p > 1: the supremum
-        # is at a breakpoint
-        avg = S[1:]
-        avg /= b
-        avg *= b ** (1.0 / p)
-        return float(np.max(avg))
     c = v
     D = S[:-1] - v * a  # f**(t) = c + D/t on [a, b]; D >= 0
     A = S[-1]
@@ -238,8 +256,10 @@ def _norm(t, v, p, q):
             tt = mid + rad * x[None, :]
             logs.append(np.log(rad) + (q / p - 1.0) * np.log(tt)
                         + q * np.log(cg[:, None] + Dg[:, None] / tt) + np.log(w)[None, :])
-    # tail: f** = A/t for t >= t_M
-    logs.append(q * math.log(A) + (q / p - q) * math.log(tM) + math.log(p / (q * (p - 1.0))))
+    # tail: f** = A/t for t >= t_M.  Its constant p / (q (p - 1)) is taken
+    # in logs, so that q (p - 1) cannot overflow at a large p
+    logs.append(q * math.log(A) + (q / p - q) * math.log(tM)
+                + (math.log(p / (p - 1.0)) - math.log(q)))
     return _qth_root_of_sum(logs, q)
 
 

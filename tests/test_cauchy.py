@@ -247,6 +247,17 @@ class TestPlan:
         held = [a for a in vars(plan).values() if getattr(a, "size", 0) >= (2 * N) ** 2]
         assert len(held) == 1
 
+    def test_apply_xy_working_set(self, traced_peak):
+        # the 2N x N buffer and a block of rows: no N x N array beside them
+        N = 512
+        plan = ConvolutionPlan(make_grid(1.0, N), _cauchy_kernel)
+        f = np.random.default_rng(0).normal(size=(N, N)).astype(complex)
+
+        def fill(x):
+            x[...] = f.T
+
+        assert traced_peak(lambda: plan.apply_xy(fill)) <= 2.5 * N * N * 16
+
     def test_plan_build_working_set(self, traced_peak):
         # the kernel is sampled into the displacement array, in place
         N = 512

@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from bklab import (Disk, cli, load_domain, make_domain, make_grid, recon,
-                   save_domain, save_field)
+from bklab import (Disk, LorentzIndex, cli, load_domain, load_field, lorentz_norm,
+                   make_domain, make_grid, recon, save_domain, save_field)
 from bklab.boundary import FamilySpec, cauchy_distance
 from bklab.recon import bump_field
 from bklab.svgplot import parse_svg_data
@@ -146,6 +146,18 @@ class TestBasics:
                      "--p", "2", "--q", "1100"], timeout=60)
         assert r.returncode == 0, r.stderr
         assert r.stdout.startswith("0.618")
+
+    @pytest.mark.parametrize("p", ["1e300", "1e308"])
+    def test_lorentz_norm_large_p_exit_0(self, workspace, p):
+        # t^{q/p} integrates in closed form however small q/p is, and the
+        # tail constant p / (q (p - 1)) is taken in logs
+        r = run_cli(["lorentz-norm", "--field", str(workspace / "q.bkfld"),
+                     "--p", p, "--q", "2"], timeout=60)
+        assert r.returncode == 0, r.stderr
+        assert r.stderr == ""
+        field, g = load_field(workspace / "q.bkfld")
+        val = lorentz_norm(field, LorentzIndex(float(p), 2.0), grid=g)
+        assert r.stdout == f"{val:.12g}\n"
 
     def test_lorentz_norm_out_of_range_norm_exit_2(self, tmp_path):
         # a norm beyond the largest double

@@ -7,7 +7,8 @@ from scipy.integrate import quad
 from bklab import (Disk, LorentzIndex, bessel_norm, lorentz_norm, make_domain,
                    make_grid, rearrange, sobolev_lorentz_norm)
 from bklab.errors import NormError
-from bklab.lorentz import indicator_norm
+from bklab.lorentz import indicator_norm, norm_of_rearrangement
+from bklab.util import masked_gradient
 
 L21 = LorentzIndex(2, 1)
 L2W = LorentzIndex(2, np.inf)
@@ -107,6 +108,26 @@ class TestLorentzNorm:
         g = make_grid(1.0, N)
         f = random_field(g, 0)
         assert traced_peak(lambda: lorentz_norm(f, L2W, grid=g)) <= 6 * N * N * 8
+
+    def test_weak_norm_of_rearrangement_working_set(self, traced_peak):
+        # the q = inf norm walks the steps a block at a time: no array as
+        # long as the rearrangement beside it
+        N = 512
+        g = make_grid(1.0, N)
+        sr = rearrange(random_field(g, 0), grid=g)
+        for normed in (True, False):
+            idx = LorentzIndex(2, np.inf, normed)
+            assert traced_peak(lambda: norm_of_rearrangement(sr, idx)) <= sr.values.nbytes
+
+    @pytest.mark.parametrize("p", [1e13, 1e100, 1e300])
+    def test_indicator_at_large_p(self, p):
+        # int_0^b t^{q/p - 1} dt = b^{q/p} p/q is finite however small q/p is
+        g = make_grid(1.2, 64)
+        d = make_domain(g, Disk(0j, 0.8))
+        for normed in (True, False):
+            idx = LorentzIndex(p, 2, normed)
+            got = lorentz_norm(d.mask.astype(complex), idx, domain=d)
+            assert got == pytest.approx(indicator_norm(d.measure, idx), rel=1e-12)
 
     @pytest.mark.parametrize("p, q", [(2.0, 3.0), (3.0, 4.0)])
     def test_integer_q_closed_form_matches_quadrature(self, p, q):
@@ -351,3 +372,68 @@ class TestDomainGrid:
     def test_needs_domain_or_grid(self, disk128, name):
         with pytest.raises(NormError):
             self.NORMS[name](random_field(disk128.grid, 11))
+
+
+class TestEmbeddingH121:
+    """H^{1,(2,1)} embeds in C^0: sup |f| <= ||grad f||_{2,1} / (2 sqrt(pi))
+    for compactly supported f on R^2, the (2, 1) seminorm built from f*
+    (Stein, Ann. of Math. 113, 1981), and the constant is sharp along
+    f_eps = clip(ln(1/|z|) / ln(1/eps), 0, 1): sup f_eps = 1,
+    ||grad f_eps||_{2,1} = 2 sqrt(pi) asinh(sqrt(eps^-2 - 1)) / ln(1/eps) -> 2 sqrt(pi),
+    while ||grad f_eps||_2 = sqrt(2 pi / ln(1/eps)) -> 0."""
+
+    S21 = LorentzIndex(2, 1, normed=False)
+    # relative error of the discrete (2, 1) norm of the family for eps >= 10h:
+    # 0.2% to 1.4% at L = 1.2 and N in {256, 1024}, worst at eps = 10.7h
+    TOL = 0.02
+
+    @staticmethod
+    def grad_abs(f, g):
+        fx, fy = masked_gradient(f.astype(complex), np.ones(f.shape, dtype=bool), g.h)
+        return np.abs(fx + 1j * fy)
+
+    @classmethod
+    def family(cls, N, eps):
+        """(sup f, ||grad_h f||_{2,1}, ||grad_h f||_2) of f_eps at L = 1.2."""
+        g = make_grid(1.2, N)
+        with np.errstate(divide="ignore"):
+            f = np.clip(np.log(1.0 / np.abs(g.Z)) / math.log(1.0 / eps), 0.0, 1.0)
+        G = cls.grad_abs(f, g)
+        return (f.max(), lorentz_norm(G, cls.S21, grid=g),
+                math.sqrt(g.cell_measure * np.sum(G ** 2)))
+
+    @pytest.mark.parametrize("N, eps", [(256, 0.3), (256, 0.1),
+                                        (1024, 0.3), (1024, 0.1), (1024, 0.03)])
+    def test_family_norm_closed_form(self, N, eps):
+        assert eps >= 10 * 2.4 / N
+        _, n21, _ = self.family(N, eps)
+        exact = 2 * math.sqrt(math.pi) * math.asinh(math.sqrt(eps ** -2 - 1)) / math.log(1 / eps)
+        assert n21 == pytest.approx(exact, rel=self.TOL)
+
+    def test_l2_ratio_grows_while_21_ratio_stays_bounded(self):
+        epss = (0.3, 0.1, 0.03, 0.01)
+        rows = [self.family(1024, eps) for eps in epss]
+        l2_ratio = [s / l2 for s, _, l2 in rows]
+        assert all(s == 1.0 for s, _, _ in rows)
+        assert all(b > a for a, b in zip(l2_ratio, l2_ratio[1:]))
+        for r, eps in zip(l2_ratio, epss):
+            assert r == pytest.approx(math.sqrt(math.log(1 / eps) / (2 * math.pi)), rel=self.TOL)
+        assert all(s / n21 < 1 / (2 * math.sqrt(math.pi)) for s, n21, _ in rows)
+
+    def test_sup_bound_on_sums_of_bumps(self):
+        # sums of one to five bumps exp(1 - 1/(1 - rho^2)), rho = |z - c| / r,
+        # r >= 10h, supported inside the grid: the largest ratio measured over
+        # these seeds is 0.65 of the bound
+        N = 256
+        g = make_grid(1.2, N)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            f = np.zeros((N, N))
+            for _ in range(rng.integers(1, 6)):
+                c = complex(*rng.uniform(-0.6, 0.6, size=2))
+                rho2 = np.abs(g.Z - c) ** 2 / rng.uniform(0.1, 0.4) ** 2
+                inside = rho2 < 1
+                amplitude = rng.choice([-1, 1]) * rng.uniform(0.5, 2)
+                f[inside] += amplitude * np.exp(1 - 1 / (1 - rho2[inside]))
+            n21 = lorentz_norm(self.grad_abs(f, g), self.S21, grid=g)
+            assert np.abs(f).max() <= (1 + self.TOL) * n21 / (2 * math.sqrt(math.pi))
