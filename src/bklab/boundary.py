@@ -16,10 +16,11 @@ solves all its modes as one multi-column solve, while the other workers
 take the oscillating jobs.  W^{1,2} norms read the values on the mask
 through the domain's cached difference stencil.
 
-The solver is a Shortley-Weller five-point scheme: at cells whose stencil
-crosses the boundary, the arms are cut at the exact shape intersection
-and the Dirichlet datum enters through the cut point, which keeps the
-scheme second order on disks and grid-aligned polygons.
+The solver's discrete Laplacian belongs to the domain: the Shortley-Weller
+operator `DomainSpec.laplacian`, built once per domain and shared with
+`bukhgeim.pde_residual`.  A potential q enters only on its diagonal, and
+the Dirichlet data enter through its cut points, all data of one solve
+in one sparse product.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bukhgeim import solve_f
-from .errors import BklabError, DomainError, FixedPointDivergenceError, SingularSystemError
-from .grid import Disk, DomainSpec, PhaseParams, Polygon
+from .errors import BklabError, FixedPointDivergenceError, SingularSystemError
+from .grid import Disk, DomainSpec, PhaseParams
 from .util import gradient_on_mask, parallel_map
 
 __all__ = [
@@ -40,44 +41,12 @@ __all__ = [
     "boundary_mode", "Side", "side_distance",
 ]
 
-_THETA_FLOOR = 1e-3
-
-
-def _arm_cuts(shape, zc: np.ndarray, ex: int, ey: int, h: float) -> np.ndarray:
-    """Distances (in units of h, in (0, 1]) from the masked cell centres zc
-    to the boundary along the +/-x or +/-y arm."""
-    if isinstance(shape, Disk):
-        w = zc - shape.center
-        beta = w.real * ex + w.imag * ey
-        gam = np.abs(w) ** 2 - shape.radius ** 2
-        t = -beta + np.sqrt(beta * beta - gam)
-    elif isinstance(shape, Polygon):
-        verts = np.asarray(shape.vertices, dtype=complex)
-        t = np.full(zc.shape, np.inf)
-        for av, bv in zip(verts, np.roll(verts, -1)):
-            # zc + s*(ex + i ey) = av + r*(bv - av)
-            dx, dy = bv.real - av.real, bv.imag - av.imag
-            det = ex * (-dy) - ey * (-dx)
-            if abs(det) < 1e-300:
-                continue
-            rx, ry = av.real - zc.real, av.imag - zc.imag
-            s = (rx * (-dy) + ry * dx) / det
-            r = (ex * ry - ey * rx) / det
-            # a centre on the edge itself (s ~ 0) is cut there only by an arm
-            # leaving the domain; the polygon is positively oriented, so
-            # such an arm has det < 0
-            s_min = -1e-12 if det < 0 else 1e-12
-            t = np.where((-1e-12 <= r) & (r <= 1 + 1e-12) & (s_min < s) & (s < t), s, t)
-        if not np.isfinite(t).all():
-            raise DomainError("stencil arm does not cross the polygon boundary")
-    else:
-        raise DomainError(f"unsupported shape {shape!r}")
-    return np.clip(t / h, _THETA_FLOOR, 1.0)
-
-
 class DirichletSolver:
     """Factorized (Delta_h + q) with Dirichlet data on the cut stencil;
-    reusable across boundary data for a fixed (domain, q).
+    reusable across boundary data for a fixed (domain, q).  The matrix is
+    the domain's Shortley-Weller Laplacian L plus diag(q), so a solver
+    builds no geometry; the data at the cut points enter the right-hand
+    sides -B g(z) through one sparse product (`DomainSpec.laplacian`).
 
     The Shortley-Weller matrix has a symmetric pattern, so the LU factor
     takes the minimum-degree ordering of A^T + A, which fills in far less
@@ -110,42 +79,11 @@ class DirichletSolver:
     def __init__(self, domain: DomainSpec, q):
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
-        grid = domain.grid
         self.domain = domain
-        self.q = grid.check_field(np.asarray(q, dtype=complex))
-        N, h = grid.N, grid.h
-        mask = domain.mask
-        self.n = int(mask.sum())
-        idx = np.full((N + 2, N + 2), -1, dtype=np.int64)
-        idx[1:-1, 1:-1][mask] = np.arange(self.n)
-        k = np.arange(self.n)
-        zc = grid.Z[mask]
-        # one pass per arm over every cell: an arm to a masked neighbour has
-        # length 1, any other is cut at the boundary and its Dirichlet datum
-        # at the cut point enters b (Shortley-Weller)
-        diag = np.zeros(self.n)
-        rows, cols, vals, bc = [], [], [], []
-        for arms in (((1, 0), (-1, 0)), ((0, 1), (0, -1))):
-            nbs = [idx[1 + ey:N + 1 + ey, 1 + ex:N + 1 + ex][mask] for ex, ey in arms]
-            ts = [np.ones(self.n) for _ in arms]
-            for (ex, ey), nb, t in zip(arms, nbs, ts):
-                t[nb < 0] = _arm_cuts(domain.shape, zc[nb < 0], ex, ey, h)
-            tp, tm = ts
-            coeffs = (2.0 / (tp * (tp + tm) * h * h), 2.0 / (tm * (tp + tm) * h * h))
-            diag -= coeffs[0] + coeffs[1]
-            for (ex, ey), nb, t, c in zip(arms, nbs, ts, coeffs):
-                cut = nb < 0
-                rows.append(k[~cut]); cols.append(nb[~cut]); vals.append(c[~cut])
-                bc.append((k[cut], c[cut], zc[cut] + t[cut] * h * (ex + 1j * ey)))
-        rows.append(k); cols.append(k); vals.append(diag + self.q[mask])
-        self.matrix = sp.csc_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n, self.n))
-        # (row, coefficient, boundary point), each cell's terms in E, W, N, S
-        # order so that np.add.at sums them in a fixed order
-        bk, bcoeff, bz = (np.concatenate(a) for a in zip(*bc))
-        order = np.argsort(bk, kind="stable")
-        self._bc_rows, self._bc_coeff, self._bc_z = bk[order], bcoeff[order], bz[order]
+        self.q = domain.grid.check_field(np.asarray(q, dtype=complex))
+        L, self._B, self._z = domain.laplacian
+        self.n = L.shape[0]
+        self.matrix = L + sp.diags(self.q[domain.mask])
         try:
             self.factor = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as e:
@@ -170,13 +108,11 @@ class DirichletSolver:
         """(U, rel): the solutions on the mask for the Dirichlet data `gs`
         (callables on complex points), one column of U each, found by one
         multi-column solve, and their relative factorization residuals."""
-        B = np.zeros((len(gs), self.n), dtype=complex)
-        for b, g in zip(B, gs):
-            np.add.at(b, self._bc_rows,
-                      -self._bc_coeff * np.asarray(g(self._bc_z), dtype=complex))
-        U = self.factor.solve(B.T)
-        resid = np.abs(self.matrix @ U - B.T).max(axis=0)
-        scale = np.abs(B).max(axis=1)
+        z = self._z  # a datum may give one value for every point
+        b = -(self._B @ np.array([np.broadcast_to(g(z), z.shape) for g in gs], dtype=complex).T)
+        U = self.factor.solve(b)
+        resid = np.abs(self.matrix @ U - b).max(axis=0)
+        scale = np.abs(b).max(axis=0)
         rel = np.divide(resid, scale, out=np.zeros_like(resid), where=scale > 0)
         if not np.all(np.isfinite(U)) or (rel > 1e-6).any():
             raise SingularSystemError(
@@ -227,22 +163,18 @@ def interior_pairing(U, dq, V, domain: DomainSpec) -> complex:
     return complex((U * dq * V).sum() * domain.grid.cell_measure)
 
 
-def _weak_form(U, V, q, domain: DomainSpec) -> complex:
-    m = domain.mask
-    u, v = U[m], V[m]
-    Ux, Uy = gradient_on_mask(u, domain.stencil, domain.grid.h)
-    Vx, Vy = gradient_on_mask(v, domain.stencil, domain.grid.h)
-    val = (-(Ux * Vx + Uy * Vy) + q[m] * u * v).sum()
-    return complex(val * domain.grid.cell_measure)
-
-
 def dn_pairing(P1: DirichletProblem, P2: DirichletProblem) -> complex:
     """(Lambda_q u, v) = int(-grad U . grad V + q U V) dm by midpoint
     quadrature, V being the solution of P2, a problem on the same domain
     (the q-solve lift of v)."""
     if P2.domain is not P1.domain:
         raise BklabError("pairing requires problems on the same domain")
-    return _weak_form(P1.U, P2.U, P1.q, P1.domain)
+    domain, m = P1.domain, P1.domain.mask
+    u, v = P1.U[m], P2.U[m]
+    Ux, Uy = gradient_on_mask(u, domain.stencil, domain.grid.h)
+    Vx, Vy = gradient_on_mask(v, domain.stencil, domain.grid.h)
+    val = (-(Ux * Vx + Uy * Vy) + P1.q[m] * u * v).sum()
+    return complex(val * domain.grid.cell_measure)
 
 
 @dataclass(frozen=True)

@@ -237,8 +237,10 @@ def cmd_cauchy_distance(ns) -> int:
     domain = load_domain(ns.domain)
     q1, _ = _load_field_on(ns.q1, domain)
     q2, _ = _load_field_on(ns.q2, domain)
-    nx, ny = _parse_numbers(ns.z0_grid, "x", "z0 grid", 2, int)
-    lattice = recon.make_z0_lattice(domain, max(nx, ny))
+    n, ny = _parse_numbers(ns.z0_grid, "x", "z0 grid", 2, int)
+    if n != ny:
+        raise BklabError(f"z0 grid {ns.z0_grid!r} must be n x n, with equal sides")
+    lattice = recon.make_z0_lattice(domain, n)
     fam = FamilySpec(tuple(lattice), tuple(_parse_taus(ns.taus)),
                      fd_modes=ns.fd_modes)
     rep = cauchy_distance(q1, q2, domain, fam)

@@ -232,12 +232,54 @@ def _shape_from_dict(d: dict, where: str):
                          _checked(d["vertices"], "list of points", f"{where}.vertices")))
 
 
+# shortest cut arm, in units of h: keeps the cut stencil's coefficients finite
+_THETA_FLOOR = 1e-3
+
+
+def _arm_cuts(shape, zc: np.ndarray, ex: int, ey: int, h: float) -> np.ndarray:
+    """Distances (in units of h, in (0, 1]) from the masked cell centres zc
+    to the boundary along the +/-x or +/-y arm."""
+    if isinstance(shape, Disk):
+        w = zc - shape.center
+        beta = w.real * ex + w.imag * ey
+        gam = np.abs(w) ** 2 - shape.radius ** 2
+        t = -beta + np.sqrt(beta * beta - gam)
+    elif isinstance(shape, Polygon):
+        verts = np.asarray(shape.vertices, dtype=complex)
+        t = np.full(zc.shape, np.inf)
+        for av, bv in zip(verts, np.roll(verts, -1)):
+            # zc + s*(ex + i ey) = av + r*(bv - av)
+            dx, dy = bv.real - av.real, bv.imag - av.imag
+            det = ex * (-dy) - ey * (-dx)
+            if abs(det) < 1e-300:
+                continue
+            rx, ry = av.real - zc.real, av.imag - zc.imag
+            s = (rx * (-dy) + ry * dx) / det
+            r = (ex * ry - ey * rx) / det
+            # a centre on the edge itself (s ~ 0) is cut there only by an arm
+            # leaving the domain; the polygon is positively oriented, so
+            # such an arm has det < 0
+            s_min = -1e-12 if det < 0 else 1e-12
+            t = np.where((-1e-12 <= r) & (r <= 1 + 1e-12) & (s_min < s) & (s < t), s, t)
+        if not np.isfinite(t).all():
+            raise DomainError("stencil arm does not cross the polygon boundary")
+    else:
+        raise DomainError(f"unsupported shape {shape!r}")
+    return np.clip(t / h, _THETA_FLOOR, 1.0)
+
+
 class DomainSpec:
     """A masked domain: boolean cell mask, positively oriented boundary
-    polyline with outward complex normals, boundary quadrature nodes with
-    arclength weights, and the exact distance from every cell center to
-    the polyline.  `distance` is computed on first read (a run that never
-    reads it, such as a Carleman sweep, skips it) and is read-only.
+    polyline with outward complex normals, and boundary quadrature nodes
+    with arclength weights.  These are built on first read and read-only
+    (a run that never reads one, such as a Carleman sweep, skips it):
+
+    - `distance`, the exact distance from every cell center to the
+      polyline;
+    - `stencil`, the mask's difference classes;
+    - `box`, the square of cells the oscillating solutions live on;
+    - `laplacian`, the Shortley-Weller operator (L, B, z) that the
+      Dirichlet solver and `bukhgeim.pde_residual` share.
 
     Immutable after construction; safe to share across threads.
     """
@@ -271,6 +313,50 @@ class DomainSpec:
                 for a in cls:
                     a.setflags(write=False)
         return stencil
+
+    @cached_property
+    def laplacian(self) -> tuple:
+        """(L, B, z), read-only: the Shortley-Weller five-point Laplacian.
+        At a cell whose stencil crosses the boundary, the arm is cut at the
+        exact shape intersection, where the Dirichlet datum enters; this
+        keeps the scheme second order on disks and grid-aligned polygons.
+        L (CSC, n x n) acts on the values at the n masked cells, z holds
+        the m cut points and B (CSR, n x m) their arms' coefficients, so
+        that Delta_h u = L u + B g(z) for Dirichlet data g.  Each row of B
+        lists its cuts in E, W, N, S order, the order B g(z) sums them in."""
+        import scipy.sparse as sp
+        mask, h = self.mask, self.grid.h
+        N, n = self.grid.N, int(mask.sum())
+        idx = np.full((N + 2, N + 2), -1, dtype=np.int64)
+        idx[1:-1, 1:-1][mask] = np.arange(n)
+        k = np.arange(n)
+        zc = self.grid.Z[mask]
+        # one pass per arm over every cell: an arm to a masked neighbour has
+        # length 1, any other is cut at the boundary
+        diag = np.zeros(n)
+        rows, cols, vals, cuts = [], [], [], []
+        for arms in (((1, 0), (-1, 0)), ((0, 1), (0, -1))):
+            nbs = [idx[1 + ey:N + 1 + ey, 1 + ex:N + 1 + ex][mask] for ex, ey in arms]
+            ts = [np.ones(n) for _ in arms]
+            for (ex, ey), nb, t in zip(arms, nbs, ts):
+                t[nb < 0] = _arm_cuts(self.shape, zc[nb < 0], ex, ey, h)
+            tp, tm = ts
+            coeffs = (2.0 / (tp * (tp + tm) * h * h), 2.0 / (tm * (tp + tm) * h * h))
+            diag -= coeffs[0] + coeffs[1]
+            for (ex, ey), nb, t, c in zip(arms, nbs, ts, coeffs):
+                cut = nb < 0
+                rows.append(k[~cut]); cols.append(nb[~cut]); vals.append(c[~cut])
+                cuts.append((k[cut], c[cut], zc[cut] + t[cut] * h * (ex + 1j * ey)))
+        rows.append(k); cols.append(k); vals.append(diag)
+        L = sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(n, n))
+        # z is blocked by arm, E to S, so each row's column indices rise in
+        # that order
+        bk, bc, z = (np.concatenate(a) for a in zip(*cuts))
+        B = sp.csr_matrix((bc, (bk, np.arange(z.size))), shape=(n, z.size))
+        for a in (L.data, L.indices, L.indptr, B.data, B.indices, B.indptr, z):
+            a.setflags(write=False)
+        return L, B, z
 
     @cached_property
     def box(self) -> tuple[slice, slice]:

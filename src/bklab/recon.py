@@ -62,15 +62,13 @@ def make_z0_lattice(domain: DomainSpec, n: int, margin: float | None = None) -> 
         else np.array([0.5 * (zs.real.min() + zs.real.max())])
     ys = np.linspace(zs.imag.min(), zs.imag.max(), n + 2)[1:-1] if n > 1 \
         else np.array([0.5 * (zs.imag.min() + zs.imag.max())])
-    pts = []
+    # the admissible cells the candidates snap to, each once, in first-seen order
+    seen: dict[complex, None] = {}
     for yv in ys:
         for xv in xs:
             iy, ix = grid.cell_index(complex(xv, yv))
             if ok[iy, ix]:
-                pts.append(grid.Z[iy, ix])
-    seen: dict[complex, None] = {}
-    for p in pts:
-        seen.setdefault(complex(p))
+                seen.setdefault(complex(grid.Z[iy, ix]))
     return np.array(list(seen), dtype=complex)
 
 
@@ -218,6 +216,8 @@ class StabilityConfig:
     def __post_init__(self):
         if self.b_omega is not None and not self.b_omega > 0:
             raise BklabError(f"b_omega must be positive or None, got {self.b_omega}")
+        if not self.smoothness > 0:
+            raise BklabError(f"s (smoothness) must be positive, got {self.smoothness}")
 
 
 @dataclass
@@ -258,7 +258,10 @@ def stability_experiment(pairs, domain: DomainSpec,
     Pairs with identical potentials are excluded from the records.  q1's
     side is kept while consecutive pairs share q1."""
     grid = domain.grid
-    s = config.smoothness
+    tau_max = 0.98 * grid.aliasing_guard()
+    if not 0 < config.tau_min <= tau_max:
+        raise BklabError(f"tau_min must lie in (0, 0.98 pi N/(8 L^2)] = (0, {tau_max:.6g}], "
+                         f"got {config.tau_min}")
     lattice = make_z0_lattice(domain, config.lattice_n)
     fam = FamilySpec(tuple(lattice), tuple(config.family_taus),
                      fd_modes=config.fd_modes)
@@ -266,7 +269,6 @@ def stability_experiment(pairs, domain: DomainSpec,
         B = 1.0 + 2.0 * calibrate_exponential_rate(domain)
     else:
         B = config.b_omega
-    guard = grid.aliasing_guard()
     rl = make_z0_lattice(domain, config.recon_lattice_n)
     records = []
     side = None
@@ -293,10 +295,10 @@ def stability_experiment(pairs, domain: DomainSpec,
                                            None, True, "d_hat >= 1"))
             continue
         tau = math.log(1.0 / d_hat) / (2.0 * B)
-        tau = float(np.clip(tau, config.tau_min, 0.98 * guard))
+        tau = float(np.clip(tau, config.tau_min, tau_max))
         rec = _pairing(side, q2, tau, rl)
         pairing_l2 = rec.errors()["l2"] if rec.ok.any() else None
-        bound = math.log(1.0 / d_hat) ** (-s / 4.0)
+        bound = math.log(1.0 / d_hat) ** (-config.smoothness / 4.0)
         records.append(StabilityRecord(dq_weak, d_hat, bound, tau,
                                        pairing_l2, False))
     return records

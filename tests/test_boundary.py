@@ -64,6 +64,11 @@ class TestForwardSolve:
         assert np.abs(P.U[domain.mask] - want).max() <= 1e-10
         assert P.residual <= 1e-10
 
+    def test_constant_datum(self, square):
+        # a datum that gives one value for every point: u = 1 is harmonic
+        P = forward_solve(_zeros(square), lambda z: 1.0, square)
+        assert np.abs(P.U[square.mask] - 1).max() <= 1e-10
+
     def test_cell_centre_on_polygon_edge(self):
         # cell (30, 86) lies exactly on the bottom edge of this pentagon
         g = make_grid(1.2, 128)
@@ -133,8 +138,13 @@ class TestFactor:
         _, d, q = disk_q
         solver = DirichletSolver(d, q)
         g = boundary_mode(d, 3)
+        # the right-hand side scattered term by term, each row's terms in
+        # B's order: bit for bit the sparse product
+        _, B, z = d.laplacian
+        Bc = B.tocoo()
         b = np.zeros(solver.n, dtype=complex)
-        np.add.at(b, solver._bc_rows, -solver._bc_coeff * g(solver._bc_z))
+        np.add.at(b, Bc.row, -Bc.data * g(z[Bc.col]))
+        assert np.array_equal(b, -(B @ g(z)))
         ref = spla.spsolve(solver.matrix, b)
         U = solver.solve(g).U[d.mask]
         assert np.abs(U - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -184,6 +194,52 @@ class TestFactor:
         exact = float(abs(A).sum(axis=0).max())
         for _ in range(3):
             assert exact >= spla.onenormest(A) * (1 - 1e-14)
+
+
+class TestLaplacian:
+    def test_geometry_built_once_per_domain(self, monkeypatch):
+        # four arms per domain, whatever the number of solvers on it
+        from bklab import grid
+        arm_cuts, calls = grid._arm_cuts, []
+
+        def counting(*args):
+            calls.append(args[2:4])  # the arm (ex, ey)
+            return arm_cuts(*args)
+        monkeypatch.setattr(grid, "_arm_cuts", counting)
+        g = make_grid(1.2, 64)
+        d = make_domain(g, Disk(0j, 1.0))
+        q = d.restrict(bump_field(g, 0.2 + 0.1j, 0.45, 0.8))
+        DirichletSolver(d, q)
+        DirichletSolver(d, 2 * q)
+        assert sorted(calls) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
+
+    def test_q_enters_on_the_diagonal(self, disk_q):
+        # A(q) is L with q added to its diagonal entries, so A(q1) - A(q2)
+        # is diag(q1 - q2) on the mask, up to the rounding of L's diagonal
+        _, d, q1 = disk_q
+        q2 = d.restrict(bump_field(d.grid, -0.1 + 0.2j, 0.3, 0.6))
+        L = d.laplacian[0]
+        on = L.indices == np.repeat(np.arange(L.shape[1]), np.diff(L.indptr))
+        A1, A2 = (DirichletSolver(d, q).matrix for q in (q1, q2))
+        for A, q in ((A1, q1), (A2, q2)):
+            assert np.array_equal(A.indptr, L.indptr)
+            assert np.array_equal(A.indices, L.indices)
+            assert np.array_equal(A.data[~on], L.data[~on])
+            assert np.array_equal(A.data[on], L.data[on] + q[d.mask])
+        D = (A1 - A2).tocoo()
+        assert np.array_equal(D.row, D.col)
+        dq = q1[d.mask] - q2[d.mask]
+        assert np.abs(D.diagonal() - dq).max() <= 1e-15 * np.abs(L.data[on]).max()
+
+    def test_cached_and_read_only(self, disk_q):
+        _, d, _ = disk_q
+        L, B, z = d.laplacian
+        assert d.laplacian[0] is L
+        assert L.shape == (int(d.mask.sum()),) * 2 and B.shape == (L.shape[0], z.size)
+        for a in (L.data, L.indices, L.indptr, B.data, B.indices, B.indptr, z):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
 
 
 class TestDnPairing:

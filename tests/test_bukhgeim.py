@@ -266,6 +266,30 @@ class TestPdeResidual:
         order = math.log2(rels[0] / rels[2]) / 2
         assert order >= 1.5
 
+    @pytest.mark.parametrize("N", [64, 128, 256])
+    def test_matches_five_point_slicing(self, small_disk, N):
+        # the domain's Shortley-Weller rows at cells 3h inside the boundary
+        # are the five-point stencil, summed in another order
+        g, d, q = small_disk(N)
+        sol = solve_f(q, PhaseParams(8.0, 0.02j), d)
+        u = assemble_u(sol)
+        lap = np.full_like(u, np.nan)
+        lap[1:-1, 1:-1] = (u[1:-1, 2:] + u[1:-1, :-2] + u[2:, 1:-1] + u[:-2, 1:-1]
+                           - 4.0 * u[1:-1, 1:-1]) / (g.h * g.h)
+        inner = d.interior_mask(3 * g.h)
+        inner[0, :] = inner[-1, :] = inner[:, 0] = inner[:, -1] = False
+        res, qu = lap[inner] + (q * u)[inner], (q * u)[inner]
+        abs_l2 = np.sqrt((np.abs(res) ** 2).sum() * g.cell_measure)
+        rel = abs_l2 / np.sqrt((np.abs(qu) ** 2).sum() * g.cell_measure)
+        rep = pde_residual(sol, q)
+        assert rep.n_cells == inner.sum()
+        assert rep.rel_l2 == pytest.approx(rel, rel=1e-9)
+        assert rep.abs_l2 == pytest.approx(abs_l2, rel=1e-9)
+        # one cell's residual cancels terms of size |u|/h^2 with nothing to
+        # average its rounding out
+        assert rep.abs_sup == pytest.approx(np.abs(res).max(),
+                                            abs=1e-13 * np.abs(u[inner]).max() / g.h ** 2)
+
     def test_translation_equivariance(self, small_disk):
         g, d, q = small_disk(128)
         shift = 4 * g.h  # translate potential and z0 together by whole cells

@@ -215,6 +215,9 @@ class TestInputErrors:
         ["stationary-phase", "--field", "{ws}/gauss.bkfld", "--norm", "0"],
         ["carleman-sweep", "--domain", "{ws}/typo_grid.json"],
         ["carleman-sweep", "--domain", "{ws}/typo_shape.json"],
+        *(["cauchy-distance", "--q1", "{ws}/q.bkfld", "--q2", "{ws}/q2.bkfld",
+           "--taus", "4,8,16", "--fd-modes", "2", "--z0-grid", size]
+          for size in ("0x3", "2x3", "3x2")),
     ])
     def test_malformed_arguments_exit_2(self, workspace, tmp_path, cmd):
         args = [a.replace("{ws}", str(workspace)) for a in cmd]
@@ -225,6 +228,14 @@ class TestInputErrors:
         r = run_cli(args, timeout=60)
         assert_config_error(r)
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_unequal_z0_grid_is_named(self, workspace, tmp_path):
+        r = run_cli(["cauchy-distance", "--q1", str(workspace / "q.bkfld"),
+                     "--q2", str(workspace / "q2.bkfld"), "--domain",
+                     str(workspace / "disk.json"), "--taus", "4,8,16", "--z0-grid", "2x3",
+                     "--out-dir", str(tmp_path)], timeout=60)
+        assert_config_error(r)
+        assert "'2x3'" in json.loads(r.stderr)["error"]["message"]
 
     @pytest.mark.parametrize("cmd", [
         ["carleman-sweep", "--domain", "{ws}/latin1.json", "--out-dir", "{tmp}"],
@@ -542,10 +553,12 @@ class TestStabilityCli:
         (("pairs", 0, "q1", "center"), 0.2), (("version",), True), (("fd_modes",), -3),
         (("b_omega",), 0), (("b_omega",), -1), (("domain", "typo"), 3),
         (("domain", "shape", "radiuss"), 5), (("pairs", 0, "typo"), 1),
-        (("pairs", 0, "q1", "widht"), 0.4),
+        (("pairs", 0, "q1", "widht"), 0.4), (("s",), 0), (("s",), -1),
+        (("tau_min",), 0), (("tau_min",), -1), (("tau_min",), 50),
     ], ids=["domain.L", "lattice_n", "fd_modes", "bump-center", "version",
             "negative-fd_modes", "zero-b_omega", "negative-b_omega", "domain-unknown-key",
-            "shape-unknown-key", "pair-unknown-key", "spec-unknown-key"])
+            "shape-unknown-key", "pair-unknown-key", "spec-unknown-key", "zero-s",
+            "negative-s", "zero-tau_min", "negative-tau_min", "tau_min-above-clamp"])
     def test_wrong_typed_config_value_exit_2(self, tmp_path, path, value):
         cfg = json.loads(self._config(tmp_path / "c.json").read_text())
         node = cfg

@@ -5,7 +5,7 @@ import pytest
 
 from bklab import (Disk, FamilySpec, LorentzIndex, PhaseParams, bessel_norm,
                    cauchy_distance, lorentz_norm, make_domain, make_grid, solve_f)
-from bklab import boundary
+from bklab import boundary, recon
 from bklab.errors import BklabError
 from bklab.recon import (StabilityConfig, bump_field, make_z0_lattice,
                          reconstruct, reconstruct_boundary, reconstruct_interior,
@@ -155,6 +155,17 @@ class TestStability:
         (rec,) = stability_experiment([(q1, q2)], d, cfg)
         assert not rec.excluded and rec.tau == 2.0
         assert rec.pairing_l2 is None
+
+    @pytest.mark.parametrize("kw", [{"smoothness": 0.0}, {"smoothness": -1.0},
+                                    {"tau_min": 0.0}, {"tau_min": 50.0}])
+    def test_out_of_range_config_rejected_before_any_solve(self, monkeypatch, kw):
+        # tau_min must lie in (0, 0.98 pi N/(8 L^2)], 17.1 on this grid
+        monkeypatch.setattr(recon, "side_distance", None)
+        g = make_grid(1.2, 64)
+        d = make_domain(g, Disk(0j, 1.0))
+        q = d.restrict(bump_field(g, 0j, 0.4, 0.5))
+        with pytest.raises(BklabError, match="smoothness" if "smoothness" in kw else "tau_min"):
+            stability_experiment([(q, 2 * q)], d, StabilityConfig(**kw))
 
     @pytest.fixture
     def shared_q1(self):
