@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .cauchy import get_plan
-from .errors import BklabError, FixedPointDivergenceError, GridError
+from .errors import BklabError, DomainError, FixedPointDivergenceError, GridError
 from .grid import DomainSpec, Grid, PhaseParams
 from .lorentz import LorentzIndex, norm_of_rearrangement, rearrange
 from .util import LogLogFit, fit_loglog, parallel_map
@@ -264,12 +264,16 @@ def pde_residual(sol: BukhgeimSolution, q) -> ResidualReport:
     """Discrete Laplacian residual of the assembled solution, restricted to
     cells at least 3h inside the boundary.  Delta_h is the domain's
     Shortley-Weller operator, whose rows there are the plain five-point
-    stencil over masked neighbours."""
+    stencil over masked neighbours.  DomainError if no cell lies that far
+    inside."""
     domain = sol.domain
     grid = domain.grid
     q = grid.check_field(np.asarray(q, dtype=complex))
-    u = assemble_u(sol)[domain.mask]
     inner = domain.interior_mask(3 * grid.h)[domain.mask]
+    if not inner.any():
+        raise DomainError(f"no masked cell lies more than 3h = {3 * grid.h:g} "
+                          f"inside the boundary, where the residual is measured")
+    u = assemble_u(sol)[domain.mask]
     qu = (q[domain.mask] * u)[inner]
     res = (domain.laplacian[0] @ u)[inner] + qu
     abs_l2 = float(np.sqrt((np.abs(res) ** 2).sum() * grid.cell_measure))
@@ -299,11 +303,14 @@ def carleman_sweep(a_or_q, taus, domain: DomainSpec, z0: complex,
     Guard-violating taus are skipped and reported; BklabError if no tau
     is left, or if a tau is given twice.
 
-    Field mode forms chi_Omega a once, transposed, (x, y).  Each tau
-    writes its weight times chi_Omega a straight into one transform
-    buffer (`ConvolutionPlan.apply_xy`), keeps |v_tau| and lets the buffer
-    go.  Both modes read both norms from one rearrangement of |v_tau|:
-    the sup is its first value.
+    Field mode forms chi_Omega a once, transposed, (x, y); for a = 1 it
+    is the mask itself, whose cells multiply as 1 + 0j and 0 + 0j, the
+    same products as those of chi_Omega 1.  Each tau writes its weight
+    times chi_Omega a straight into one transform buffer
+    (`ConvolutionPlan.apply_xy`), keeps |v_tau| and lets the buffer go.
+    Both modes read both norms from one rearrangement of |v_tau|: the sup
+    is its first value.  The full-grid plan is built before the tau pool
+    opens, so its build has every worker and no tau waits for it.
     """
     if mode not in ("field", "operator"):
         raise BklabError(f"unknown sweep mode {mode!r}")
@@ -320,8 +327,10 @@ def carleman_sweep(a_or_q, taus, domain: DomainSpec, z0: complex,
     if not used:
         raise BklabError(f"no tau at or below the aliasing guard {guard:.6g}")
     weak_idx = LorentzIndex(2.0, np.inf, normed=True)
+    plan = get_plan(grid)
     if mode == "field":
-        chi_a_xy = np.ascontiguousarray(domain.restrict(a).T)
+        chi_a_xy = np.ascontiguousarray((domain.mask if np.all(a == 1)
+                                         else domain.restrict(a)).T)
 
     def one(tau: float):
         params = PhaseParams(tau, z0)
@@ -331,7 +340,7 @@ def carleman_sweep(a_or_q, taus, domain: DomainSpec, z0: complex,
             def fill(x):  # PhaseParams.weight's operands, in its order
                 np.multiply(row[None, :], col[:, None], out=x)
                 x *= chi_a_xy
-            v = get_plan(grid).apply_xy(fill)
+            v = plan.apply_xy(fill)
         else:
             v = apply_S(a, np.ones_like(a), params, domain)
         v = np.abs(v)  # the buffer goes here, and |v| after the rearrangement

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -8,6 +9,10 @@ from bklab import (LorentzIndex, beurling, boundary_cauchy, cauchy,
                    wirtinger)
 from bklab.cauchy import ConvolutionPlan, _cauchy_kernel, _padded_length, get_plan
 from bklab.errors import GridError
+from bklab.stationary import _kappa
+
+# the package re-exports the function cauchy under the module's name
+cauchy_module = importlib.import_module("bklab.cauchy")
 
 
 def smooth_bump(grid, center=0j, radius=1.0):
@@ -266,16 +271,42 @@ class TestPlan:
 
     @pytest.mark.parametrize("N, n", [(64, 64), (512, 512), (256, 218)],
                              ids=["64", "512", "256-box218"])
-    def test_spectrum_matches_contiguous_fft2(self, N, n):
-        # the plan transforms its samples inside rows with spare elements;
+    def test_spectrum_matches_contiguous_fft2(self, N, n, monkeypatch):
+        # the plan transforms its samples inside rows with spare elements,
+        # in blocks of rows and then of columns spread over the workers;
         # the same passes on a contiguous array give the same bits
         g = make_grid(1.0, N)
-        plan = ConvolutionPlan(g, _cauchy_kernel, n)
-        M = plan.M
+        M = _padded_length(n, N)
         d = ((np.arange(M) + n) % M - n) * g.h
         w = _cauchy_kernel(d[:, None] + 1j * d[None, :])  # (x, y)
         assert w.flags.c_contiguous
-        assert np.array_equal(plan.kernel_hat, np.fft.fft2(w, axes=(0, 1)).T)
+        want = np.fft.fft2(w, axes=(0, 1)).T
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("BKLAB_THREADS", threads)
+            assert np.array_equal(ConvolutionPlan(g, _cauchy_kernel, n).kernel_hat, want)
+
+    def test_kappa_spectrum_on_any_worker_count(self, monkeypatch):
+        # a kernel that returns a new array for each block of rows
+        g = make_grid(1.0, 256)
+        spectra = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("BKLAB_THREADS", threads)
+            spectra.append(ConvolutionPlan(g, lambda w: _kappa(8.0, w)).kernel_hat)
+        assert all(np.array_equal(spectra[0], s) for s in spectra[1:])
+
+    def test_build_blocks_are_capped(self, monkeypatch):
+        # a large BKLAB_THREADS splits the M = 128 build into two blocks of
+        # 64 rows, and then into two of 64 columns
+        calls = []
+
+        def serial_map(fn, items):
+            calls.append(len(items))
+            return [fn(it) for it in items]
+        monkeypatch.setenv("BKLAB_THREADS", "1000")
+        monkeypatch.setattr(cauchy_module, "parallel_map", serial_map)
+        plan = ConvolutionPlan(make_grid(1.0, 64), _cauchy_kernel)
+        assert calls == [2, 2]
+        assert np.array_equal(plan.kernel_hat, get_plan(make_grid(1.0, 64)).kernel_hat)
 
     @pytest.mark.parametrize("N, n", [(64, 64), (512, 512), (256, 218)],
                              ids=["64", "512", "256-box218"])

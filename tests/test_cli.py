@@ -187,7 +187,7 @@ class TestInputErrors:
         ["reconstruct", "--q", "{ws}/q.bkfld", "--tau", "4:2"],
         ["bukhgeim", "--q", "{ws}/q.bkfld", "--tau", "8", "--z0", "0.1"],
         ["cauchy-distance", "--q1", "{ws}/q.bkfld", "--q2", "{ws}/q2.bkfld",
-         "--z0-grid", "3"],
+         "--taus", "4,8,16", "--z0-grid", "3"],
         ["reconstruct", "--q", "{ws}/q.bkfld", "--tau", "8", "--lattice", "0"],
         ["reconstruct", "--q", "{ws}/q.bkfld", "--tau", "8", "--lattice", "-3"],
         ["reconstruct", "--q", "{ws}/q.bkfld", "--tau", "8", "--lattice", "100000"],
@@ -228,6 +228,9 @@ class TestInputErrors:
         r = run_cli(args, timeout=60)
         assert_config_error(r)
         assert not list(tmp_path.glob("*.csv"))
+        if "--z0-grid" in args:  # every other argument is valid
+            size = args[args.index("--z0-grid") + 1]
+            assert f"'{size}'" in json.loads(r.stderr)["error"]["message"]
 
     def test_unequal_z0_grid_is_named(self, workspace, tmp_path):
         r = run_cli(["cauchy-distance", "--q1", str(workspace / "q.bkfld"),
