@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bukhgeim import solve_f
+from .bukhgeim import _sorted_taus, solve_f
 from .errors import BklabError, FixedPointDivergenceError, SingularSystemError
 from .grid import Disk, DomainSpec, PhaseParams
 from .util import gradient_on_mask, parallel_map
@@ -257,6 +257,7 @@ class FamilySpec:
     def __post_init__(self):
         if len(self.z0_points) < 9:
             raise BklabError(f"need at least 9 lattice points, got {len(self.z0_points)}")
+        object.__setattr__(self, "taus", tuple(_sorted_taus(self.taus)))
         if len(self.taus) < 3:
             raise BklabError(f"need at least 3 tau values, got {len(self.taus)}")
         if self.fd_modes < 0:

@@ -48,7 +48,9 @@ class _SPipeline:
 
     Two box factors of the weight P = e^{i tau R} are precomputed, so each
     transform's input is one multiply: the inner factor P chi q and the
-    outer factor chi conj(P)."""
+    outer factor chi conj(P).  P on the box is the outer product of the
+    box's slices of `PhaseParams.weight_factors`, and chi q is read from
+    the box of q alone: for a complex q, no full-grid array is formed."""
 
     def __init__(self, q, params: PhaseParams, domain: DomainSpec,
                  phase_type: str):
@@ -58,8 +60,9 @@ class _SPipeline:
         params.validate_for(grid)
         q = grid.check_field(np.asarray(q, dtype=complex))
         self.box = box = domain.box
-        P = params.weight(grid)[box]
-        self.Pq = P * domain.restrict(q)[box]
+        row, col = params.weight_factors(grid)
+        P = row[box[0], None] * col[None, box[1]]
+        self.Pq = P * np.where(domain.mask[box], q[box], 0j)
         if not np.isfinite(self.Pq).all():
             raise BklabError("potential q has non-finite samples in the domain")
         self.Pc = np.where(domain.mask[box], np.conj(P), 0.0 + 0.0j)
@@ -180,7 +183,8 @@ def solve_f(q, params: PhaseParams, domain: DomainSpec,
 
     The loop runs on the domain's box (`DomainSpec.box`), the mask with a
     margin, since S f reads f on the mask only: each S apply is two
-    transforms of the box.  It stops when the sup-norm update
+    transforms of the box, whose weight is built from the box's slices of
+    `PhaseParams.weight_factors`.  It stops when the sup-norm update
     |f_{k+1} - f_k| over the box drops below tol and returns f_k, the
     iterate S was last applied to, with its inner transform, both on the
     box.  So a solve makes exactly `iterations` S applies.  Five
@@ -227,6 +231,15 @@ def solve_f(q, params: PhaseParams, domain: DomainSpec,
         pipeline=pipe)
 
 
+def _sorted_taus(taus) -> list[float]:
+    """A tau list in ascending order; BklabError if a tau is given twice."""
+    taus = sorted(float(t) for t in taus)
+    for t0, t1 in zip(taus, taus[1:]):
+        if t0 == t1:
+            raise BklabError(f"tau sample {t0:g} is given more than once")
+    return taus
+
+
 def oscillating_phase(params: PhaseParams, Z: np.ndarray, phase_type: str) -> np.ndarray:
     """e^{i tau (z-z0)^2} at the points Z, or e^{i tau (zbar-z0bar)^2} for
     the antiholomorphic type."""
@@ -261,11 +274,12 @@ class ResidualReport:
 
 
 def pde_residual(sol: BukhgeimSolution, q) -> ResidualReport:
-    """Discrete Laplacian residual of the assembled solution, restricted to
-    cells at least 3h inside the boundary.  Delta_h is the domain's
-    Shortley-Weller operator, whose rows there are the plain five-point
-    stencil over masked neighbours.  DomainError if no cell lies that far
-    inside."""
+    """Discrete Laplacian residual of the solution, restricted to cells at
+    least 3h inside the boundary.  Delta_h is the domain's Shortley-Weller
+    operator, whose rows there are the plain five-point stencil over
+    masked neighbours, so it reads u on the mask alone: u is taken from
+    `u_on_mask`, and no full-grid transform is run.  DomainError if no
+    cell lies that far inside."""
     domain = sol.domain
     grid = domain.grid
     q = grid.check_field(np.asarray(q, dtype=complex))
@@ -273,7 +287,7 @@ def pde_residual(sol: BukhgeimSolution, q) -> ResidualReport:
     if not inner.any():
         raise DomainError(f"no masked cell lies more than 3h = {3 * grid.h:g} "
                           f"inside the boundary, where the residual is measured")
-    u = assemble_u(sol)[domain.mask]
+    u = sol.u_on_mask()
     qu = (q[domain.mask] * u)[inner]
     res = (domain.laplacian[0] @ u)[inner] + qu
     abs_l2 = float(np.sqrt((np.abs(res) ** 2).sum() * grid.cell_measure))
@@ -318,10 +332,7 @@ def carleman_sweep(a_or_q, taus, domain: DomainSpec, z0: complex,
     grid.cell_index(z0)
     a = grid.check_field(np.asarray(a_or_q, dtype=complex))
     guard = grid.aliasing_guard()
-    taus = sorted(float(t) for t in taus)
-    for t0, t1 in zip(taus, taus[1:]):
-        if t0 == t1:
-            raise BklabError(f"tau sample {t0:g} is given more than once")
+    taus = _sorted_taus(taus)
     used = [t for t in taus if t <= guard * (1 + 1e-12)]
     skipped = tuple(t for t in taus if t not in used)
     if not used:
@@ -337,12 +348,12 @@ def carleman_sweep(a_or_q, taus, domain: DomainSpec, z0: complex,
         if mode == "field":
             row, col = params.weight_factors(grid, -1)
 
-            def fill(x):  # PhaseParams.weight's operands, in its order
+            def fill(x):  # row[y] * col[x], weight_factors' operand order
                 np.multiply(row[None, :], col[:, None], out=x)
                 x *= chi_a_xy
             v = plan.apply_xy(fill)
         else:
-            v = apply_S(a, np.ones_like(a), params, domain)
+            v = apply_S(a, np.broadcast_to(1 + 0j, a.shape), params, domain)
         v = np.abs(v)  # the buffer goes here, and |v| after the rearrangement
         sr = rearrange(v, grid=grid)
         del v

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import recon, svgplot
 from .boundary import FamilySpec, cauchy_distance
-from .bukhgeim import assemble_u, carleman_sweep, solve_f
+from .bukhgeim import _sorted_taus, assemble_u, carleman_sweep, solve_f
 from .cauchy import cauchy, wirtinger
 from .errors import BklabError, NumericalError
 from .grid import (DomainSpec, Grid, PhaseParams, _checked, _object, _read_json_object,
@@ -72,7 +72,8 @@ def _parse_numbers(spec: str, sep: str, what: str, count: int = 0, kind=float) -
 
 def _parse_taus(spec: str) -> list[float]:
     """'4:256' = geometric sweep with ratio 2; otherwise comma list.  The
-    sweep must be non-empty with every tau above 0."""
+    sweep must be non-empty with every tau above 0 and none given twice;
+    it is returned in ascending order."""
     if ":" in spec:
         lo, hi = _parse_numbers(spec, ":", "tau range", 2)
         out = []
@@ -84,7 +85,7 @@ def _parse_taus(spec: str) -> list[float]:
         out = _parse_numbers(spec, ",", "tau list")
     if not out or min(out) <= 0:
         raise BklabError(f"tau sweep {spec!r} must be non-empty with every tau above 0")
-    return out
+    return _sorted_taus(out)
 
 
 def _parse_z0(spec: str) -> complex:
@@ -241,8 +242,7 @@ def cmd_cauchy_distance(ns) -> int:
     if n != ny:
         raise BklabError(f"z0 grid {ns.z0_grid!r} must be n x n, with equal sides")
     lattice = recon.make_z0_lattice(domain, n)
-    fam = FamilySpec(tuple(lattice), tuple(_parse_taus(ns.taus)),
-                     fd_modes=ns.fd_modes)
+    fam = FamilySpec(tuple(lattice), _parse_taus(ns.taus), fd_modes=ns.fd_modes)
     rep = cauchy_distance(q1, q2, domain, fam)
     doc = {"d_hat": rep.d_hat, "family": rep.family}
     for key in ("pairs", "skipped"):

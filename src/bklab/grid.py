@@ -186,17 +186,12 @@ class PhaseParams:
         dy = grid.Y - self.z0.imag
         return 2.0 * (dx * dx - dy * dy)
 
-    def weight(self, grid: Grid, sign: int = +1) -> np.ndarray:
-        """e^{i sign tau R}; unimodular since R is real.  R separates into
-        2(x-x0)^2 - 2(y-y0)^2, so the weight is the outer product of the
-        `weight_factors`: 2N exponentials instead of N^2."""
-        row, col = self.weight_factors(grid, sign)
-        return row[:, None] * col[None, :]
-
     def weight_factors(self, grid: Grid, sign: int = +1) -> tuple[np.ndarray, np.ndarray]:
-        """(row, column) factors of the weight, e^{-2i sign tau (y-y0)^2}
-        over y and e^{2i sign tau (x-x0)^2} over x: the weight at (y, x) is
-        row[y] * col[x], in that operand order."""
+        """(row, column) factors of the weight e^{i sign tau R}, which is
+        unimodular since R is real.  R separates into 2(x-x0)^2 -
+        2(y-y0)^2, so the factors are e^{-2i sign tau (y-y0)^2} over y and
+        e^{2i sign tau (x-x0)^2} over x, 2N exponentials instead of N^2:
+        the weight at (y, x) is row[y] * col[x], in that operand order."""
         st = 2.0 * sign * self.tau
         dx = grid.axis - self.z0.real
         dy = grid.axis - self.z0.imag

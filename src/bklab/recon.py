@@ -263,8 +263,7 @@ def stability_experiment(pairs, domain: DomainSpec,
         raise BklabError(f"tau_min must lie in (0, 0.98 pi N/(8 L^2)] = (0, {tau_max:.6g}], "
                          f"got {config.tau_min}")
     lattice = make_z0_lattice(domain, config.lattice_n)
-    fam = FamilySpec(tuple(lattice), tuple(config.family_taus),
-                     fd_modes=config.fd_modes)
+    fam = FamilySpec(tuple(lattice), config.family_taus, fd_modes=config.fd_modes)
     if config.b_omega is None:
         B = 1.0 + 2.0 * calibrate_exponential_rate(domain)
     else:

@@ -354,6 +354,15 @@ class TestCauchyDistance:
             cauchy_distance(q, q, d,
                             FamilySpec(tuple(make_z0_lattice(d, 3)), (8.0,)))
 
+    def test_family_taus_sorted_and_distinct(self, disk_q):
+        # the rule of every tau list: ascending, and a repeated tau is named
+        # before the "at least 3" count could take it for two
+        _, d, _ = disk_q
+        lattice = tuple(make_z0_lattice(d, 3))
+        assert FamilySpec(lattice, (16, 4.0, 8.0)).taus == (4.0, 8.0, 16.0)
+        with pytest.raises(BklabError, match=r"^tau sample 4 is given more than once$"):
+            FamilySpec(lattice, (4.0, 4.0, 16.0))
+
 
 @pytest.fixture(scope="module")
 def square32():

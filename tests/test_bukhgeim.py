@@ -188,6 +188,19 @@ class TestBox:
                     m = d.mask
                     assert np.array_equal(sol.f[m], sol.f_box[m[sol.box]])
 
+    def test_pipeline_working_set(self, traced_peak):
+        # P is the outer product of the box's slices of the weight factors
+        # and chi q is read from the box of q: a few box-sized arrays, no
+        # N x N one (N^2 / n^2 = 15 here)
+        g = make_grid(1.2, 512)
+        d = make_domain(g, Disk(0j, 0.3))
+        n = d.box[0].stop - d.box[0].start
+        assert n == 132
+        q = d.restrict(bump_field(g, 0.05j, 0.2, 0.5))
+        cauchy_module.get_plan(g, n)
+        params = PhaseParams(8.0, Z0)
+        assert traced_peak(lambda: _SPipeline(q, params, d, "holomorphic")) <= 6 * n * n * 16
+
 
 def _full_grid_iterations(q, params, domain, phase_type):
     """Iterations of the Picard loop run over the full grid, with the
@@ -290,6 +303,15 @@ class TestPdeResidual:
         assert rep.abs_sup == pytest.approx(np.abs(res).max(),
                                             abs=1e-13 * np.abs(u[inner]).max() / g.h ** 2)
 
+    def test_reads_u_on_mask_only(self, small_disk):
+        # the residual takes u from the box values: the full-grid f is
+        # never filled, and u on the mask is the assembled u's bits there
+        g, d, q = small_disk(128)
+        sol = solve_f(q, PhaseParams(8.0, 0.02j), d)
+        pde_residual(sol, q)
+        assert "_filled" not in sol.__dict__
+        assert np.array_equal(sol.u_on_mask(), assemble_u(sol)[d.mask])
+
     def test_no_cell_3h_inside_is_named(self):
         # h = 0.15 on this grid: no cell of the radius-0.3 disk lies more
         # than 3h inside it, so there is nothing to take the residual over
@@ -361,7 +383,8 @@ class TestCarlemanSweep:
         rec = carleman_sweep(a, [4.0, 16.0, 64.0], d, z0)
         weak = LorentzIndex(2.0, np.inf, normed=True)
         for i, tau in enumerate(rec.taus):
-            v = PhaseParams(tau, z0).weight(g, -1)
+            row, col = PhaseParams(tau, z0).weight_factors(g, -1)
+            v = row[:, None] * col[None, :]
             v *= d.restrict(a)
             v = cauchy_module.get_plan(g).apply(v)
             assert rec.values["weak"][i] == lorentz_norm(v, weak, grid=g)

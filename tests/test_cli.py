@@ -462,6 +462,34 @@ class TestSolvers:
         metrics = json.loads((out / "recon_metrics.json").read_text())
         assert set(metrics["errors"]) == {"interior", "boundary"}
 
+    @pytest.mark.parametrize("cmd, tau", [
+        (["reconstruct", "--q", "q.bkfld", "--tau", "8,8,4"], 8),
+        (["cauchy-distance", "--q1", "q.bkfld", "--q2", "q2.bkfld", "--z0-grid", "3x3",
+          "--taus", "4,4,16", "--fd-modes", "1"], 4),
+    ], ids=["reconstruct", "cauchy-distance"])
+    def test_repeated_tau_exit_2(self, workspace, tmp_path, cmd, tau):
+        # every tau list follows carleman-sweep's rule: a tau given twice is
+        # named before any solve, and nothing is written
+        cmd = [str(workspace / a) if a.endswith(".bkfld") else a for a in cmd]
+        r = run_cli([*cmd, "--domain", str(workspace / "disk.json"),
+                     "--out-dir", str(tmp_path)])
+        assert_config_error(r)
+        assert json.loads(r.stderr)["error"]["message"] == \
+            f"tau sample {tau} is given more than once"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_reconstruct_sorts_taus(self, workspace, tmp_path, monkeypatch):
+        # the sweep's rows are in ascending tau, and the field files are
+        # those of the largest tau
+        monkeypatch.setenv("BKLAB_THREADS", "1")
+        args = ["reconstruct", "--q", str(workspace / "q.bkfld"),
+                "--domain", str(workspace / "disk.json")]
+        assert cli.main([*args, "--tau", "16,8", "--out-dir", str(tmp_path / "sweep")]) == 0
+        assert cli.main([*args, "--tau", "16", "--out-dir", str(tmp_path / "top")]) == 0
+        lines = (tmp_path / "sweep" / "recon_sweep.csv").read_text().splitlines()
+        assert [ln.split(",")[0] for ln in lines] == ["tau", "8.0", "16.0"]
+        assert ((tmp_path / "sweep" / "recon_interior.bkfld").read_bytes()
+                == (tmp_path / "top" / "recon_interior.bkfld").read_bytes())
 
     def test_both_forms_share_one_solve(self, workspace, tmp_path, monkeypatch,
                                         capsys):
@@ -558,10 +586,12 @@ class TestStabilityCli:
         (("domain", "shape", "radiuss"), 5), (("pairs", 0, "typo"), 1),
         (("pairs", 0, "q1", "widht"), 0.4), (("s",), 0), (("s",), -1),
         (("tau_min",), 0), (("tau_min",), -1), (("tau_min",), 50),
+        (("family_taus",), [4.0, 4.0, 16.0]),
     ], ids=["domain.L", "lattice_n", "fd_modes", "bump-center", "version",
             "negative-fd_modes", "zero-b_omega", "negative-b_omega", "domain-unknown-key",
             "shape-unknown-key", "pair-unknown-key", "spec-unknown-key", "zero-s",
-            "negative-s", "zero-tau_min", "negative-tau_min", "tau_min-above-clamp"])
+            "negative-s", "zero-tau_min", "negative-tau_min", "tau_min-above-clamp",
+            "repeated-family-tau"])
     def test_wrong_typed_config_value_exit_2(self, tmp_path, path, value):
         cfg = json.loads(self._config(tmp_path / "c.json").read_text())
         node = cfg
