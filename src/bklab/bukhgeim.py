@@ -22,7 +22,7 @@ import numpy as np
 from .cauchy import get_plan
 from .errors import BklabError, DomainError, FixedPointDivergenceError, GridError
 from .grid import DomainSpec, Grid, PhaseParams
-from .lorentz import LorentzIndex, norm_of_rearrangement, rearrange
+from .lorentz import LorentzIndex, weak_norm_of_sorted
 from .util import LogLogFit, fit_loglog, parallel_map
 
 __all__ = [
@@ -50,7 +50,8 @@ class _SPipeline:
     transform's input is one multiply: the inner factor P chi q and the
     outer factor chi conj(P).  P on the box is the outer product of the
     box's slices of `PhaseParams.weight_factors`, and chi q is read from
-    the box of q alone: for a complex q, no full-grid array is formed."""
+    the box of q alone and made complex there: no full-grid array is
+    formed, whatever q's dtype."""
 
     def __init__(self, q, params: PhaseParams, domain: DomainSpec,
                  phase_type: str):
@@ -58,7 +59,7 @@ class _SPipeline:
             raise BklabError(f"phase_type must be one of {PHASE_TYPES}")
         grid = domain.grid
         params.validate_for(grid)
-        q = grid.check_field(np.asarray(q, dtype=complex))
+        q = grid.check_field(np.asarray(q))
         self.box = box = domain.box
         row, col = params.weight_factors(grid)
         P = row[box[0], None] * col[None, box[1]]
@@ -321,10 +322,13 @@ def carleman_sweep(a_or_q, taus, domain: DomainSpec, z0: complex,
     is the mask itself, whose cells multiply as 1 + 0j and 0 + 0j, the
     same products as those of chi_Omega 1.  Each tau writes its weight
     times chi_Omega a straight into one transform buffer
-    (`ConvolutionPlan.apply_xy`), keeps |v_tau| and lets the buffer go.
-    Both modes read both norms from one rearrangement of |v_tau|: the sup
-    is its first value.  The full-grid plan is built before the tau pool
-    opens, so its build has every worker and no tau waits for it.
+    (`ConvolutionPlan.apply_xy`).  In both modes |v_tau| is then written
+    over v_tau's own buffer (`_sort_moduli_in_place`) and sorted there:
+    the sup is the last value, and the weak norm is read from the sorted
+    values a block at a time (`lorentz.weak_norm_of_sorted`), so a tau
+    allocates no N x N array after its transform.  The full-grid plan is
+    built before the tau pool opens, so its build has every worker and no
+    tau waits for it.
     """
     if mode not in ("field", "operator"):
         raise BklabError(f"unknown sweep mode {mode!r}")
@@ -352,12 +356,11 @@ def carleman_sweep(a_or_q, taus, domain: DomainSpec, z0: complex,
                 np.multiply(row[None, :], col[:, None], out=x)
                 x *= chi_a_xy
             v = plan.apply_xy(fill)
+            s = _sort_moduli_in_place(v, v.base)
         else:
             v = apply_S(a, np.broadcast_to(1 + 0j, a.shape), params, domain)
-        v = np.abs(v)  # the buffer goes here, and |v| after the rearrangement
-        sr = rearrange(v, grid=grid)
-        del v
-        return norm_of_rearrangement(sr, weak_idx), float(sr.values[0])
+            s = _sort_moduli_in_place(v, v)
+        return weak_norm_of_sorted(s, grid.cell_measure, weak_idx), float(s[-1])
 
     results = parallel_map(one, used)
     weak = tuple(r[0] for r in results)
@@ -370,6 +373,22 @@ def carleman_sweep(a_or_q, taus, domain: DomainSpec, z0: complex,
     return SweepRecord(
         taus=tuple(used), values={"weak": weak, "sup": sup}, slopes=slopes,
         skipped=skipped, insufficient=insufficient)
+
+
+def _sort_moduli_in_place(v: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """|v| sorted ascending, written over the memory of `buf`, the
+    C-contiguous complex array whose first element v starts at: the first
+    v.size float64 values of buf, one contiguous run.  v's rows are
+    contiguous and at least as far apart as they are long, so row i's
+    moduli, written to floats [i n, (i + 1) n), land at or before row i's
+    own bytes: no row is overwritten before it is read (row 0 overlaps
+    itself, and numpy copies it before writing)."""
+    n = v.shape[1]
+    run = buf.reshape(-1).view(np.float64)[:v.size]
+    for i, row in enumerate(v):
+        np.abs(row, out=run[i * n:(i + 1) * n])
+    run.sort()
+    return run
 
 
 # ---------------------------------------------------------------------------

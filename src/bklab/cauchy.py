@@ -209,7 +209,9 @@ class ConvolutionPlan:
         writes into the n x n array x, (x, y).  x is the first n rows of
         the transform's buffer T, and the result is x scaled in place: no
         n x n array is held beside T, but the result, a view, holds all of
-        T."""
+        T.  The caller owns that buffer, the result's `.base` (the
+        C-contiguous M x (n + `_ROW_PAD`) array the result starts), and may
+        overwrite all of it."""
         x = self._xy(fill, False)
         x *= self.grid.cell_measure
         return x

@@ -11,6 +11,14 @@ the support.  For finite q each term of the q-th power is formed from its
 log and the terms are added by log-sum-exp, so a large q keeps them in
 range.
 
+A q = inf norm is the largest value of t^{1/p} f**(t) (or t^{1/p} f*(t))
+at a breakpoint, taken by one kernel over blocks of steps that carries
+the running mass from block to block.  Its steps come from a
+`StepRearrangement` (`norm_of_rearrangement`) or are read a block at a
+time from the ascending moduli themselves (`weak_norm_of_sorted`, which
+`lorentz_norm` uses): that path forms no array as long as the field
+beyond the sorted moduli, which a caller may sort in a buffer it owns.
+
 Fourier convention (fixed everywhere): F f(xi) = (1/2pi) int f e^{-i x.xi} dm,
 which is unitary on L^2(R^2).
 """
@@ -28,12 +36,12 @@ from .util import gauss_legendre, masked_gradient
 
 __all__ = [
     "LorentzIndex", "StepRearrangement",
-    "rearrange", "lorentz_norm", "norm_of_rearrangement",
+    "rearrange", "lorentz_norm", "norm_of_rearrangement", "weak_norm_of_sorted",
     "sobolev_lorentz_norm", "bessel_norm", "indicator_norm",
 ]
 
 _GL_POINTS = 32
-_WEAK_BLOCK = 1 << 14  # steps of a q = inf norm taken at a time
+_WEAK_BLOCK = 1 << 14  # steps, or sorted values, a q = inf norm takes at a time
 
 
 @dataclass(frozen=True)
@@ -103,20 +111,33 @@ def _where(domain: DomainSpec | None,
     return domain.grid, domain.mask
 
 
+def _sorted_moduli(field: np.ndarray, domain: DomainSpec | None,
+                   grid: Grid | None) -> tuple[np.ndarray, float]:
+    """|field| (restricted to the domain mask if given) sorted ascending in
+    a fresh array, and the cell measure."""
+    grid, mask = _where(domain, grid)
+    field = grid.check_field(np.asarray(field))
+    vals = np.abs(field if mask is None else field[mask]).ravel()
+    vals.sort()  # a fresh array, sorted in place
+    return vals, grid.cell_measure
+
+
+def _check_sorted(s: np.ndarray) -> None:
+    """NormError if the ascending moduli s are empty or not all finite:
+    NaN and +inf sort last, so the last value tells."""
+    if s.size == 0:
+        raise NormError("empty mask: nothing to rearrange")
+    if not np.isfinite(s[-1]):
+        raise NormError("field contains NaN or infinite samples")
+
+
 def rearrange(field: np.ndarray, domain: DomainSpec | None = None,
               grid: Grid | None = None) -> StepRearrangement:
     """Sort |field| (restricted to the domain mask if given) descending
     and compress equal runs into steps."""
-    grid, mask = _where(domain, grid)
-    field = grid.check_field(np.asarray(field))
-    vals = np.abs(field if mask is None else field[mask]).ravel()
-    if vals.size == 0:
-        raise NormError("empty mask: nothing to rearrange")
-    if not np.all(np.isfinite(vals)):
-        raise NormError("field contains NaN or infinite samples")
-    vals.sort()  # a fresh array, sorted in place
+    vals, h2 = _sorted_moduli(field, domain, grid)
+    _check_sorted(vals)
     v = vals[::-1]
-    h2 = grid.cell_measure
     # compress runs of equal values: starts[k] is where run k + 1 starts,
     # and it ends run k
     starts = np.flatnonzero(v[1:] != v[:-1])
@@ -136,6 +157,8 @@ def rearrange(field: np.ndarray, domain: DomainSpec | None = None,
 def lorentz_norm(field: np.ndarray, idx: LorentzIndex,
                  domain: DomainSpec | None = None,
                  grid: Grid | None = None) -> float:
+    if math.isinf(idx.q):
+        return weak_norm_of_sorted(*_sorted_moduli(field, domain, grid), idx)
     return norm_of_rearrangement(rearrange(field, domain, grid), idx)
 
 
@@ -143,47 +166,107 @@ def norm_of_rearrangement(sr: StepRearrangement, idx: LorentzIndex) -> float:
     v = sr.values
     if v.size == 0 or v[0] == 0.0:
         return 0.0
-    t = sr.breakpoints
-    p, q = idx.p, idx.q
+    if math.isinf(idx.q):
+        return _weak(_rearrangement_steps(sr), v[0], idx)
     # the norm is homogeneous: taken of v / 2^e < 1, 2^e the power of two
     # just above v[0], the running masses stay below the total measure, so
-    # only a norm that is itself out of range leaves it.  Scaling by a power
-    # of two is exact, so q = inf, which sums no logs, keeps its unscaled bits
+    # only a norm that is itself out of range leaves it
     e = math.frexp(v[0])[1]
-    if math.isinf(q):
-        val = _weak(t, v, e, p, idx.normed)
-    else:
-        val = (_norm if idx.normed else _seminorm)(t, np.ldexp(v, -e), p, q)
+    norm = _norm if idx.normed else _seminorm
+    return _scaled_back(norm(sr.breakpoints, np.ldexp(v, -e), idx.p, idx.q), e, idx)
+
+
+def weak_norm_of_sorted(s: np.ndarray, cell_measure: float,
+                        idx: LorentzIndex) -> float:
+    """The q = inf norm of the step function whose cells of measure
+    `cell_measure` take the values s, sorted ascending: the same bits as
+    `norm_of_rearrangement(rearrange(...), idx)` of a field with moduli s.
+    The steps are read from s a block at a time, so no array as long as s
+    is formed.  NormError if s is empty or not all finite, as `rearrange`."""
+    if not math.isinf(idx.q):
+        raise NormError(f"need q = inf for the weak norm, got q={idx.q}")
+    _check_sorted(s)
+    if s[-1] == 0.0:
+        return 0.0
+    return _weak(_sorted_steps(s, cell_measure), s[-1], idx)
+
+
+def _scaled_back(val, e, idx: LorentzIndex) -> float:
+    """val 2^e; NormError if that leaves the floating-point range."""
     with np.errstate(over="ignore"):
         val = float(np.ldexp(val, e))
     if not 0.0 < val < math.inf:
-        raise NormError(f"the (p, q) = ({p}, {q}) norm of this field is out of "
-                        f"floating-point range")
+        raise NormError(f"the (p, q) = ({idx.p}, {idx.q}) norm of this field is "
+                        f"out of floating-point range")
     return val
 
 
-def _weak(t, v, e, p, normed) -> float:
-    """The q = inf norm of v / 2^e: the largest t^{1/p} f**(t) (normed) or
-    t^{1/p} f*(t) at a breakpoint.  On a step t^{1/p} f**(t) = t^{1/p} (c +
-    D/t) has one critical point, t = D(p-1)/c, a minimum for p > 1, so the
-    supremum is at a breakpoint.  Taken `_WEAK_BLOCK` steps at a time, the
-    running mass carried into the slot before each block: the cumulative
-    sum adds in the same order as over the whole, and no array as long as
-    v is formed."""
-    best = 0.0
-    buf = np.zeros(min(v.size, _WEAK_BLOCK) + 1)
+def _rearrangement_steps(sr: StepRearrangement):
+    """(left breakpoints, right breakpoints, values) of the steps of `sr`,
+    `_WEAK_BLOCK` steps at a time."""
+    t, v = sr.breakpoints, sr.values
     for s in range(0, v.size, _WEAK_BLOCK):
         b = t[s + 1:s + 1 + _WEAK_BLOCK]
+        yield t[s:s + b.size], b, v[s:s + b.size]
+
+
+def _sorted_steps(s: np.ndarray, h2: float):
+    """The steps of the non-increasing rearrangement of the ascending
+    array s, the steps `rearrange` would make, in blocks as
+    `_rearrangement_steps` gives them: s is read from the top down,
+    `_WEAK_BLOCK` values at a time.  A run of equal values starts (in
+    descending order) at each s[i] with i = n - 1 or s[i] != s[i + 1],
+    and a run that crosses a block edge stays one step: the last run found
+    is held open until the next run's start, its right breakpoint, is
+    found.  Breakpoints are start h2, the last n h2."""
+    n = s.size
+    starts = np.empty(0, dtype=np.intp)  # the open run's start (descending)
+    values = s[:0]
+    for hi in range(n, 0, -_WEAK_BLOCK):
+        lo = max(0, hi - _WEAK_BLOCK)
+        end = min(hi, n - 1)
+        i = np.flatnonzero(s[lo:end] != s[lo + 1:end + 1])
+        i += lo
+        if hi == n:
+            i = np.append(i, n - 1)
+        i = i[::-1]
+        starts = np.concatenate((starts, n - 1 - i))
+        values = np.concatenate((values, s[i]))
+        if starts.size > 1:
+            yield starts[:-1] * h2, starts[1:] * h2, values[:-1]
+            starts, values = starts[-1:], values[-1:]
+    yield starts * h2, np.array([n * h2]), values
+
+
+def _weak(steps, top, idx: LorentzIndex) -> float:
+    """The q = inf norm of the step function whose steps come from `steps`
+    in non-increasing order, blocks of (left breakpoints a, right
+    breakpoints b, values v) of at most `_WEAK_BLOCK` steps, whose largest
+    value is `top` > 0: the largest b^{1/p} f**(b) (normed) or b^{1/p}
+    f*(b) at a breakpoint.  On a step t^{1/p} f**(t) = t^{1/p} (c + D/t)
+    has one critical point, t = D(p-1)/c, a minimum for p > 1, so the
+    supremum is at a breakpoint.  The steps are scaled by 2^-e, 2^e the
+    power of two just above `top`, so that the running masses stay in
+    range; scaling by a power of two is exact, so the norm keeps its
+    unscaled bits.  The running mass is carried into the slot before each
+    block: the cumulative sum adds in the same order as over the whole,
+    however the steps are blocked, and no array longer than a block is
+    formed."""
+    e = math.frexp(top)[1]
+    p = idx.p
+    best = 0.0
+    buf = np.zeros(_WEAK_BLOCK + 1)
+    for a, b, v in steps:
         x = buf[:b.size + 1]
-        x[1:] = np.ldexp(v[s:s + b.size], -e)
-        if normed:
-            x[1:] *= b - t[s:s + b.size]
+        np.ldexp(v, -e, out=x[1:])
+        if idx.normed:
+            x[1:] *= b - a
             np.cumsum(x, out=x)  # the running masses int_0^b f*
             buf[0] = x[-1]
             x[1:] /= b
         x[1:] *= b ** (1.0 / p)
         best = max(best, float(x[1:].max()))
-    return best
+    return _scaled_back(best, e, idx)
 
 
 def _log_power_int(a, b, alpha):

@@ -160,6 +160,24 @@ class TestMakeDomain:
         assert d.distance is d.distance and len(calls) == 1
         assert not d.distance.flags.writeable
 
+    @pytest.mark.parametrize("shape", [
+        Disk(0.1 - 0.05j, 0.9),
+        Polygon((-0.8 - 0.7j, 0.9 - 0.6j, 0.7 + 0.8j, -0.6 + 0.9j, -0.95 + 0.1j)),
+    ], ids=["disk", "pentagon"])
+    def test_distance_does_not_depend_on_chunking(self, shape, monkeypatch):
+        g = make_grid(1.2, 64)
+        chunked = make_domain(g, shape).distance
+        monkeypatch.setattr(grid_module, "_DISTANCE_PAIRS", 10 ** 9)
+        assert np.array_equal(make_domain(g, shape).distance, chunked)
+
+    def test_distance_working_set(self, traced_peak):
+        # chunks of `_DISTANCE_PAIRS` point-edge pairs: the N^2 8 B output
+        # and a few MB of temporaries (Z is built beforehand)
+        g = make_grid(1.5, 256)
+        d = make_domain(g, Disk(0j, 1.0))
+        g.Z
+        assert traced_peak(lambda: d.distance) <= 256 * 256 * 8 + 3 * 2 ** 20
+
 
 class TestBelt:
     def test_square_belt(self, square256):

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -7,8 +8,10 @@ from scipy.integrate import quad
 from bklab import (Disk, LorentzIndex, bessel_norm, lorentz_norm, make_domain,
                    make_grid, rearrange, sobolev_lorentz_norm)
 from bklab.errors import NormError
-from bklab.lorentz import indicator_norm, norm_of_rearrangement
+from bklab.lorentz import indicator_norm, norm_of_rearrangement, weak_norm_of_sorted
 from bklab.util import masked_gradient
+
+lorentz_module = importlib.import_module("bklab.lorentz")
 
 L21 = LorentzIndex(2, 1)
 L2W = LorentzIndex(2, np.inf)
@@ -118,6 +121,14 @@ class TestLorentzNorm:
         for normed in (True, False):
             idx = LorentzIndex(2, np.inf, normed)
             assert traced_peak(lambda: norm_of_rearrangement(sr, idx)) <= sr.values.nbytes
+
+    def test_weak_norm_of_sorted_working_set(self, traced_peak):
+        # the steps are read from the sorted moduli a block at a time: the
+        # peak is a few blocks long, whatever the field's size
+        s = np.sort(np.abs(random_field(make_grid(1.0, 1024), 0)).ravel())
+        for normed in (True, False):
+            idx = LorentzIndex(2, np.inf, normed)
+            assert traced_peak(lambda: weak_norm_of_sorted(s, 1e-6, idx)) <= s.nbytes / 4
 
     @pytest.mark.parametrize("p", [1e13, 1e100, 1e300])
     def test_indicator_at_large_p(self, p):
@@ -284,6 +295,73 @@ class TestLorentzNorm:
     def test_bad_p(self):
         with pytest.raises(NormError):
             LorentzIndex(1.0, 2.0)
+
+
+class TestWeakNormOfSorted:
+    """The q = inf norm read from the sorted moduli, a block of values at a
+    time, has the bits of the norm of the rearrangement."""
+
+    @staticmethod
+    def assert_same_bits(f, domain=None, grid=None):
+        g = grid if domain is None else domain.grid
+        m = np.ones((g.N, g.N), dtype=bool) if domain is None else domain.mask
+        s = np.sort(np.abs(f[m]))
+        sr = rearrange(f, domain, grid)
+        for p in (2.0, 1.5, 3.0):
+            for normed in (True, False):
+                idx = LorentzIndex(p, np.inf, normed)
+                want = norm_of_rearrangement(sr, idx)
+                assert weak_norm_of_sorted(s, g.cell_measure, idx).hex() == want.hex()
+                assert lorentz_norm(f, idx, domain, grid).hex() == want.hex()
+
+    @pytest.mark.parametrize("block", [7, 1 << 14])
+    @pytest.mark.parametrize("radius", [0.55, 0.8, 1.1])
+    def test_random_fields(self, monkeypatch, block, radius):
+        # masks of 164 to 43228 cells, none a multiple of the block
+        monkeypatch.setattr(lorentz_module, "_WEAK_BLOCK", block)
+        g = make_grid(1.2, 256 if block > 7 else 32)
+        d = make_domain(g, Disk(0j, radius))
+        assert d.mask.sum() % block
+        self.assert_same_bits(random_field(g, 4), domain=d)
+        self.assert_same_bits(random_field(g, 5), grid=g)
+
+    @pytest.mark.parametrize("block", [7, 1 << 14])
+    def test_ties_across_block_edges(self, monkeypatch, block):
+        monkeypatch.setattr(lorentz_module, "_WEAK_BLOCK", block)
+        N = 256 if block > 7 else 32
+        g = make_grid(1.0, N)
+        rng = np.random.default_rng(9)
+        for levels in (3, 40):
+            f = rng.integers(0, levels, size=(N, N)) * 0.25 + 0j
+            v = np.sort(np.abs(f).ravel())[::-1]
+            # a run of ties holds the values on either side of a block edge
+            assert any(v[k - 1] == v[k] for k in range(block, v.size, block))
+            self.assert_same_bits(f, grid=g)
+
+    def test_constant_single_cell_and_zero(self):
+        g = make_grid(1.0, 64)
+        self.assert_same_bits(np.full((64, 64), 2.5 - 1j), grid=g)
+        one = make_domain(make_grid(1.0, 8), Disk(0.125 + 0.375j, 0.1))
+        assert one.mask.sum() == 1
+        self.assert_same_bits(np.full((8, 8), 3.0 + 4.0j), domain=one)
+        zero = np.zeros((64, 64))
+        assert weak_norm_of_sorted(np.zeros(4096), g.cell_measure, L2W) == 0.0
+        assert lorentz_norm(zero, L2W, grid=g) == 0.0
+        assert norm_of_rearrangement(rearrange(zero, grid=g), L2W) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        g = make_grid(1.0, 64)
+        f = np.ones((64, 64))
+        f[5, 7] = bad
+        for fn in (lambda: lorentz_norm(f, L2W, grid=g),
+                   lambda: weak_norm_of_sorted(np.sort(np.abs(f).ravel()), g.cell_measure, L2W)):
+            with pytest.raises(NormError, match="^field contains NaN or infinite samples$"):
+                fn()
+
+    def test_needs_q_inf(self):
+        with pytest.raises(NormError):
+            weak_norm_of_sorted(np.ones(4), 1.0, L21)
 
 
 class TestSobolevLorentz:
