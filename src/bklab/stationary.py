@@ -5,16 +5,14 @@ the smoothing operator built from it.
 The multiplier path is the canonical operator: it applies the closed-form
 multiplier to the field's transform and involves no kernel sampling, so
 it is exempt from the aliasing guard.  The sampled-kernel convolution
-path exists as a cross-check and is guard-limited; it runs the kernel
-through the pruned zero-padded convolution of the Cauchy transform
-(`cauchy.ConvolutionPlan`).
+path exists as a cross-check and is guard-limited: a zero-padded 2N x 2N
+`fft2` convolution with the kernel sampled at cell-center displacements.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cauchy import ConvolutionPlan
 from .errors import BklabError
 from .grid import Grid, PhaseParams
 
@@ -51,7 +49,10 @@ def smooth(Q: np.ndarray, tau: float, grid: Grid, path: str = "multiplier") -> n
         return np.fft.ifft2(np.fft.fft2(Q) * kernel_multiplier(grid, tau))
     if path == "direct":
         PhaseParams(tau, 0j).validate_for(grid)
-        return ConvolutionPlan(grid, lambda w: _kappa(tau, w)).apply(Q)
+        N = grid.N
+        d = ((np.arange(2 * N) + N) % (2 * N) - N) * grid.h
+        K = np.fft.fft2(_kappa(tau, d[None, :] + 1j * d[:, None]))
+        return np.fft.ifft2(np.fft.fft2(Q, s=K.shape) * K)[:N, :N] * grid.cell_measure
     raise BklabError(f"unknown smoothing path {path!r}")
 
 

@@ -12,7 +12,7 @@ from bklab.errors import (AliasingGuardError, BklabError, DomainError,
                           FixedPointDivergenceError, GridError)
 from bklab.lorentz import norm_of_rearrangement, rearrange
 from bklab.recon import bump_field, make_z0_lattice, reconstruct
-from bklab.util import fit_loglog
+from bklab.util import fit_loglog, masked_gradient
 
 Z0 = 0.1 + 0.05j
 # the package re-exports the function cauchy under the module's name
@@ -451,6 +451,58 @@ class TestCarlemanSweep:
             got = np.array(r2.values[name])
             want = 2 * np.array(r1.values[name])
             assert np.abs(got - want).max() <= 1e-9 * want.max()
+
+
+class TestCarlemanLogGrowth:
+    """The Carleman estimate for dbar decays like tau^-1 ln tau.  For
+    a = 1 the log does not show, but along the extremals of the
+    H^{1,(2,1)} -> C^0 embedding, centred at z0 and cut off inside the
+    unit disk, a_eps = clip(ln(1/r)/ln(1/eps), 0, 1) clip(ln(0.8/r)/ln 1.6,
+    0, 1) with r = |z - z0|, weak tau grows like ln tau while weak tau /
+    (ln tau ||grad a_eps||_{2,1}) stays bounded.  Measured at N = 1024,
+    L = 1.1 (N = 512 agrees to 3 digits for tau <= 64): each doubling of
+    tau over 8 ... 64 adds 0.18 ln 2 to 0.35 ln 2 to weak tau at eps <=
+    0.05; for a = 1, weak tau is 2.27, 2.33, 2.36 at tau = 32, 64, 128; the
+    ratio is at most 0.14 over eps in {0.3, 0.05, 0.01} and tau >= 4."""
+
+    Z0 = 0.12 + 0.07j
+    TAUS = (8.0, 16.0, 32.0, 64.0)
+
+    @pytest.fixture(scope="class")
+    def disk512(self):
+        g = make_grid(1.1, 512)
+        return g, make_domain(g, Disk(0j, 1.0))
+
+    def family(self, g, eps):
+        r = np.abs(g.Z - self.Z0)
+        with np.errstate(divide="ignore"):
+            return (np.clip(np.log(1 / r) / math.log(1 / eps), 0, 1)
+                    * np.clip(np.log(0.8 / r) / math.log(1.6), 0, 1))
+
+    def weak_tau(self, a, taus, d):
+        rec = carleman_sweep(a, taus, d, self.Z0)
+        return [w * t for w, t in zip(rec.values["weak"], taus)]
+
+    @pytest.mark.parametrize("eps", [0.05, 0.02])
+    def test_log_growth_along_extremals(self, disk512, eps):
+        g, d = disk512
+        wt = self.weak_tau(self.family(g, eps), self.TAUS, d)
+        assert all(b - a >= 0.15 * math.log(2) for a, b in zip(wt, wt[1:]))
+
+    def test_no_log_for_a_one(self, disk512):
+        g, d = disk512
+        wt = self.weak_tau(np.broadcast_to(1 + 0j, g.Z.shape), (32.0, 64.0, 128.0), d)
+        assert max(wt) - min(wt) <= 0.06 * min(wt)
+
+    def test_bounded_by_ln_tau_times_seminorm(self, disk512):
+        g, d = disk512
+        for eps in (0.3, 0.05, 0.02):
+            a = self.family(g, eps)
+            assert a.max() == 1.0
+            ax, ay = masked_gradient(a.astype(complex), np.ones(a.shape, dtype=bool), g.h)
+            seminorm = lorentz_norm(np.abs(ax + 1j * ay), LorentzIndex(2, 1, normed=False), grid=g)
+            wt = self.weak_tau(a, self.TAUS, d)
+            assert all(w / (math.log(t) * seminorm) <= 0.2 for w, t in zip(wt, self.TAUS))
 
 
 class TestDbarU:

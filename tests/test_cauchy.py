@@ -9,7 +9,6 @@ from bklab import (LorentzIndex, beurling, boundary_cauchy, cauchy,
                    wirtinger)
 from bklab.cauchy import ConvolutionPlan, _cauchy_kernel, _padded_length, get_plan
 from bklab.errors import GridError
-from bklab.stationary import _kappa
 
 # the package re-exports the function cauchy under the module's name
 cauchy_module = importlib.import_module("bklab.cauchy")
@@ -242,20 +241,21 @@ class TestPlan:
     def test_apply_working_set(self, traced_peak):
         # one 2N x N buffer, the N x N output and a block of rows.  The
         # Beurling symbol is formed a block at a time, so the first call on
-        # a fresh plan peaks no higher and the kernel spectrum stays the
-        # plan's one (2N)^2 array
+        # a fresh plan peaks no higher.  The plan keeps half the spectrum:
+        # no (2N)^2 array, and about half of one in all
         N = 512
-        plan = ConvolutionPlan(make_grid(1.0, N), _cauchy_kernel)
+        plan = ConvolutionPlan(make_grid(1.0, N))
         f = np.random.default_rng(0).normal(size=(N, N)).astype(complex)
         for apply in (plan.apply, plan.apply_beurling):
             assert traced_peak(lambda: apply(f)) <= 4 * N * N * 16
-        held = [a for a in vars(plan).values() if getattr(a, "size", 0) >= (2 * N) ** 2]
-        assert len(held) == 1
+        held = [a for a in vars(plan).values() if isinstance(a, np.ndarray)]
+        assert all(a.size < (2 * N) ** 2 for a in held)
+        assert sum(a.nbytes for a in held) <= 0.51 * (2 * N) ** 2 * 16
 
     def test_apply_xy_working_set(self, traced_peak):
         # the 2N x N buffer and a block of rows: no N x N array beside them
         N = 512
-        plan = ConvolutionPlan(make_grid(1.0, N), _cauchy_kernel)
+        plan = ConvolutionPlan(make_grid(1.0, N))
         f = np.random.default_rng(0).normal(size=(N, N)).astype(complex)
 
         def fill(x):
@@ -264,39 +264,67 @@ class TestPlan:
         assert traced_peak(lambda: plan.apply_xy(fill)) <= 2.5 * N * N * 16
 
     def test_plan_build_working_set(self, traced_peak):
-        # the kernel is sampled into the displacement array, in place
+        # the half spectrum and sample buffers that share one 1 MB block
+        # whatever the worker count: the build never holds the (2N)^2 array
         N = 512
         g = make_grid(1.0, N)
-        assert traced_peak(lambda: ConvolutionPlan(g, _cauchy_kernel)) <= 1.5 * (2 * N) ** 2 * 16
+        assert traced_peak(lambda: ConvolutionPlan(g)) <= 0.75 * (2 * N) ** 2 * 16
 
     @pytest.mark.parametrize("N, n", [(64, 64), (512, 512), (256, 218)],
                              ids=["64", "512", "256-box218"])
     def test_spectrum_matches_contiguous_fft2(self, N, n, monkeypatch):
-        # the plan transforms its samples inside rows with spare elements,
-        # in blocks of rows and then of columns spread over the workers;
-        # the same passes on a contiguous array give the same bits
+        # the plan samples and transforms blocks of y-columns along x, then
+        # the half's rows along y, spread over the workers; the same 1-D
+        # passes on contiguous arrays of the y-truncated samples give the
+        # same bits
         g = make_grid(1.0, N)
         M = _padded_length(n, N)
-        d = ((np.arange(M) + n) % M - n) * g.h
-        w = _cauchy_kernel(d[:, None] + 1j * d[None, :])  # (x, y)
-        assert w.flags.c_contiguous
-        want = np.fft.fft2(w, axes=(0, 1)).T
+        k = np.arange(M)
+        k = np.where(k < max(n, M - n), k, k - M)
+        d = k * g.h
+        w = _cauchy_kernel(d[None, :] + 1j * d[:, None])  # (y, x)
+        w[np.abs(k) >= n] = 0  # the y-displacements the crop never reads
+        half = np.ascontiguousarray(np.fft.fft(w, axis=1)[:, :M // 2 + 1].T)
+        want = np.fft.fft(half, axis=1)
+        if M * M * 16 <= cauchy_module._BLOCK_BYTES:  # every row kept
+            want = np.concatenate((want, np.conj(want[1:M - M // 2][::-1])))
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("BKLAB_THREADS", threads)
-            assert np.array_equal(ConvolutionPlan(g, _cauchy_kernel, n).kernel_hat, want)
+            assert np.array_equal(ConvolutionPlan(g, n)._rows, want)
 
-    def test_kappa_spectrum_on_any_worker_count(self, monkeypatch):
-        # a kernel that returns a new array for each block of rows
-        g = make_grid(1.0, 256)
-        spectra = []
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("BKLAB_THREADS", threads)
-            spectra.append(ConvolutionPlan(g, lambda w: _kappa(8.0, w)).kernel_hat)
-        assert all(np.array_equal(spectra[0], s) for s in spectra[1:])
+    @pytest.mark.parametrize("N", [8, 64, 256])
+    def test_kernel_hat_matches_full_sample_fft2(self, N):
+        # the half spectrum, its conjugate rows and the column y = -N h
+        # give the spectrum of every displacement sample
+        g = make_grid(1.0, N)
+        d = ((np.arange(2 * N) + N) % (2 * N) - N) * g.h
+        want = np.fft.fft2(_cauchy_kernel(d[None, :] + 1j * d[:, None]))  # (y, x)
+        got = ConvolutionPlan(g).kernel_hat
+        assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
+
+    def test_beurling_needs_full_grid_plan(self):
+        g = make_grid(1.0, 64)
+        with pytest.raises(GridError):
+            get_plan(g, 30).apply_beurling(np.ones((30, 30), dtype=complex))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_boxes_padded_to_2n_minus_1(self, n):
+        # M = 2n - 1: the displacements 0 ... n - 1 and -(n - 1) ... -1 fill
+        # every index, and index 0 is the origin, whose sample is zero
+        g = make_grid(1.0, 64)
+        plan = get_plan(g, n)
+        assert plan.M == 2 * n - 1
+        if n == 1:
+            assert plan.apply(np.ones((1, 1), dtype=complex))[0, 0] == 0
+        f = np.random.default_rng(n).normal(size=(n, n)) + 0j
+        fb = np.zeros((64, 64), dtype=complex)
+        fb[:n, :n] = f
+        full = get_plan(g).apply(fb)
+        assert np.abs(plan.apply(f) - full[:n, :n]).max() <= 1e-15 * np.abs(full).max()
 
     def test_build_blocks_are_capped(self, monkeypatch):
         # a large BKLAB_THREADS splits the M = 128 build into two blocks of
-        # 64 rows, and then into two of 64 columns
+        # 64 y-columns, and then the 65 rows of the half into two blocks
         calls = []
 
         def serial_map(fn, items):
@@ -304,7 +332,7 @@ class TestPlan:
             return [fn(it) for it in items]
         monkeypatch.setenv("BKLAB_THREADS", "1000")
         monkeypatch.setattr(cauchy_module, "parallel_map", serial_map)
-        plan = ConvolutionPlan(make_grid(1.0, 64), _cauchy_kernel)
+        plan = ConvolutionPlan(make_grid(1.0, 64))
         assert calls == [2, 2]
         assert np.array_equal(plan.kernel_hat, get_plan(make_grid(1.0, 64)).kernel_hat)
 
