@@ -177,13 +177,17 @@ def cmd_stationary_phase(ns) -> int:
 
 def cmd_carleman_sweep(ns) -> int:
     out = _ensure_outdir(ns)
+    taus = _parse_taus(ns.tau)
+    if 1 + math.log(taus[0]) <= 0:  # the taus ascend
+        raise BklabError(f"tau {taus[0]!r} is at or below 1/e, where the bound's shape "
+                         f"tau^-1 (1 + ln tau) is not positive")
     domain = load_domain(ns.domain)
     grid = domain.grid
     if ns.a == "one":
         a = np.broadcast_to(1 + 0j, (grid.N, grid.N))  # no N x N array of ones
     else:
         a, _ = _load_field_on(ns.a, domain)
-    rec = carleman_sweep(a, _parse_taus(ns.tau), domain, _parse_z0(ns.z0),
+    rec = carleman_sweep(a, taus, domain, _parse_z0(ns.z0),
                          mode=ns.mode)
     rows = []
     for i, tau in enumerate(rec.taus):

@@ -12,12 +12,13 @@ log and the terms are added by log-sum-exp, so a large q keeps them in
 range.
 
 A q = inf norm is the largest value of t^{1/p} f**(t) (or t^{1/p} f*(t))
-at a breakpoint, taken by one kernel over blocks of steps that carries
-the running mass from block to block.  Its steps come from a
-`StepRearrangement` (`norm_of_rearrangement`) or are read a block at a
-time from the ascending moduli themselves (`weak_norm_of_sorted`, which
-`lorentz_norm` uses): that path forms no array as long as the field
-beyond the sorted moduli, which a caller may sort in a buffer it owns.
+at the right end of a cell, taken by one kernel (`weak_norm_of_sorted`)
+that reads the ascending moduli from the top a block at a time and
+carries the running mass from block to block.  A run of equal values
+needs no merging: on it t^{1/p} f**(t) is convex and t^{1/p} f*(t)
+increases, so no cell inside the run exceeds the run's ends.  The kernel
+forms no array as long as the moduli, which `lorentz_norm` sorts in a
+fresh array and a caller may sort in a buffer it owns.
 
 Fourier convention (fixed everywhere): F f(xi) = (1/2pi) int f e^{-i x.xi} dm,
 which is unitary on L^2(R^2).
@@ -41,7 +42,7 @@ __all__ = [
 ]
 
 _GL_POINTS = 32
-_WEAK_BLOCK = 1 << 14  # steps, or sorted values, a q = inf norm takes at a time
+_WEAK_BLOCK = 1 << 14  # sorted values, one cell each, a q = inf norm takes at a time
 
 
 @dataclass(frozen=True)
@@ -163,11 +164,14 @@ def lorentz_norm(field: np.ndarray, idx: LorentzIndex,
 
 
 def norm_of_rearrangement(sr: StepRearrangement, idx: LorentzIndex) -> float:
+    """The (p, q) norm of the step function `sr`.  For q = inf its steps
+    are expanded back to cells, ascending, for `weak_norm_of_sorted`."""
     v = sr.values
     if v.size == 0 or v[0] == 0.0:
         return 0.0
     if math.isinf(idx.q):
-        return _weak(_rearrangement_steps(sr), v[0], idx)
+        counts = np.rint(np.diff(sr.breakpoints) / sr.cell_measure).astype(np.intp)
+        return weak_norm_of_sorted(np.repeat(v, counts)[::-1], sr.cell_measure, idx)
     # the norm is homogeneous: taken of v / 2^e < 1, 2^e the power of two
     # just above v[0], the running masses stay below the total measure, so
     # only a norm that is itself out of range leaves it
@@ -178,17 +182,43 @@ def norm_of_rearrangement(sr: StepRearrangement, idx: LorentzIndex) -> float:
 
 def weak_norm_of_sorted(s: np.ndarray, cell_measure: float,
                         idx: LorentzIndex) -> float:
-    """The q = inf norm of the step function whose cells of measure
-    `cell_measure` take the values s, sorted ascending: the same bits as
-    `norm_of_rearrangement(rearrange(...), idx)` of a field with moduli s.
-    The steps are read from s a block at a time, so no array as long as s
-    is formed.  NormError if s is empty or not all finite, as `rearrange`."""
+    """The q = inf norm of the step function whose cells of measure h^2 =
+    `cell_measure` take the values s, sorted ascending: the largest
+    t^{1/p} f**(t) (normed) or t^{1/p} f*(t) at a cell's right end t = k h^2,
+    k = 1..n counted from the top.  On a cell t^{1/p} f**(t) = t^{1/p}
+    (c + D/t) has one critical point, t = D(p-1)/c, a minimum for p > 1,
+    so the supremum is at a right end.
+
+    s is read from the top `_WEAK_BLOCK` values at a time, each cell
+    adding v h^2 to the running mass int_0^t f*.  The values are scaled
+    by 2^-e, 2^e the power of two just above s[-1], so that the masses
+    stay in range; scaling by a power of two is exact, so the norm keeps
+    its unscaled bits.  The running mass is carried into the slot before
+    each block: the cumulative sum adds in the same order as over the
+    whole, however s is blocked, and no array longer than a block is
+    formed.  NormError if s is empty or not all finite, as `rearrange`."""
     if not math.isinf(idx.q):
         raise NormError(f"need q = inf for the weak norm, got q={idx.q}")
     _check_sorted(s)
     if s[-1] == 0.0:
         return 0.0
-    return _weak(_sorted_steps(s, cell_measure), s[-1], idx)
+    e = math.frexp(s[-1])[1]
+    n = s.size
+    best = 0.0
+    buf = np.zeros(_WEAK_BLOCK + 1)
+    for hi in range(n, 0, -_WEAK_BLOCK):
+        lo = max(0, hi - _WEAK_BLOCK)
+        x = buf[:hi - lo + 1]
+        np.ldexp(s[lo:hi][::-1], -e, out=x[1:])
+        t = np.arange(n - hi + 1, n - lo + 1) * cell_measure  # the right ends
+        if idx.normed:
+            x[1:] *= cell_measure
+            np.cumsum(x, out=x)  # the running masses int_0^t f*
+            buf[0] = x[-1]
+            x[1:] /= t
+        x[1:] *= t ** (1.0 / idx.p)
+        best = max(best, float(x[1:].max()))
+    return _scaled_back(best, e, idx)
 
 
 def _scaled_back(val, e, idx: LorentzIndex) -> float:
@@ -199,74 +229,6 @@ def _scaled_back(val, e, idx: LorentzIndex) -> float:
         raise NormError(f"the (p, q) = ({idx.p}, {idx.q}) norm of this field is "
                         f"out of floating-point range")
     return val
-
-
-def _rearrangement_steps(sr: StepRearrangement):
-    """(left breakpoints, right breakpoints, values) of the steps of `sr`,
-    `_WEAK_BLOCK` steps at a time."""
-    t, v = sr.breakpoints, sr.values
-    for s in range(0, v.size, _WEAK_BLOCK):
-        b = t[s + 1:s + 1 + _WEAK_BLOCK]
-        yield t[s:s + b.size], b, v[s:s + b.size]
-
-
-def _sorted_steps(s: np.ndarray, h2: float):
-    """The steps of the non-increasing rearrangement of the ascending
-    array s, the steps `rearrange` would make, in blocks as
-    `_rearrangement_steps` gives them: s is read from the top down,
-    `_WEAK_BLOCK` values at a time.  A run of equal values starts (in
-    descending order) at each s[i] with i = n - 1 or s[i] != s[i + 1],
-    and a run that crosses a block edge stays one step: the last run found
-    is held open until the next run's start, its right breakpoint, is
-    found.  Breakpoints are start h2, the last n h2."""
-    n = s.size
-    starts = np.empty(0, dtype=np.intp)  # the open run's start (descending)
-    values = s[:0]
-    for hi in range(n, 0, -_WEAK_BLOCK):
-        lo = max(0, hi - _WEAK_BLOCK)
-        end = min(hi, n - 1)
-        i = np.flatnonzero(s[lo:end] != s[lo + 1:end + 1])
-        i += lo
-        if hi == n:
-            i = np.append(i, n - 1)
-        i = i[::-1]
-        starts = np.concatenate((starts, n - 1 - i))
-        values = np.concatenate((values, s[i]))
-        if starts.size > 1:
-            yield starts[:-1] * h2, starts[1:] * h2, values[:-1]
-            starts, values = starts[-1:], values[-1:]
-    yield starts * h2, np.array([n * h2]), values
-
-
-def _weak(steps, top, idx: LorentzIndex) -> float:
-    """The q = inf norm of the step function whose steps come from `steps`
-    in non-increasing order, blocks of (left breakpoints a, right
-    breakpoints b, values v) of at most `_WEAK_BLOCK` steps, whose largest
-    value is `top` > 0: the largest b^{1/p} f**(b) (normed) or b^{1/p}
-    f*(b) at a breakpoint.  On a step t^{1/p} f**(t) = t^{1/p} (c + D/t)
-    has one critical point, t = D(p-1)/c, a minimum for p > 1, so the
-    supremum is at a breakpoint.  The steps are scaled by 2^-e, 2^e the
-    power of two just above `top`, so that the running masses stay in
-    range; scaling by a power of two is exact, so the norm keeps its
-    unscaled bits.  The running mass is carried into the slot before each
-    block: the cumulative sum adds in the same order as over the whole,
-    however the steps are blocked, and no array longer than a block is
-    formed."""
-    e = math.frexp(top)[1]
-    p = idx.p
-    best = 0.0
-    buf = np.zeros(_WEAK_BLOCK + 1)
-    for a, b, v in steps:
-        x = buf[:b.size + 1]
-        np.ldexp(v, -e, out=x[1:])
-        if idx.normed:
-            x[1:] *= b - a
-            np.cumsum(x, out=x)  # the running masses int_0^b f*
-            buf[0] = x[-1]
-            x[1:] /= b
-        x[1:] *= b ** (1.0 / p)
-        best = max(best, float(x[1:].max()))
-    return _scaled_back(best, e, idx)
 
 
 def _log_power_int(a, b, alpha):

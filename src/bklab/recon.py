@@ -25,7 +25,7 @@ from .boundary import FamilySpec, Side, interp_bilinear, side_distance, w12_norm
 from .bukhgeim import solve_f
 from .errors import BklabError, FixedPointDivergenceError
 from .grid import DomainSpec, Grid, PhaseParams
-from .lorentz import LorentzIndex, lorentz_norm
+from .lorentz import LorentzIndex, lorentz_norm, weak_norm_of_sorted
 from .stationary import smooth
 from .util import parallel_map
 
@@ -87,14 +87,10 @@ class ReconstructionResult:
         d = np.abs(self.values[self.ok] - self.truth[self.ok])
         if d.size == 0:
             raise BklabError("no successful lattice points")
-        w = self.lattice_measure
-        t = w * np.arange(1, d.size + 1)
-        ds = np.sort(d)[::-1]
-        fss = np.cumsum(ds * w) / t
         return {
             "sup": float(d.max()),
             "l2": float(np.sqrt((d ** 2).mean())),
-            "weak": float((np.sqrt(t) * fss).max()),
+            "weak": weak_norm_of_sorted(np.sort(d), self.lattice_measure, _WEAK),
         }
 
 

@@ -27,11 +27,17 @@ def loglog_svg(xs, series: dict, title: str, xlabel: str, ylabel: str,
     """Render series {name: [y...]} over common xs on log10 axes.
     `annotations` maps a series name to a text note (fitted slope)."""
     xs = [float(x) for x in xs]
-    allx = [x for x in xs if x > 0]
-    ally = [float(y) for ys in series.values() for y in ys if y > 0]
-    if not allx or not ally:
+    # a value a log axis cannot place is an error, not a dropped point:
+    # the plot must show every sample its CSV holds
+    for name, ys in ((xlabel, xs), *series.items()):
+        for x, y in zip(xs, ys):
+            if not 0 < y < math.inf:
+                raise BklabError(f"log-log plot needs positive finite data: "
+                                 f"{name!r} is {float(y)!r} at x = {x!r}")
+    ally = [float(y) for ys in series.values() for _, y in zip(xs, ys)]
+    if not ally:
         raise BklabError("log-log plot needs positive data")
-    x0, x1 = min(allx), max(allx)
+    x0, x1 = min(xs), max(xs)
     y0, y1 = min(ally), max(ally)
     if x0 == x1:
         x0, x1 = x0 / 2, x1 * 2
@@ -72,7 +78,7 @@ def loglog_svg(xs, series: dict, title: str, xlabel: str, ylabel: str,
                        f'font-size="12">{t:g}</text>')
     for ci, (name, ys) in enumerate(series.items()):
         color = _COLORS[ci % len(_COLORS)]
-        pts = [(x, float(y)) for x, y in zip(xs, ys) if x > 0 and y > 0]
+        pts = [(x, float(y)) for x, y in zip(xs, ys)]
         path = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
         out.append(f'<polyline points="{path}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5"/>')

@@ -385,6 +385,36 @@ class TestSweeps:
         assert json.loads(r.stderr)["error"]["message"] == "tau sample 8 is given more than once"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("taus", ["0.36787944117144233,1,2", "0.25,0.5,1"],
+                             ids=["one-over-e", "below-one-over-e"])
+    def test_carleman_tau_where_bound_shape_is_not_positive(self, workspace, tmp_path,
+                                                             taus):
+        # the bound's shape tau^-1 (1 + ln tau) is 0 at 1/e and negative
+        # below it: such a tau is rejected before any transform
+        r = run_cli(["carleman-sweep", "--domain", str(workspace / "disk.json"),
+                     "--a", "one", "--tau", taus, "--out-dir", str(tmp_path)])
+        assert_config_error(r)
+        message = json.loads(r.stderr)["error"]["message"]
+        assert message.startswith(f"tau {taus.split(',')[0]} ")
+        assert "tau^-1 (1 + ln tau)" in message
+        assert r.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("option, value, point", [
+        ("--norm", "1.7e308", "inf at x = 1.0"),
+        ("--s", "1e308", "0.0 at x = 2.0"),
+    ], ids=["bound-overflows", "bound-underflows"])
+    def test_stationary_phase_bound_off_the_log_axis(self, workspace, tmp_path,
+                                                       option, value, point):
+        # the plot names the bound it cannot place, and nothing is written
+        r = run_cli(["stationary-phase", "--field", str(workspace / "q.bkfld"),
+                     "--tau-min", "1", "--tau-max", "4", option, value,
+                     "--out-dir", str(tmp_path)])
+        assert_config_error(r)
+        assert json.loads(r.stderr)["error"]["message"].endswith(f"'bound' is {point}")
+        assert r.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_cauchy_selftest(self, tmp_path):
         r = run_cli(["cauchy-selftest", "--n", "64", "--out-dir", str(tmp_path)])
         assert r.returncode == 0, r.stderr

@@ -112,18 +112,8 @@ class TestLorentzNorm:
         f = random_field(g, 0)
         assert traced_peak(lambda: lorentz_norm(f, L2W, grid=g)) <= 6 * N * N * 8
 
-    def test_weak_norm_of_rearrangement_working_set(self, traced_peak):
-        # the q = inf norm walks the steps a block at a time: no array as
-        # long as the rearrangement beside it
-        N = 512
-        g = make_grid(1.0, N)
-        sr = rearrange(random_field(g, 0), grid=g)
-        for normed in (True, False):
-            idx = LorentzIndex(2, np.inf, normed)
-            assert traced_peak(lambda: norm_of_rearrangement(sr, idx)) <= sr.values.nbytes
-
     def test_weak_norm_of_sorted_working_set(self, traced_peak):
-        # the steps are read from the sorted moduli a block at a time: the
+        # the cells are read from the sorted moduli a block at a time: the
         # peak is a few blocks long, whatever the field's size
         s = np.sort(np.abs(random_field(make_grid(1.0, 1024), 0)).ravel())
         for normed in (True, False):
@@ -299,10 +289,20 @@ class TestLorentzNorm:
 
 class TestWeakNormOfSorted:
     """The q = inf norm read from the sorted moduli, a block of values at a
-    time, has the bits of the norm of the rearrangement."""
+    time, has the bits of the unblocked per-cell formula, and every path to
+    a q = inf norm gives them."""
 
     @staticmethod
-    def assert_same_bits(f, domain=None, grid=None):
+    def per_cell(s, h2, p, normed):
+        """The largest t^{1/p} f**(t) (or f*(t)) over the cells' right ends
+        t = k h^2, k = 1..n, the moduli s taken from the top."""
+        v = s[::-1]
+        t = h2 * np.arange(1, v.size + 1)
+        f = np.cumsum(v * h2) / t if normed else v
+        return float((f * t ** (1.0 / p)).max())
+
+    @classmethod
+    def assert_same_bits(cls, f, domain=None, grid=None):
         g = grid if domain is None else domain.grid
         m = np.ones((g.N, g.N), dtype=bool) if domain is None else domain.mask
         s = np.sort(np.abs(f[m]))
@@ -310,9 +310,10 @@ class TestWeakNormOfSorted:
         for p in (2.0, 1.5, 3.0):
             for normed in (True, False):
                 idx = LorentzIndex(p, np.inf, normed)
-                want = norm_of_rearrangement(sr, idx)
+                want = cls.per_cell(s, g.cell_measure, p, normed)
                 assert weak_norm_of_sorted(s, g.cell_measure, idx).hex() == want.hex()
                 assert lorentz_norm(f, idx, domain, grid).hex() == want.hex()
+                assert norm_of_rearrangement(sr, idx).hex() == want.hex()
 
     @pytest.mark.parametrize("block", [7, 1 << 14])
     @pytest.mark.parametrize("radius", [0.55, 0.8, 1.1])

@@ -44,6 +44,25 @@ class TestLattice:
             reconstruct_interior(q, 8.0, [-1.5 + 0j], d)
 
 
+class TestErrors:
+    @pytest.mark.parametrize("w", [1e-3, 0.0123, 0.3])
+    def test_weak_is_the_dense_per_point_formula(self, w):
+        # errors in multiples of 1/4: runs of ties, zeros among them, and
+        # diverged points that do not count
+        rng = np.random.default_rng(3)
+        n = 300
+        values = rng.integers(-4, 5, size=n) * 0.25 + 0j
+        ok = rng.random(n) > 0.1
+        values[~ok] = 1e9
+        res = recon.ReconstructionResult("interior", 8.0, np.zeros(n, dtype=complex),
+                                         values, ok, w, np.zeros(n, dtype=complex),
+                                         np.zeros(n, dtype=complex))
+        d = np.abs(values[ok])
+        t = w * np.arange(1, d.size + 1)
+        want = float((np.sqrt(t) * (np.cumsum(np.sort(d)[::-1] * w) / t)).max())
+        assert res.errors()["weak"].hex() == want.hex()
+
+
 class TestInterior:
     def test_zero_potential(self, setup):
         g, d, _, lat = setup

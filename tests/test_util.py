@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from bklab import Disk, Polygon, make_domain, make_grid
+from bklab.errors import BklabError
 from bklab.svgplot import loglog_svg, parse_svg_data
 from bklab.util import (fit_loglog, gradient_on_mask, mask_stencil, masked_gradient,
                         parallel_map, thread_count)
@@ -94,3 +97,14 @@ class TestSvg:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             loglog_svg([1.0], {"a": [0.0]}, "t", "x", "y")
+
+    @pytest.mark.parametrize("xs, ys, message", [
+        ([1.0, 2.0], [1.0, float("inf")], "'a' is inf at x = 2.0"),
+        ([1.0, 2.0], [-1.0, 1.0], "'a' is -1.0 at x = 1.0"),
+        ([1.0, 2.0], [1.0, float("nan")], "'a' is nan at x = 2.0"),
+        ([0.0, 2.0], [1.0, 1.0], "'tau' is 0.0 at x = 0.0"),
+    ])
+    def test_rejects_values_off_the_log_axes(self, xs, ys, message):
+        # a point the plot cannot place is an error, never a dropped point
+        with pytest.raises(BklabError, match=f"{re.escape(message)}$"):
+            loglog_svg(xs, {"a": ys, "b": [1.0, 1.0]}, "t", "tau", "y")
