@@ -6,8 +6,11 @@ carleman-sweep, bukhgeim, cauchy-distance, reconstruct, stability.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 Errors are emitted as a JSON object on stderr.  Sweeps write a CSV (the
 authoritative artifact) and an SVG log-log plot encoding the same sample
-values; both are made before the first file is written, so a run that
-fails writes nothing.  BKLAB_THREADS caps parallelism (0 = auto).
+values.  Each subcommand returns the files it would write and the report
+it would print; `main` alone creates --out-dir, writes the files and
+prints the report, once the subcommand has returned, so a run that fails
+creates no directory and writes nothing.  BKLAB_THREADS caps parallelism
+(0 = auto).
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ def _fmt(x) -> str:
     return str(x)
 
 
+# The writers open their files through the module-level name `open`, and
+# bench/spans.py wraps them (and `open`, for bklab.cli) by name: keep the
+# names and the lookup.
 def _write_csv(path, header, rows):
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
@@ -103,16 +109,11 @@ def _load_field_on(path, domain: DomainSpec | None) -> tuple[np.ndarray, Grid]:
     return field, grid
 
 
-def _ensure_outdir(ns) -> str:
-    out = getattr(ns, "out_dir", ".") or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (files, report), files a list of
+# (name, writer, *data) entries written as writer(path, *data)
 
-def cmd_lorentz_norm(ns) -> int:
+def cmd_lorentz_norm(ns):
     domain = load_domain(ns.domain) if ns.domain else None
     field, grid = _load_field_on(ns.field, domain)
     q = math.inf if ns.q in ("inf", "Inf") else _parse_numbers(ns.q, ",", "q index", 1)[0]
@@ -121,12 +122,10 @@ def cmd_lorentz_norm(ns) -> int:
         val = bessel_norm(field, ns.s, idx, domain, grid)
     else:
         val = lorentz_norm(field, idx, domain=domain, grid=grid)
-    print(f"{val:.12g}")
-    return 0
+    return [], f"{val:.12g}"
 
 
-def cmd_cauchy_selftest(ns) -> int:
-    out = _ensure_outdir(ns)
+def cmd_cauchy_selftest(ns):
     rows = []
     for N in (64, 128, 256) if ns.n == 0 else (ns.n,):
         grid = make_grid(1.5, N)
@@ -139,20 +138,17 @@ def cmd_cauchy_selftest(ns) -> int:
         dg = wirtinger(cauchy(phi.astype(complex), grid), "dbar", grid)
         inv_err = float(np.abs(dg - phi)[3:-3, 3:-3].max())
         rows.append((N, chi_err, 10 * grid.h * math.log(1 / grid.h), inv_err))
-    _write_csv(os.path.join(out, "cauchy_selftest.csv"),
-               ["n", "chi_ball_sup_err", "bound_10hlog", "inverse_sup_err"], rows)
-    for row in rows:
-        print(f"N={row[0]}: chi_ball={row[1]:.3e} (bound {row[2]:.3e}) "
-              f"inverse={row[3]:.3e}")
-    return 0
+    return ([("cauchy_selftest.csv", _write_csv,
+              ["n", "chi_ball_sup_err", "bound_10hlog", "inverse_sup_err"], rows)],
+            "\n".join(f"N={row[0]}: chi_ball={row[1]:.3e} (bound {row[2]:.3e}) "
+                      f"inverse={row[3]:.3e}" for row in rows))
 
 
-def cmd_stationary_phase(ns) -> int:
+def cmd_stationary_phase(ns):
     hnorm = math.sqrt(3 * math.pi / 2) if ns.norm is None else ns.norm
     if not (math.isfinite(ns.s) and math.isfinite(hnorm) and hnorm > 0):
         raise BklabError(f"--s must be finite and --norm finite and positive, "
                          f"got {ns.s} and {hnorm}")
-    out = _ensure_outdir(ns)
     field, grid = _load_field_on(ns.field, None)
     taus = _parse_taus(f"{ns.tau_min}:{ns.tau_max}")
     h2 = grid.cell_measure
@@ -167,16 +163,13 @@ def cmd_stationary_phase(ns) -> int:
         taus, {"error": [r[1] for r in rows], "bound": [r[2] for r in rows]},
         "smoothing error vs tau", "tau", "L2 error",
         {"error": f"slope {fit.slope:.3f}"} if fit else None)
-    _write_csv(os.path.join(out, "stationary_phase.csv"),
-               ["tau", "error", "bound"], rows)
-    _write_text(os.path.join(out, "stationary_phase.svg"), svg)
-    print(f"slope {fit.slope:.4f} over {len(taus)} taus" if fit
-          else "insufficient tau samples for a slope fit")
-    return 0
+    return ([("stationary_phase.csv", _write_csv, ["tau", "error", "bound"], rows),
+             ("stationary_phase.svg", _write_text, svg)],
+            f"slope {fit.slope:.4f} over {len(taus)} taus" if fit
+            else "insufficient tau samples for a slope fit")
 
 
-def cmd_carleman_sweep(ns) -> int:
-    out = _ensure_outdir(ns)
+def cmd_carleman_sweep(ns):
     taus = _parse_taus(ns.tau)
     if 1 + math.log(taus[0]) <= 0:  # the taus ascend
         raise BklabError(f"tau {taus[0]!r} is at or below 1/e, where the bound's shape "
@@ -203,28 +196,23 @@ def cmd_carleman_sweep(ns) -> int:
                          "norm_sup": list(rec.values["sup"]),
                          "bound": [r[3] for r in rows]},
         "weighted-transform decay", "tau", "norm", ann)
-    _write_csv(os.path.join(out, "carleman_sweep.csv"),
-               ["tau", "norm_l2weak", "norm_sup", "bound"], rows)
-    _write_text(os.path.join(out, "carleman_sweep.svg"), svg)
+    report = [f"skipped tau={t:g}: aliasing guard" for t in rec.skipped]
     if rec.insufficient:
-        print("insufficient tau samples for a slope fit")
-    for t in rec.skipped:
-        print(f"skipped tau={t:g}: aliasing guard")
-    if not rec.insufficient:
-        print(f"weak slope {rec.slopes['weak'].slope:.4f}, "
-              f"sup slope {rec.slopes['sup'].slope:.4f}")
-    return 0
+        report.insert(0, "insufficient tau samples for a slope fit")
+    else:
+        report.append(f"weak slope {rec.slopes['weak'].slope:.4f}, "
+                      f"sup slope {rec.slopes['sup'].slope:.4f}")
+    return ([("carleman_sweep.csv", _write_csv,
+              ["tau", "norm_l2weak", "norm_sup", "bound"], rows),
+             ("carleman_sweep.svg", _write_text, svg)], "\n".join(report))
 
 
-def cmd_bukhgeim(ns) -> int:
-    out = _ensure_outdir(ns)
+def cmd_bukhgeim(ns):
     domain = load_domain(ns.domain)
     q, grid = _load_field_on(ns.q, domain)
     params = PhaseParams(ns.tau, _parse_z0(ns.z0))
     phase = "antiholomorphic" if ns.phase == "anti" else "holomorphic"
     sol = solve_f(q, params, domain, phase, tol=ns.tol)
-    save_field(os.path.join(out, "f.bkfld"), sol.f, grid)
-    save_field(os.path.join(out, "u.bkfld"), assemble_u(sol), grid)
     diag = {
         "tau": ns.tau, "z0": [params.z0.real, params.z0.imag],
         "phase_type": phase, "iterations": sol.iterations,
@@ -232,13 +220,13 @@ def cmd_bukhgeim(ns) -> int:
         "sup_f": sol.sup_f, "contraction": sol.contraction,
         "converged": True,
     }
-    _write_json(os.path.join(out, "bukhgeim.json"), diag)
-    print(f"converged in {sol.iterations} iterations, defect {sol.defect:.3e}")
-    return 0
+    return ([("f.bkfld", save_field, sol.f, grid),
+             ("u.bkfld", save_field, assemble_u(sol), grid),
+             ("bukhgeim.json", _write_json, diag)],
+            f"converged in {sol.iterations} iterations, defect {sol.defect:.3e}")
 
 
-def cmd_cauchy_distance(ns) -> int:
-    out = _ensure_outdir(ns)
+def cmd_cauchy_distance(ns):
     domain = load_domain(ns.domain)
     q1, _ = _load_field_on(ns.q1, domain)
     q2, _ = _load_field_on(ns.q2, domain)
@@ -252,14 +240,12 @@ def cmd_cauchy_distance(ns) -> int:
     for key in ("pairs", "skipped"):
         doc[key] = [{k: ([v.real, v.imag] if isinstance(v, complex) else v)
                      for k, v in p.items()} for p in getattr(rep, key)]
-    _write_json(os.path.join(out, "cauchy_distance.json"), doc)
-    print(f"d_hat = {rep.d_hat:.6e} over {len(rep.pairs)} pairs "
-          f"({len(rep.skipped)} skipped)")
-    return 0
+    return ([("cauchy_distance.json", _write_json, doc)],
+            f"d_hat = {rep.d_hat:.6e} over {len(rep.pairs)} pairs "
+            f"({len(rep.skipped)} skipped)")
 
 
-def cmd_reconstruct(ns) -> int:
-    out = _ensure_outdir(ns)
+def cmd_reconstruct(ns):
     domain = load_domain(ns.domain)
     q, grid = _load_field_on(ns.q, domain)
     taus = _parse_taus(ns.tau)
@@ -278,19 +264,15 @@ def cmd_reconstruct(ns) -> int:
                 for z, v in zip(res.z0, res.values):
                     fld[grid.cell_index(z)] = v
     rows = [(tau, *(sweep_err[f][i] for f in forms)) for i, tau in enumerate(taus)]
-    svg = svgplot.loglog_svg(taus, {f: sweep_err[f] for f in forms},
-                             "reconstruction error vs tau", "tau",
-                             "sup error") if len(taus) >= 2 else None
-    for form, fld in fields.items():
-        save_field(os.path.join(out, f"recon_{form}.bkfld"), fld, grid)
-    _write_json(os.path.join(out, "recon_metrics.json"), metrics)
-    _write_csv(os.path.join(out, "recon_sweep.csv"),
-               ["tau", *(f"sup_err_{f}" for f in forms)], rows)
-    if svg is not None:
-        _write_text(os.path.join(out, "recon_sweep.svg"), svg)
-    for form in forms:
-        print(f"{form}: sup errors {['%.3e' % e for e in sweep_err[form]]}")
-    return 0
+    files = [(f"recon_{form}.bkfld", save_field, fld, grid) for form, fld in fields.items()]
+    files += [("recon_metrics.json", _write_json, metrics),
+              ("recon_sweep.csv", _write_csv, ["tau", *(f"sup_err_{f}" for f in forms)], rows)]
+    if len(taus) >= 2:
+        files.append(("recon_sweep.svg", _write_text, svgplot.loglog_svg(
+            taus, {f: sweep_err[f] for f in forms}, "reconstruction error vs tau", "tau",
+            "sup error")))
+    return files, "\n".join(f"{form}: sup errors {['%.3e' % e for e in sweep_err[form]]}"
+                             for form in forms)
 
 
 # optional stability config keys and their kinds ("s" sets smoothness); a
@@ -306,14 +288,13 @@ def _field_from_spec(spec: dict, domain: DomainSpec, where: str) -> np.ndarray:
     if spec["type"] == "bump":
         f = recon.bump_field(
             domain.grid, complex(*_checked(spec["center"], "point [x, y]", f"{where}.center")),
-            float(_checked(spec["width"], "number", f"{where}.width")),
+            float(_checked(spec["width"], "positive number", f"{where}.width")),
             complex(_checked(spec["amplitude"], "number", f"{where}.amplitude")))
         return domain.restrict(f)
     return _load_field_on(_checked(spec["path"], "string", f"{where}.path"), domain)[0]
 
 
-def cmd_stability(ns) -> int:
-    out = _ensure_outdir(ns)
+def cmd_stability(ns):
     path = ns.config
     cfg = _read_json_object(path, ("version", "domain", "pairs"), _STAB_KINDS)
     gspec = _object(cfg["domain"], f"{path}: domain", ("L", "N", "shape"))
@@ -331,22 +312,16 @@ def cmd_stability(ns) -> int:
              r.pairing_l2 if r.pairing_l2 is not None else math.nan,
              int(r.excluded)) for i, r in enumerate(records)]
     used = [r for r in records if not r.excluded]
-    svg = None
-    if len(used) >= 3:
-        rho = recon.stability_trend(records)
-        svg = svgplot.loglog_svg(
-            [r.bound_value for r in used], {"dq_weak": [r.dq_weak for r in used]},
-            "stability trend", "(ln 1/d)^(-s/4)", "||q1-q2|| weak",
-            {"dq_weak": f"spearman {rho:.3f}"})
-    _write_csv(os.path.join(out, "stability.csv"),
-               ["pair", "dq_weak", "d_hat", "bound_value", "tau",
-                "pairing_l2", "excluded"], rows)
-    if svg is None:
-        print("fewer than 3 usable pairs; no trend computed")
-    else:
-        _write_text(os.path.join(out, "stability.svg"), svg)
-        print(f"spearman rank correlation: {rho:.4f} over {len(used)} pairs")
-    return 0
+    files = [("stability.csv", _write_csv, ["pair", "dq_weak", "d_hat", "bound_value", "tau",
+                                             "pairing_l2", "excluded"], rows)]
+    if len(used) < 3:
+        return files, "fewer than 3 usable pairs; no trend computed"
+    rho = recon.stability_trend(records)
+    files.append(("stability.svg", _write_text, svgplot.loglog_svg(
+        [r.bound_value for r in used], {"dq_weak": [r.dq_weak for r in used]},
+        "stability trend", "(ln 1/d)^(-s/4)", "||q1-q2|| weak",
+        {"dq_weak": f"spearman {rho:.3f}"})))
+    return files, f"spearman rank correlation: {rho:.4f} over {len(used)} pairs"
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +336,8 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="bklab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)  # the subcommands that write files
+    out.add_argument("--out-dir", default=".")
 
     s = sub.add_parser("lorentz-norm", help="Lorentz / Bessel norm of a field")
     s.add_argument("--field", required=True)
@@ -371,62 +348,55 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seminormed", action="store_true")
     s.set_defaults(fn=cmd_lorentz_norm)
 
-    s = sub.add_parser("cauchy-selftest", help="closed-form transform checks")
+    s = sub.add_parser("cauchy-selftest", parents=[out], help="closed-form transform checks")
     s.add_argument("--n", type=int, default=0, help="grid size (0 = 64,128,256)")
-    s.add_argument("--out-dir", default=".")
     s.set_defaults(fn=cmd_cauchy_selftest)
 
-    s = sub.add_parser("stationary-phase", help="smoothing error sweep")
+    s = sub.add_parser("stationary-phase", parents=[out], help="smoothing error sweep")
     s.add_argument("--field", required=True)
     s.add_argument("--s", type=float, default=1.0)
     s.add_argument("--tau-min", type=float, default=4.0)
     s.add_argument("--tau-max", type=float, default=256.0)
     s.add_argument("--norm", type=float, default=None,
                    help="H^{s,2} norm of the field (default: the reference Gaussian's)")
-    s.add_argument("--out-dir", default=".")
     s.set_defaults(fn=cmd_stationary_phase)
 
-    s = sub.add_parser("carleman-sweep", help="weighted-transform decay rates")
+    s = sub.add_parser("carleman-sweep", parents=[out], help="weighted-transform decay rates")
     s.add_argument("--domain", required=True)
     s.add_argument("--a", default="one", help="'one' or a field file")
     s.add_argument("--tau", default="4:256")
     s.add_argument("--z0", default="0.1,0.07")
     s.add_argument("--mode", choices=("field", "operator"), default="field")
-    s.add_argument("--out-dir", default=".")
     s.set_defaults(fn=cmd_carleman_sweep)
 
-    s = sub.add_parser("bukhgeim", help="solve the oscillating fixed point")
+    s = sub.add_parser("bukhgeim", parents=[out], help="solve the oscillating fixed point")
     s.add_argument("--q", required=True)
     s.add_argument("--domain", required=True)
     s.add_argument("--tau", type=float, required=True)
     s.add_argument("--z0", required=True)
     s.add_argument("--phase", choices=("holo", "anti"), default="holo")
     s.add_argument("--tol", type=float, default=1e-10)
-    s.add_argument("--out-dir", default=".")
     s.set_defaults(fn=cmd_bukhgeim)
 
-    s = sub.add_parser("cauchy-distance", help="boundary-data distance proxy")
+    s = sub.add_parser("cauchy-distance", parents=[out], help="boundary-data distance proxy")
     s.add_argument("--q1", required=True)
     s.add_argument("--q2", required=True)
     s.add_argument("--domain", required=True)
     s.add_argument("--z0-grid", default="3x3")
     s.add_argument("--taus", default="8,16,32")
     s.add_argument("--fd-modes", type=int, default=8)
-    s.add_argument("--out-dir", default=".")
     s.set_defaults(fn=cmd_cauchy_distance)
 
-    s = sub.add_parser("reconstruct", help="recover the potential on a lattice")
+    s = sub.add_parser("reconstruct", parents=[out], help="recover the potential on a lattice")
     s.add_argument("--q", required=True)
     s.add_argument("--domain", required=True)
     s.add_argument("--tau", default="32")
     s.add_argument("--form", choices=("interior", "boundary", "both"), default="both")
     s.add_argument("--lattice", type=int, default=3)
-    s.add_argument("--out-dir", default=".")
     s.set_defaults(fn=cmd_reconstruct)
 
-    s = sub.add_parser("stability", help="log-stability trend experiment")
+    s = sub.add_parser("stability", parents=[out], help="log-stability trend experiment")
     s.add_argument("--config", required=True)
-    s.add_argument("--out-dir", default=".")
     s.set_defaults(fn=cmd_stability)
     return p
 
@@ -434,7 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         ns = build_parser().parse_args(argv)
-        return ns.fn(ns)
+        files, report = ns.fn(ns)
+        if files:
+            os.makedirs(ns.out_dir or ".", exist_ok=True)
+        for name, write, *data in files:
+            write(os.path.join(ns.out_dir, name), *data)
+        print(report)
+        return 0
     except SystemExit as e:  # --help
         return 2 if e.code not in (0, None) else 0
     except (BklabError, OSError, UnicodeDecodeError, KeyError, json.JSONDecodeError,

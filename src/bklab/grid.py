@@ -32,6 +32,7 @@ _KINDS = {
     "integer": lambda v: type(v) is int,
     "number": lambda v: type(v) in (int, float) and math.isfinite(v),
     "number or null": lambda v: v is None or _KINDS["number"](v),
+    "positive number": lambda v: _KINDS["number"](v) and v > 0,
     "list of numbers": lambda v: type(v) is list and len(v) > 0
         and all(map(_KINDS["number"], v)),
     "point [x, y]": lambda v: type(v) is list and len(v) == 2

@@ -41,8 +41,10 @@ _WEAK = LorentzIndex(2.0, np.inf, normed=True)
 
 def bump_field(grid: Grid, center: complex, width: float,
                amplitude: complex) -> np.ndarray:
-    """Gaussian bump amplitude * exp(-|z - center|^2 / width^2)."""
-    return amplitude * np.exp(-(np.abs(grid.Z - center) / width) ** 2)
+    """Gaussian bump amplitude * exp(-|z - center|^2 / width^2); a tiny
+    width gives exact zeros away from the center, without a warning."""
+    with np.errstate(over="ignore"):
+        return amplitude * np.exp(-(np.abs(grid.Z - center) / width) ** 2)
 
 
 def make_z0_lattice(domain: DomainSpec, n: int, margin: float | None = None) -> np.ndarray:
@@ -86,6 +88,10 @@ class ReconstructionResult:
     def errors(self) -> dict:
         d = np.abs(self.values[self.ok] - self.truth[self.ok])
         if d.size == 0:
+            if self.ok.size:
+                raise FixedPointDivergenceError(
+                    f"the fixed point diverged at all {self.ok.size} lattice points "
+                    f"at tau={self.tau!r}")
             raise BklabError("no successful lattice points")
         return {
             "sup": float(d.max()),

@@ -37,6 +37,8 @@ def workspace(tmp_path_factory):
     q = d.restrict(bump_field(g, 0.2 + 0.1j, 0.45, 0.5))
     save_field(ws / "q.bkfld", q, g)
     save_field(ws / "q2.bkfld", q + d.restrict(bump_field(g, -0.15 + 0.2j, 0.35, 0.2)), g)
+    # strong enough that the fixed point diverges at every lattice point for tau <= 2
+    save_field(ws / "qdiv.bkfld", d.restrict(bump_field(g, 0.1j, 0.4, 40.0)), g)
     save_domain(ws / "disk.json", d)
     save_field(ws / "zero.bkfld", np.zeros((64, 64), dtype=complex), g)
     parity = (-1.0) ** np.add.outer(np.arange(64), np.arange(64))
@@ -231,6 +233,29 @@ class TestInputErrors:
         if "--z0-grid" in args:  # every other argument is valid
             size = args[args.index("--z0-grid") + 1]
             assert f"'{size}'" in json.loads(r.stderr)["error"]["message"]
+
+    @pytest.mark.parametrize("cmd", [
+        ["cauchy-selftest", "--n", "3"],
+        ["stationary-phase", "--field", "{ws}/zero.bkfld"],
+        ["carleman-sweep", "--domain", "{ws}/disk.json", "--tau", "0.25,1"],
+        ["bukhgeim", "--q", "{ws}/qdiv.bkfld", "--domain", "{ws}/disk.json", "--tau", "1",
+         "--z0", "0.1,0.05"],
+        ["cauchy-distance", "--q1", "{ws}/q.bkfld", "--q2", "{ws}/q2.bkfld",
+         "--domain", "{ws}/disk.json", "--z0-grid", "2x3"],
+        ["reconstruct", "--q", "{ws}/qdiv.bkfld", "--domain", "{ws}/disk.json",
+         "--tau", "1,2"],
+        ["stability", "--config", "{ws}/notjson.json"],
+    ], ids=lambda cmd: cmd[0])
+    def test_failed_run_creates_no_out_dir(self, workspace, tmp_path, cmd):
+        # the output directory is made only once the run has succeeded
+        out = tmp_path / "new" / "sub"
+        args = [a.replace("{ws}", str(workspace)) for a in cmd]
+        r = run_cli([*args, "--out-dir", str(out)], timeout=120)
+        assert r.returncode in (2, 3), (r.returncode, r.stderr)
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and "error" in json.loads(lines[0])
+        assert r.stdout == ""
+        assert not (tmp_path / "new").exists()
 
     def test_unequal_z0_grid_is_named(self, workspace, tmp_path):
         r = run_cli(["cauchy-distance", "--q1", str(workspace / "q.bkfld"),
@@ -444,6 +469,21 @@ class TestSolvers:
         err = json.loads(r.stderr)
         assert "error" in err
 
+    def test_reconstruct_every_point_diverges_exit_3(self, workspace, tmp_path):
+        # a lattice on which no fixed point converges is a numerical failure
+        out = tmp_path / "rec"
+        r = run_cli(["reconstruct", "--q", str(workspace / "qdiv.bkfld"),
+                     "--domain", str(workspace / "disk.json"), "--tau", "1,2",
+                     "--out-dir", str(out)])
+        assert r.returncode == 3, r.stderr
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "FixedPointDivergenceError"
+        assert "tau=1.0" in error["message"]
+        assert r.stdout == ""
+        assert not out.exists()
+
     def test_cauchy_distance_json(self, workspace, tmp_path):
         r = run_cli(["cauchy-distance", "--q1", str(workspace / "q.bkfld"),
                      "--q2", str(workspace / "q2.bkfld"),
@@ -633,6 +673,31 @@ class TestStabilityCli:
         assert_config_error(run_cli(
             ["stability", "--config", str(p), "--out-dir", str(tmp_path)], timeout=120))
         assert not (tmp_path / "stability.csv").exists()
+
+    @pytest.mark.parametrize("width", [-0.4, 0])
+    def test_non_positive_bump_width_exit_2(self, tmp_path, width):
+        cfg = json.loads(self._config(tmp_path / "c.json").read_text())
+        cfg["pairs"][0]["q1"]["width"] = width
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(cfg))
+        r = run_cli(["stability", "--config", str(p), "--out-dir", str(tmp_path / "out")])
+        assert_config_error(r)
+        assert "pairs[0].q1.width" in json.loads(r.stderr)["error"]["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_tiny_bump_width_is_silent(self, tmp_path):
+        # exp(-(r / 1e-320)^2) underflows to exact zeros, with no numpy
+        # warning on stderr
+        cfg = json.loads(self._config(tmp_path / "c.json").read_text())
+        cfg["pairs"] = cfg["pairs"][:1]
+        cfg["pairs"][0]["q1"]["width"] = 1e-320
+        p = tmp_path / "tiny.json"
+        p.write_text(json.dumps(cfg))
+        r = run_cli(["stability", "--config", str(p), "--out-dir", str(tmp_path / "out")],
+                    timeout=120)
+        assert r.returncode == 0, r.stderr
+        assert r.stderr == ""
+        assert (tmp_path / "out" / "stability.csv").exists()
 
     @pytest.mark.parametrize("path", [
         ("version",), ("domain", "shape", "center"), ("pairs", 0, "q2"),

@@ -6,7 +6,7 @@ import pytest
 from bklab import (Disk, FamilySpec, LorentzIndex, PhaseParams, bessel_norm,
                    cauchy_distance, lorentz_norm, make_domain, make_grid, solve_f)
 from bklab import boundary, recon
-from bklab.errors import BklabError
+from bklab.errors import BklabError, FixedPointDivergenceError
 from bklab.recon import (StabilityConfig, bump_field, make_z0_lattice,
                          reconstruct, reconstruct_boundary, reconstruct_interior,
                          reconstruct_pairing, spearman_rank,
@@ -44,6 +44,14 @@ class TestLattice:
             reconstruct_interior(q, 8.0, [-1.5 + 0j], d)
 
 
+class TestBumpField:
+    def test_tiny_width_gives_exact_zeros(self):
+        # |z| / 1e-320 overflows to inf at every cell center, and exp(-inf)
+        # is 0, without an overflow warning (warnings are errors here)
+        f = bump_field(make_grid(1.2, 16), 0j, 1e-320, 2.0)
+        assert f.shape == (16, 16) and not f.any()
+
+
 class TestErrors:
     @pytest.mark.parametrize("w", [1e-3, 0.0123, 0.3])
     def test_weak_is_the_dense_per_point_formula(self, w):
@@ -61,6 +69,20 @@ class TestErrors:
         t = w * np.arange(1, d.size + 1)
         want = float((np.sqrt(t) * (np.cumsum(np.sort(d)[::-1] * w) / t)).max())
         assert res.errors()["weak"].hex() == want.hex()
+
+    @pytest.mark.parametrize("n, error", [(4, FixedPointDivergenceError), (0, BklabError)],
+                             ids=["all-diverged", "empty-lattice"])
+    def test_no_converged_point(self, n, error):
+        # a lattice whose every fixed point diverged is a numerical failure
+        # naming tau; an empty lattice is a configuration error
+        z = np.zeros(n, dtype=complex)
+        res = recon.ReconstructionResult("interior", 2.0, z, z + np.nan, np.zeros(n, bool),
+                                         0.1, z, z)
+        with pytest.raises(error) as info:
+            res.errors()
+        assert info.type is error
+        if n:
+            assert "tau=2.0" in str(info.value)
 
 
 class TestInterior:
