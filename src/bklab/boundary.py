@@ -268,6 +268,16 @@ class FamilySpec:
         """The (z0, tau) pairs of the oscillating family, z0-major."""
         return [(z0, tau) for z0 in self.z0_points for tau in self.taus]
 
+    def check_for(self, domain: DomainSpec) -> None:
+        """BklabError unless the domain's grid admits every tau, and fd_modes
+        is at most the domain's cut points: a lift reads its datum only there."""
+        for tau in self.taus:
+            domain.grid.check_tau(tau)
+        cuts = domain.laplacian[2].size
+        if self.fd_modes > cuts:
+            raise BklabError(f"fd_modes must be at most {cuts}, the domain's boundary "
+                             f"cut points, got {self.fd_modes}")
+
 
 @dataclass
 class CauchyDistanceReport:
@@ -348,8 +358,9 @@ def side_distance(side: Side, q2, family: FamilySpec) -> CauchyDistanceReport:
     Both sides' lifts are the first job of the walk's pool, so their
     factorizations and solves (SuperLU releases the GIL) overlap the
     oscillating solves; they are one job, so that no two factors are held
-    at once."""
+    at once.  The family is checked against the domain before any solve."""
     domain = side.domain
+    family.check_for(domain)
     q2 = domain.grid.check_field(np.asarray(q2, dtype=complex))
     report = CauchyDistanceReport(0.0, [], [], {
         "z0_points": len(family.z0_points), "taus": list(family.taus),

@@ -22,7 +22,7 @@ import numpy as np
 from .cauchy import get_plan
 from .errors import BklabError, DomainError, FixedPointDivergenceError, GridError
 from .grid import DomainSpec, Grid, PhaseParams
-from .lorentz import LorentzIndex, weak_norm_of_sorted
+from .lorentz import LorentzIndex, norm_of_sorted
 from .util import LogLogFit, fit_loglog, parallel_map
 
 __all__ = [
@@ -325,7 +325,7 @@ def carleman_sweep(a_or_q, taus, domain: DomainSpec, z0: complex,
     (`ConvolutionPlan.apply_xy`).  In both modes |v_tau| is then written
     over v_tau's own buffer (`_sort_moduli_in_place`) and sorted there:
     the sup is the last value, and the weak norm is read from the sorted
-    values a block at a time (`lorentz.weak_norm_of_sorted`), so a tau
+    values a block at a time (`lorentz.norm_of_sorted`), so a tau
     allocates no N x N array after its transform.  The full-grid plan is
     built before the tau pool opens, so its build has every worker and no
     tau waits for it.
@@ -335,12 +335,11 @@ def carleman_sweep(a_or_q, taus, domain: DomainSpec, z0: complex,
     grid = domain.grid
     grid.cell_index(z0)
     a = grid.check_field(np.asarray(a_or_q, dtype=complex))
-    guard = grid.aliasing_guard()
     taus = _sorted_taus(taus)
-    used = [t for t in taus if t <= guard * (1 + 1e-12)]
+    used = [t for t in taus if grid.admits(t)]
     skipped = tuple(t for t in taus if t not in used)
     if not used:
-        raise BklabError(f"no tau at or below the aliasing guard {guard:.6g}")
+        raise BklabError(f"no tau at or below the aliasing guard {grid.aliasing_guard():.6g}")
     weak_idx = LorentzIndex(2.0, np.inf, normed=True)
     plan = get_plan(grid)
     if mode == "field":
@@ -360,7 +359,7 @@ def carleman_sweep(a_or_q, taus, domain: DomainSpec, z0: complex,
         else:
             v = apply_S(a, np.broadcast_to(1 + 0j, a.shape), params, domain)
             s = _sort_moduli_in_place(v, v)
-        return weak_norm_of_sorted(s, grid.cell_measure, weak_idx), float(s[-1])
+        return norm_of_sorted(s, grid.cell_measure, weak_idx), float(s[-1])
 
     results = parallel_map(one, used)
     weak = tuple(r[0] for r in results)

@@ -249,6 +249,8 @@ def cmd_reconstruct(ns):
     domain = load_domain(ns.domain)
     q, grid = _load_field_on(ns.q, domain)
     taus = _parse_taus(ns.tau)
+    for tau in taus:
+        grid.check_tau(tau)
     lattice = recon.make_z0_lattice(domain, ns.lattice)
     forms = ("interior", "boundary") if ns.form == "both" else (ns.form,)
     metrics: dict = {"taus": taus, "forms": list(forms), "errors": {}}

@@ -159,6 +159,16 @@ class Grid:
         """Largest admissible tau: pi*N/(8 L^2)."""
         return np.pi * self.N / (8.0 * self.L * self.L)
 
+    def admits(self, tau: float) -> bool:
+        """Whether 0 < tau <= the aliasing guard, up to rounding."""
+        return 0 < tau <= self.aliasing_guard() * (1 + 1e-12)
+
+    def check_tau(self, tau: float) -> None:
+        """AliasingGuardError unless the grid admits tau."""
+        if not self.admits(tau):
+            raise AliasingGuardError(f"tau={tau} is not in (0, {self.aliasing_guard():.6g}], "
+                                     f"the aliasing guard pi*N/(8*L^2) for N={self.N}, L={self.L}")
+
 
 @dataclass(frozen=True)
 class PhaseParams:
@@ -173,11 +183,7 @@ class PhaseParams:
 
     def validate_for(self, grid: Grid) -> "PhaseParams":
         grid.cell_index(self.z0)
-        guard = grid.aliasing_guard()
-        if self.tau > guard * (1 + 1e-12):
-            raise AliasingGuardError(
-                f"tau={self.tau} exceeds the aliasing guard pi*N/(8*L^2)={guard:.6g} "
-                f"for N={grid.N}, L={grid.L}")
+        grid.check_tau(self.tau)
         return self
 
     def phase_field(self, grid: Grid) -> np.ndarray:

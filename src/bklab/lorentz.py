@@ -3,22 +3,20 @@ Sobolev-Lorentz and Bessel-Lorentz norms of discrete fields.
 
 A discrete field is a step function: its rearrangement is a finite list of
 non-increasing values over intervals whose lengths are multiples of the
-cell measure h^2.  On each interval the maximal-average function f** has
-the closed form c + D/t, so norms are computed by per-interval closed
-forms where available (integer q below 32, or D = 0) and 32-point
-Gauss-Legendre quadrature otherwise, plus the exact tail integral beyond
-the support.  For finite q each term of the q-th power is formed from its
-log and the terms are added by log-sum-exp, so a large q keeps them in
-range.
+cell measure h^2.  Every (p, q) norm is taken by one kernel,
+`norm_of_sorted`, from the moduli sorted ascending (by `lorentz_norm` in a
+fresh array, or by a caller in a buffer it owns), read `_BLOCK` = 2^13 at
+a time: besides the moduli it forms no array much longer than a block,
+whatever the field's size and q.
 
-A q = inf norm is the largest value of t^{1/p} f**(t) (or t^{1/p} f*(t))
-at the right end of a cell, taken by one kernel (`weak_norm_of_sorted`)
-that reads the ascending moduli from the top a block at a time and
-carries the running mass from block to block.  A run of equal values
-needs no merging: on it t^{1/p} f**(t) is convex and t^{1/p} f*(t)
-increases, so no cell inside the run exceeds the run's ends.  The kernel
-forms no array as long as the moduli, which `lorentz_norm` sorts in a
-fresh array and a caller may sort in a buffer it owns.
+For finite q the steps are the runs of equal values, on each of which the
+maximal-average function f** = c + D/t.  Each step's term of the q-th
+power is a closed form where one exists (integer q below 32, D = 0 or
+c = 0) and 32-point Gauss-Legendre quadrature otherwise; the tail beyond
+the support is exact.  The terms are summed from their logs, so a large q
+keeps them in range.  A q = inf norm is the largest t^{1/p} f**(t) (or
+t^{1/p} f*(t)) at a cell's right end; on a run of equal values the first
+is convex and the second increases, so the runs need no merging.
 
 Fourier convention (fixed everywhere): F f(xi) = (1/2pi) int f e^{-i x.xi} dm,
 which is unitary on L^2(R^2).
@@ -33,16 +31,16 @@ import numpy as np
 
 from .errors import NormError
 from .grid import DomainSpec, Grid
-from .util import gauss_legendre, masked_gradient
+from .util import masked_gradient
 
 __all__ = [
     "LorentzIndex", "StepRearrangement",
-    "rearrange", "lorentz_norm", "norm_of_rearrangement", "weak_norm_of_sorted",
+    "rearrange", "lorentz_norm", "norm_of_rearrangement", "norm_of_sorted",
     "sobolev_lorentz_norm", "bessel_norm", "indicator_norm",
 ]
 
-_GL_POINTS = 32
-_WEAK_BLOCK = 1 << 14  # sorted values, one cell each, a q = inf norm takes at a time
+_BLOCK = 1 << 13  # sorted values, one cell each, a norm reads at a time
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(32)  # the rule's nodes and weights on [-1, 1]
 
 
 @dataclass(frozen=True)
@@ -132,6 +130,15 @@ def _check_sorted(s: np.ndarray) -> None:
         raise NormError("field contains NaN or infinite samples")
 
 
+def _run_starts(v: np.ndarray, before=math.nan) -> np.ndarray:
+    """The index in v of each run of equal values' first element; v[0]
+    starts none if it equals `before`, the value just before v."""
+    first = np.empty(v.size, dtype=bool)
+    first[0] = v[0] != before
+    np.not_equal(v[1:], v[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
 def rearrange(field: np.ndarray, domain: DomainSpec | None = None,
               grid: Grid | None = None) -> StepRearrangement:
     """Sort |field| (restricted to the domain mask if given) descending
@@ -139,18 +146,10 @@ def rearrange(field: np.ndarray, domain: DomainSpec | None = None,
     vals, h2 = _sorted_moduli(field, domain, grid)
     _check_sorted(vals)
     v = vals[::-1]
-    # compress runs of equal values: starts[k] is where run k + 1 starts,
-    # and it ends run k
-    starts = np.flatnonzero(v[1:] != v[:-1])
-    starts += 1
-    values = np.empty(starts.size + 1, dtype=v.dtype)
-    values[0] = v[0]
-    # indexing, not np.take(v, starts, out=...): take from the reversed
-    # view runs 10x slower (15 vs 1.5 ms for 2^20 distinct values)
-    values[1:] = v[starts]
-    breakpoints = np.empty(starts.size + 2)
-    breakpoints[0] = 0.0
-    np.multiply(starts, h2, out=breakpoints[1:-1])
+    starts = _run_starts(v)
+    values = v[starts]
+    breakpoints = np.empty(starts.size + 1)
+    np.multiply(starts, h2, out=breakpoints[:-1])
     breakpoints[-1] = v.size * h2
     return StepRearrangement(breakpoints, values, h2)
 
@@ -158,67 +157,81 @@ def rearrange(field: np.ndarray, domain: DomainSpec | None = None,
 def lorentz_norm(field: np.ndarray, idx: LorentzIndex,
                  domain: DomainSpec | None = None,
                  grid: Grid | None = None) -> float:
-    if math.isinf(idx.q):
-        return weak_norm_of_sorted(*_sorted_moduli(field, domain, grid), idx)
-    return norm_of_rearrangement(rearrange(field, domain, grid), idx)
+    """The (p, q) norm of |field| on the domain's mask (or the whole grid):
+    its moduli sorted, then `norm_of_sorted`."""
+    return norm_of_sorted(*_sorted_moduli(field, domain, grid), idx)
 
 
 def norm_of_rearrangement(sr: StepRearrangement, idx: LorentzIndex) -> float:
-    """The (p, q) norm of the step function `sr`.  For q = inf its steps
-    are expanded back to cells, ascending, for `weak_norm_of_sorted`."""
-    v = sr.values
-    if v.size == 0 or v[0] == 0.0:
+    """The (p, q) norm of the step function `sr`: its steps expanded back
+    to cells, ascending, for `norm_of_sorted`."""
+    if sr.values.size == 0:
         return 0.0
-    if math.isinf(idx.q):
-        counts = np.rint(np.diff(sr.breakpoints) / sr.cell_measure).astype(np.intp)
-        return weak_norm_of_sorted(np.repeat(v, counts)[::-1], sr.cell_measure, idx)
-    # the norm is homogeneous: taken of v / 2^e < 1, 2^e the power of two
-    # just above v[0], the running masses stay below the total measure, so
-    # only a norm that is itself out of range leaves it
-    e = math.frexp(v[0])[1]
-    norm = _norm if idx.normed else _seminorm
-    return _scaled_back(norm(sr.breakpoints, np.ldexp(v, -e), idx.p, idx.q), e, idx)
+    counts = np.rint(np.diff(sr.breakpoints) / sr.cell_measure).astype(np.intp)
+    return norm_of_sorted(np.repeat(sr.values, counts)[::-1], sr.cell_measure, idx)
 
 
-def weak_norm_of_sorted(s: np.ndarray, cell_measure: float,
-                        idx: LorentzIndex) -> float:
-    """The q = inf norm of the step function whose cells of measure h^2 =
-    `cell_measure` take the values s, sorted ascending: the largest
-    t^{1/p} f**(t) (normed) or t^{1/p} f*(t) at a cell's right end t = k h^2,
-    k = 1..n counted from the top.  On a cell t^{1/p} f**(t) = t^{1/p}
-    (c + D/t) has one critical point, t = D(p-1)/c, a minimum for p > 1,
-    so the supremum is at a right end.
+def norm_of_sorted(s: np.ndarray, cell_measure: float, idx: LorentzIndex) -> float:
+    """The (p, q) norm of the step function whose cells of measure h^2 =
+    `cell_measure` take the values s, sorted ascending; NormError if s is
+    empty or not all finite, as `rearrange`.
 
-    s is read from the top `_WEAK_BLOCK` values at a time, each cell
-    adding v h^2 to the running mass int_0^t f*.  The values are scaled
-    by 2^-e, 2^e the power of two just above s[-1], so that the masses
-    stay in range; scaling by a power of two is exact, so the norm keeps
-    its unscaled bits.  The running mass is carried into the slot before
-    each block: the cumulative sum adds in the same order as over the
-    whole, however s is blocked, and no array longer than a block is
-    formed.  NormError if s is empty or not all finite, as `rearrange`."""
-    if not math.isinf(idx.q):
-        raise NormError(f"need q = inf for the weak norm, got q={idx.q}")
+    s is read from the top a block at a time, scaled by 2^-e, 2^e the
+    power of two just above s[-1], so that the running masses int_0^t f*
+    stay below the total measure: the scaling is exact and the norm
+    homogeneous.  q = inf takes the cells one by one, the running mass
+    carried into the slot before each block, so that it adds in the same
+    order however s is blocked.  Finite q finds a block's runs against the
+    value of the run held back from the block above, and holds its own
+    last run back, so the steps are the runs of the whole; a block the
+    held run fills is skipped.  Only the completed steps' values are
+    scaled, and the logs of their terms (`_step_logs`) are summed last."""
     _check_sorted(s)
     if s[-1] == 0.0:
         return 0.0
     e = math.frexp(s[-1])[1]
-    n = s.size
-    best = 0.0
-    buf = np.zeros(_WEAK_BLOCK + 1)
-    for hi in range(n, 0, -_WEAK_BLOCK):
-        lo = max(0, hi - _WEAK_BLOCK)
-        x = buf[:hi - lo + 1]
-        np.ldexp(s[lo:hi][::-1], -e, out=x[1:])
-        t = np.arange(n - hi + 1, n - lo + 1) * cell_measure  # the right ends
-        if idx.normed:
-            x[1:] *= cell_measure
-            np.cumsum(x, out=x)  # the running masses int_0^t f*
-            buf[0] = x[-1]
-            x[1:] /= t
-        x[1:] *= t ** (1.0 / idx.p)
-        best = max(best, float(x[1:].max()))
-    return _scaled_back(best, e, idx)
+    n, h2, p, q = s.size, cell_measure, idx.p, idx.q
+    best, mass, parts = 0.0, 0.0, []
+    buf = np.zeros(_BLOCK + 1)
+    ks, vs = np.empty(0, dtype=np.intp), np.empty(0)  # held steps: first cells, values
+    for hi in range(n, 0, -_BLOCK):
+        lo = max(0, hi - _BLOCK)
+        if math.isinf(q):
+            x = buf[:hi - lo + 1]
+            np.ldexp(s[lo:hi][::-1], -e, out=x[1:])
+            t = np.arange(n - hi + 1, n - lo + 1) * h2  # the right ends
+            if idx.normed:
+                x[1:] *= h2
+                np.cumsum(x, out=x)  # the running masses int_0^t f*
+                buf[0] = x[-1]
+                x[1:] /= t
+            x[1:] *= t ** (1.0 / p)
+            best = max(best, float(x[1:].max()))
+            continue
+        v = s[lo:hi][::-1]
+        held = vs[-1] if vs.size else math.nan
+        if lo and v[-1] == held:
+            continue
+        first = _run_starts(v, held)
+        ks = np.concatenate((ks, first + (n - hi)))
+        vs = np.concatenate((vs, v[first]))
+        m = ks.size - (lo > 0)  # the last run may go on below the block
+        a, b = ks[:m] * h2, np.append(ks[1:], n)[:m] * h2  # the steps [a, b]
+        c = np.ldexp(vs[:m], -e)
+        ks, vs = ks[m:], vs[m:]
+        S = np.cumsum(np.concatenate(([mass], (b - a) * c)))  # int_0^t f* at a, b
+        mass = S[-1]
+        D = S[:-1] - c * a if idx.normed else np.zeros_like(c)  # f** = c + D/t, f* = c
+        parts += map(_log_sum, _step_logs(a, b, c, D, p, q))
+    if math.isinf(q):
+        return _scaled_back(best, e, idx)
+    if idx.normed:
+        # tail: f** = A/t for t >= t_M.  Its constant p / (q (p - 1)) is
+        # taken in logs, so that q (p - 1) cannot overflow at a large p
+        parts.append(q * math.log(mass) + (q / p - q) * math.log(n * h2)
+                     + (math.log(p / (p - 1.0)) - math.log(q)))
+    with np.errstate(over="ignore"):
+        return _scaled_back(np.exp(_log_sum(np.array(parts)) / q), e, idx)
 
 
 def _scaled_back(val, e, idx: LorentzIndex) -> float:
@@ -229,6 +242,14 @@ def _scaled_back(val, e, idx: LorentzIndex) -> float:
         raise NormError(f"the (p, q) = ({idx.p}, {idx.q}) norm of this field is "
                         f"out of floating-point range")
     return val
+
+
+def _log_sum(logs: np.ndarray) -> float:
+    """log sum exp(logs), taken by the largest (-inf if there is none)."""
+    top = float(np.max(logs, initial=-math.inf))
+    if top == -math.inf:
+        return top
+    return top + math.log(np.exp(logs - top).sum())
 
 
 def _log_power_int(a, b, alpha):
@@ -244,68 +265,34 @@ def _log_power_int(a, b, alpha):
         return hi + np.log(-np.expm1(-abs(alpha) * (lb - la))) - math.log(abs(alpha))
 
 
-def _qth_root_of_sum(logs, q) -> float:
-    """(sum of exp(logs))^(1/q), the sum taken by log-sum-exp."""
-    logs = np.concatenate([np.ravel(x) for x in logs])
-    top = logs.max()
-    with np.errstate(over="ignore", under="ignore"):
-        return float(np.exp((top + math.log(np.exp(logs - top).sum())) / q))
-
-
-def _seminorm(t, v, p, q):
-    # f* is constant per interval: integral has a closed form
-    with np.errstate(divide="ignore"):
-        lv = np.log(v)
-    return _qth_root_of_sum([q * lv + _log_power_int(t[:-1], t[1:], q / p)], q)
-
-
-def _norm(t, v, p, q):
-    a, b = t[:-1], t[1:]
-    # S[i] = int_0^{t_i} f*, the running masses, built in one buffer
-    S = np.empty(t.size)
-    S[0] = 0.0
-    np.subtract(b, a, out=S[1:])
-    S[1:] *= v
-    np.cumsum(S[1:], out=S[1:])
-    c = v
-    D = S[:-1] - v * a  # f**(t) = c + D/t on [a, b]; D >= 0
-    A = S[-1]
-    tM = t[-1]
-    # each term of int (t^{1/p} f**)^q dt/t is positive: its log goes in
-    # `logs` (a zero value has log -inf and adds nothing)
+def _step_logs(a, b, c, D, p, q):
+    """The logs of the terms of int_a^b (c + D/t)^q t^{q/p - 1} dt over the
+    steps [a, b] (c >= 0, D >= 0 up to rounding), an array at a time; a
+    zero term has log -inf.  Where D <= 0 or c = 0 the integrand is one
+    power of t; an integer q below 32 expands it binomially, one power of
+    t a term, and any other q takes 32-point Gauss-Legendre quadrature."""
+    flat = D <= 0.0
     with np.errstate(divide="ignore"):
         lc = np.log(c)
-    logs = []
-    zero_D = D <= 0.0
-    if zero_D.any():
-        logs.append(q * lc[zero_D] + _log_power_int(a[zero_D], b[zero_D], q / p))
-    gl = ~zero_D
-    if gl.any():
-        ag, bg, cg, Dg = a[gl], b[gl], c[gl], D[gl]
-        lcg, lDg = lc[gl], np.log(Dg)
-        if q == int(q) and q < _GL_POINTS:
-            # (c + D/t)^q t^{q/p - 1} expanded binomially, one power of t a
-            # term: exact, and no more terms than the quadrature has points
-            n = int(q)
-            for k in range(n + 1):
-                lt = math.log(math.comb(n, k)) + _log_power_int(ag, bg, q / p - k)
-                if k < n:
-                    lt = lt + (n - k) * lcg
-                if k:
-                    lt = lt + k * lDg
-                logs.append(lt)
-        else:
-            x, w = gauss_legendre(_GL_POINTS)
-            mid = 0.5 * (ag + bg)[:, None]
-            rad = 0.5 * (bg - ag)[:, None]
-            tt = mid + rad * x[None, :]
-            logs.append(np.log(rad) + (q / p - 1.0) * np.log(tt)
-                        + q * np.log(cg[:, None] + Dg[:, None] / tt) + np.log(w)[None, :])
-    # tail: f** = A/t for t >= t_M.  Its constant p / (q (p - 1)) is taken
-    # in logs, so that q (p - 1) cannot overflow at a large p
-    logs.append(q * math.log(A) + (q / p - q) * math.log(tM)
-                + (math.log(p / (p - 1.0)) - math.log(q)))
-    return _qth_root_of_sum(logs, q)
+    yield q * lc[flat] + _log_power_int(a[flat], b[flat], q / p)
+    if flat.all():
+        return
+    decay = ~flat & (c == 0.0)
+    yield q * np.log(D[decay]) + _log_power_int(a[decay], b[decay], q / p - q)
+    rest = ~(flat | decay)
+    a, b, c, D, lc = a[rest], b[rest], c[rest], D[rest], lc[rest]
+    lD = np.log(D)
+    if q == int(q) and q < _GL_X.size:
+        n = int(q)
+        for k in range(n + 1):
+            yield (math.log(math.comb(n, k)) + _log_power_int(a, b, q / p - k)
+                   + (n - k) * lc + k * lD)
+    else:
+        mid, rad = 0.5 * (a + b), 0.5 * (b - a)
+        lr = np.log(rad)
+        for x, lw in zip(_GL_X, np.log(_GL_W)):
+            t = mid + rad * x
+            yield lr + (q / p - 1.0) * np.log(t) + q * np.log(c + D / t) + lw
 
 
 def indicator_norm(measure: float, idx: LorentzIndex) -> float:

@@ -25,7 +25,7 @@ from .boundary import FamilySpec, Side, interp_bilinear, side_distance, w12_norm
 from .bukhgeim import solve_f
 from .errors import BklabError, FixedPointDivergenceError
 from .grid import DomainSpec, Grid, PhaseParams
-from .lorentz import LorentzIndex, lorentz_norm, weak_norm_of_sorted
+from .lorentz import LorentzIndex, lorentz_norm, norm_of_sorted
 from .stationary import smooth
 from .util import parallel_map
 
@@ -96,7 +96,7 @@ class ReconstructionResult:
         return {
             "sup": float(d.max()),
             "l2": float(np.sqrt((d ** 2).mean())),
-            "weak": weak_norm_of_sorted(np.sort(d), self.lattice_measure, _WEAK),
+            "weak": norm_of_sorted(np.sort(d), self.lattice_measure, _WEAK),
         }
 
 
@@ -266,6 +266,7 @@ def stability_experiment(pairs, domain: DomainSpec,
                          f"got {config.tau_min}")
     lattice = make_z0_lattice(domain, config.lattice_n)
     fam = FamilySpec(tuple(lattice), config.family_taus, fd_modes=config.fd_modes)
+    fam.check_for(domain)
     if config.b_omega is None:
         B = 1.0 + 2.0 * calibrate_exponential_rate(domain)
     else:

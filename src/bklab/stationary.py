@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BklabError
-from .grid import Grid, PhaseParams
+from .grid import Grid
 
 __all__ = [
     "kernel_multiplier", "kernel_samples", "smooth",
@@ -48,7 +48,7 @@ def smooth(Q: np.ndarray, tau: float, grid: Grid, path: str = "multiplier") -> n
     if path == "multiplier":
         return np.fft.ifft2(np.fft.fft2(Q) * kernel_multiplier(grid, tau))
     if path == "direct":
-        PhaseParams(tau, 0j).validate_for(grid)
+        grid.check_tau(tau)
         N = grid.N
         d = ((np.arange(2 * N) + N) % (2 * N) - N) * grid.h
         K = np.fft.fft2(_kappa(tau, d[None, :] + 1j * d[:, None]))

@@ -1,6 +1,6 @@
-"""Shared numerics: thread pool sizing, log-log fits, quadrature nodes,
-masked finite differences (cells beyond the grid edge count as unmasked,
-so a mask that reaches the edge is differenced one-sided there)."""
+"""Shared numerics: thread pool sizing, log-log fits, masked finite
+differences (cells beyond the grid edge count as unmasked, so a mask that
+reaches the edge is differenced one-sided there)."""
 
 from __future__ import annotations
 
@@ -68,16 +68,6 @@ def fit_loglog(x, y) -> LogLogFit:
     res = ly - A @ coef
     return LogLogFit(float(coef[0]), float(coef[1]),
                      float(np.sqrt(np.mean(res ** 2))))
-
-
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [-1, 1], cached."""
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
 
 
 def mask_stencil(mask: np.ndarray) -> tuple:

@@ -6,9 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from bklab import (Disk, LorentzIndex, cli, load_domain, load_field, lorentz_norm,
-                   make_domain, make_grid, recon, save_domain, save_field)
+from bklab import (Disk, LorentzIndex, boundary, cli, load_domain, load_field,
+                   lorentz_norm, make_domain, make_grid, recon, save_domain, save_field)
 from bklab.boundary import FamilySpec, cauchy_distance
+from bklab.errors import BklabError
 from bklab.recon import bump_field
 from bklab.svgplot import parse_svg_data
 
@@ -716,6 +717,65 @@ class TestStabilityCli:
         assert_config_error(r)
         message = json.loads(r.stderr)["error"]["message"]
         assert str(p) in message and repr(path[-1]) in message
+
+
+class TestRejectedBeforeAnySolve:
+    """A tau above the aliasing guard, or an fd_modes above the domain's
+    boundary cut points, exits 2 when it is read: no fixed point is solved,
+    no Dirichlet lift is factored and nothing is written."""
+
+    @pytest.fixture(autouse=True)
+    def no_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solve was started")
+        monkeypatch.setattr(recon, "solve_f", refuse)
+        monkeypatch.setattr(boundary, "solve_f", refuse)
+        monkeypatch.setattr(boundary, "DirichletSolver", refuse)
+        monkeypatch.setenv("BKLAB_THREADS", "1")
+
+    @staticmethod
+    def message(capsys, tmp_path, args):
+        assert cli.main([*args, "--out-dir", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+        return json.loads(capsys.readouterr().err)["error"]["message"]
+
+    @staticmethod
+    def args(workspace, tmp_path, cmd, **config):
+        if cmd == "stability":
+            cfg = json.loads(TestStabilityCli()._config(tmp_path / "c.json").read_text())
+            (tmp_path / "c.json").write_text(json.dumps({**cfg, **config}))
+            return ["stability", "--config", str(tmp_path / "c.json")]
+        args = ["--domain", str(workspace / "disk.json")]
+        if cmd == "reconstruct":
+            return ["reconstruct", "--q", str(workspace / "q.bkfld"), *args,
+                    "--tau", ",".join(map(str, config["family_taus"]))]
+        return ["cauchy-distance", "--q1", str(workspace / "q.bkfld"),
+                "--q2", str(workspace / "q2.bkfld"), *args,
+                "--taus", ",".join(map(str, config.get("family_taus", (4, 8, 16)))),
+                "--fd-modes", str(config.get("fd_modes", 1))]
+
+    @pytest.mark.parametrize("cmd", ["reconstruct", "cauchy-distance", "stability"])
+    def test_tau_above_guard(self, workspace, tmp_path, capsys, cmd):
+        # the guard on the N=64, L=1.2 grid is 17.45: 8 and 16 would solve
+        message = self.message(capsys, tmp_path,
+                               self.args(workspace, tmp_path, cmd, family_taus=[8, 16, 100]))
+        assert message.startswith("tau=100.0 is not in (0, 17.4533], the aliasing guard")
+
+    @pytest.mark.parametrize("cmd", ["cauchy-distance", "stability"])
+    def test_fd_modes_above_cut_points(self, workspace, tmp_path, capsys, cmd):
+        cuts = load_domain(workspace / "disk.json").laplacian[2].size
+        message = self.message(capsys, tmp_path,
+                               self.args(workspace, tmp_path, cmd, fd_modes=cuts + 1))
+        assert message == (f"fd_modes must be at most {cuts}, the domain's boundary "
+                           f"cut points, got {cuts + 1}")
+
+    def test_fd_modes_at_cut_points_accepted(self, workspace):
+        d = load_domain(workspace / "disk.json")
+        cuts = d.laplacian[2].size
+        lattice = tuple(recon.make_z0_lattice(d, 3))
+        FamilySpec(lattice, (4.0, 8.0, 16.0), fd_modes=cuts).check_for(d)
+        with pytest.raises(BklabError, match="^fd_modes must be at most"):
+            FamilySpec(lattice, (4.0, 8.0, 16.0), fd_modes=cuts + 1).check_for(d)
 
 
 class TestDeterminism:

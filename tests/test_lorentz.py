@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from bklab import (Disk, LorentzIndex, bessel_norm, lorentz_norm, make_domain,
                    make_grid, rearrange, sobolev_lorentz_norm)
 from bklab.errors import NormError
-from bklab.lorentz import indicator_norm, norm_of_rearrangement, weak_norm_of_sorted
+from bklab.lorentz import indicator_norm, norm_of_rearrangement, norm_of_sorted
 from bklab.util import masked_gradient
 
 lorentz_module = importlib.import_module("bklab.lorentz")
@@ -105,20 +105,24 @@ class TestLorentzNorm:
         assert val <= target * (1 + 1e-9)
 
     def test_weak_norm_working_set(self, traced_peak):
-        # the rearrangement sorts its own |f| in place and the q = inf
-        # branch builds no D
+        # the norm sorts its own |f| in place, and the kernel reads it a
+        # block at a time, for every q
         N = 512
         g = make_grid(1.0, N)
         f = random_field(g, 0)
-        assert traced_peak(lambda: lorentz_norm(f, L2W, grid=g)) <= 6 * N * N * 8
+        for q in (1.0, 2.0, 1.5, 40.0, np.inf):
+            for normed in (True, False):
+                idx = LorentzIndex(2, q, normed)
+                assert traced_peak(lambda: lorentz_norm(f, idx, grid=g)) <= 6 * N * N * 8
 
     def test_weak_norm_of_sorted_working_set(self, traced_peak):
         # the cells are read from the sorted moduli a block at a time: the
-        # peak is a few blocks long, whatever the field's size
+        # peak is a few blocks long, whatever the field's size or q
         s = np.sort(np.abs(random_field(make_grid(1.0, 1024), 0)).ravel())
-        for normed in (True, False):
-            idx = LorentzIndex(2, np.inf, normed)
-            assert traced_peak(lambda: weak_norm_of_sorted(s, 1e-6, idx)) <= s.nbytes / 4
+        for q in (1.0, 2.0, 1.5, 40.0, np.inf):
+            for normed in (True, False):
+                idx = LorentzIndex(2, q, normed)
+                assert traced_peak(lambda: norm_of_sorted(s, 1e-6, idx)) <= s.nbytes / 4
 
     @pytest.mark.parametrize("p", [1e13, 1e100, 1e300])
     def test_indicator_at_large_p(self, p):
@@ -288,9 +292,9 @@ class TestLorentzNorm:
 
 
 class TestWeakNormOfSorted:
-    """The q = inf norm read from the sorted moduli, a block of values at a
-    time, has the bits of the unblocked per-cell formula, and every path to
-    a q = inf norm gives them."""
+    """Every (p, q) norm read from the sorted moduli, a block of values at a
+    time, agrees with an unblocked per-cell formula: bit for bit at q = inf,
+    to 1e-12 otherwise.  Every path to a norm gives the kernel's bits."""
 
     @staticmethod
     def per_cell(s, h2, p, normed):
@@ -301,34 +305,62 @@ class TestWeakNormOfSorted:
         f = np.cumsum(v * h2) / t if normed else v
         return float((f * t ** (1.0 / p)).max())
 
+    @staticmethod
+    def per_cell_power(s, h2, p, q, normed):
+        """||f||^q = int_0^inf (t^{1/p} f**(t))^q dt/t (or f*) cell by cell,
+        the moduli s taken from the top.  With f* each cell's integral is
+        closed.  With f** = c + D/t on the k-th cell [a, b]: the first cell
+        (D = 0) is closed, every other one takes 32-point Gauss-Legendre
+        (b/a <= 2, so f** is smooth there), and the A/t tail is added."""
+        v = s[::-1]
+        a = h2 * np.arange(v.size)
+        b = a + h2
+        if not normed:
+            return float(np.sum(v ** q * (b ** (q / p) - a ** (q / p))) * p / q)
+        S = np.concatenate([[0.0], np.cumsum(v * h2)])
+        D = S[:-1] - v * a
+        x, w = np.polynomial.legendre.leggauss(32)
+        t = (a + 0.5 * h2)[:, None] + 0.5 * h2 * x[None, :]
+        f = (v[:, None] + D[:, None] / t) ** q * t ** (q / p - 1)
+        cells = 0.5 * h2 * (f @ w)
+        cells[0] = v[0] ** q * h2 ** (q / p) * p / q
+        tail = S[-1] ** q * b[-1] ** (q / p - q) * p / (q * (p - 1))
+        return float(cells.sum() + tail)
+
     @classmethod
     def assert_same_bits(cls, f, domain=None, grid=None):
         g = grid if domain is None else domain.grid
         m = np.ones((g.N, g.N), dtype=bool) if domain is None else domain.mask
         s = np.sort(np.abs(f[m]))
         sr = rearrange(f, domain, grid)
+        h2 = g.cell_measure
         for p in (2.0, 1.5, 3.0):
             for normed in (True, False):
-                idx = LorentzIndex(p, np.inf, normed)
-                want = cls.per_cell(s, g.cell_measure, p, normed)
-                assert weak_norm_of_sorted(s, g.cell_measure, idx).hex() == want.hex()
-                assert lorentz_norm(f, idx, domain, grid).hex() == want.hex()
-                assert norm_of_rearrangement(sr, idx).hex() == want.hex()
+                for q in (1.0, 2.0, 1.5, 40.0, np.inf):
+                    idx = LorentzIndex(p, q, normed)
+                    got = norm_of_sorted(s, h2, idx)
+                    assert lorentz_norm(f, idx, domain, grid).hex() == got.hex()
+                    assert norm_of_rearrangement(sr, idx).hex() == got.hex()
+                    if math.isinf(q):
+                        assert got.hex() == cls.per_cell(s, h2, p, normed).hex()
+                    else:
+                        want = cls.per_cell_power(s, h2, p, q, normed) ** (1.0 / q)
+                        assert got == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("block", [7, 1 << 14])
+    @pytest.mark.parametrize("block", [7, 1 << 13, 1 << 14])
     @pytest.mark.parametrize("radius", [0.55, 0.8, 1.1])
     def test_random_fields(self, monkeypatch, block, radius):
         # masks of 164 to 43228 cells, none a multiple of the block
-        monkeypatch.setattr(lorentz_module, "_WEAK_BLOCK", block)
+        monkeypatch.setattr(lorentz_module, "_BLOCK", block)
         g = make_grid(1.2, 256 if block > 7 else 32)
         d = make_domain(g, Disk(0j, radius))
         assert d.mask.sum() % block
         self.assert_same_bits(random_field(g, 4), domain=d)
         self.assert_same_bits(random_field(g, 5), grid=g)
 
-    @pytest.mark.parametrize("block", [7, 1 << 14])
+    @pytest.mark.parametrize("block", [7, 1 << 13, 1 << 14])
     def test_ties_across_block_edges(self, monkeypatch, block):
-        monkeypatch.setattr(lorentz_module, "_WEAK_BLOCK", block)
+        monkeypatch.setattr(lorentz_module, "_BLOCK", block)
         N = 256 if block > 7 else 32
         g = make_grid(1.0, N)
         rng = np.random.default_rng(9)
@@ -346,23 +378,21 @@ class TestWeakNormOfSorted:
         assert one.mask.sum() == 1
         self.assert_same_bits(np.full((8, 8), 3.0 + 4.0j), domain=one)
         zero = np.zeros((64, 64))
-        assert weak_norm_of_sorted(np.zeros(4096), g.cell_measure, L2W) == 0.0
-        assert lorentz_norm(zero, L2W, grid=g) == 0.0
-        assert norm_of_rearrangement(rearrange(zero, grid=g), L2W) == 0.0
+        for idx in (L2W, L21, LorentzIndex(2, 1.5, normed=False)):
+            assert norm_of_sorted(np.zeros(4096), g.cell_measure, idx) == 0.0
+            assert lorentz_norm(zero, idx, grid=g) == 0.0
+            assert norm_of_rearrangement(rearrange(zero, grid=g), idx) == 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
         g = make_grid(1.0, 64)
         f = np.ones((64, 64))
         f[5, 7] = bad
-        for fn in (lambda: lorentz_norm(f, L2W, grid=g),
-                   lambda: weak_norm_of_sorted(np.sort(np.abs(f).ravel()), g.cell_measure, L2W)):
-            with pytest.raises(NormError, match="^field contains NaN or infinite samples$"):
-                fn()
-
-    def test_needs_q_inf(self):
-        with pytest.raises(NormError):
-            weak_norm_of_sorted(np.ones(4), 1.0, L21)
+        for idx in (L2W, L21):
+            for fn in (lambda: lorentz_norm(f, idx, grid=g),
+                       lambda: norm_of_sorted(np.sort(np.abs(f).ravel()), g.cell_measure, idx)):
+                with pytest.raises(NormError, match="^field contains NaN or infinite samples$"):
+                    fn()
 
 
 class TestSobolevLorentz:
