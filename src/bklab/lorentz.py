@@ -12,11 +12,12 @@ whatever the field's size and q.
 For finite q the steps are the runs of equal values, on each of which the
 maximal-average function f** = c + D/t.  Each step's term of the q-th
 power is a closed form where one exists (integer q below 32, D = 0 or
-c = 0) and 32-point Gauss-Legendre quadrature otherwise; the tail beyond
-the support is exact.  The terms are summed from their logs, so a large q
-keeps them in range.  A q = inf norm is the largest t^{1/p} f**(t) (or
-t^{1/p} f*(t)) at a cell's right end; on a run of equal values the first
-is convex and the second increases, so the runs need no merging.
+c = 0) and 32-point Gauss-Legendre quadrature otherwise, on pieces [x, y]
+of the step with y <= 2x; the tail beyond the support is exact.  The
+terms are summed from their logs, so a large q keeps them in range.  A
+q = inf norm is the largest t^{1/p} f**(t) (or t^{1/p} f*(t)) at a cell's
+right end; on a run of equal values the first is convex and the second
+increases, so the runs need no merging.
 
 Fourier convention (fixed everywhere): F f(xi) = (1/2pi) int f e^{-i x.xi} dm,
 which is unitary on L^2(R^2).
@@ -147,11 +148,7 @@ def rearrange(field: np.ndarray, domain: DomainSpec | None = None,
     _check_sorted(vals)
     v = vals[::-1]
     starts = _run_starts(v)
-    values = v[starts]
-    breakpoints = np.empty(starts.size + 1)
-    np.multiply(starts, h2, out=breakpoints[:-1])
-    breakpoints[-1] = v.size * h2
-    return StepRearrangement(breakpoints, values, h2)
+    return StepRearrangement(np.append(starts, v.size) * h2, v[starts], h2)
 
 
 def lorentz_norm(field: np.ndarray, idx: LorentzIndex,
@@ -270,7 +267,8 @@ def _step_logs(a, b, c, D, p, q):
     steps [a, b] (c >= 0, D >= 0 up to rounding), an array at a time; a
     zero term has log -inf.  Where D <= 0 or c = 0 the integrand is one
     power of t; an integer q below 32 expands it binomially, one power of
-    t a term, and any other q takes 32-point Gauss-Legendre quadrature."""
+    t a term, and any other q takes 32-point Gauss-Legendre quadrature on
+    pieces of the step that end at most twice as far from 0 as they begin."""
     flat = D <= 0.0
     with np.errstate(divide="ignore"):
         lc = np.log(c)
@@ -288,7 +286,13 @@ def _step_logs(a, b, c, D, p, q):
             yield (math.log(math.comb(n, k)) + _log_power_int(a, b, q / p - k)
                    + (n - k) * lc + k * lD)
     else:
-        mid, rad = 0.5 * (a + b), 0.5 * (b - a)
+        # cut at 2a, 4a, ... below b: each piece is its width or more from the singular t = 0
+        k = np.ceil(np.log2(b / a)).astype(np.intp)
+        i = np.repeat(np.arange(k.size), k)
+        lo = np.ldexp(a[i], np.arange(i.size) - (np.cumsum(k) - k)[i])
+        hi = 2.0 * lo
+        hi[np.cumsum(k) - 1] = b
+        mid, rad, c, D = 0.5 * (lo + hi), 0.5 * (hi - lo), c[i], D[i]
         lr = np.log(rad)
         for x, lw in zip(_GL_X, np.log(_GL_W)):
             t = mid + rad * x

@@ -371,6 +371,16 @@ class TestWeakNormOfSorted:
             assert any(v[k - 1] == v[k] for k in range(block, v.size, block))
             self.assert_same_bits(f, grid=g)
 
+    @pytest.mark.parametrize("block", [7, 1 << 13])
+    def test_long_runs_below_short_ones(self, monkeypatch, block):
+        # runs of 1, 2 and 4093 cells: the last step ends 1365 times as
+        # far from t = 0 as it begins, and f** = c + D/t is no one power of
+        # t on it
+        monkeypatch.setattr(lorentz_module, "_BLOCK", block)
+        g = make_grid(1.0, 64)
+        f = np.repeat([5.0, 3.0, 1.0], [1, 2, 4093]).reshape(64, 64)
+        self.assert_same_bits(f, grid=g)
+
     def test_constant_single_cell_and_zero(self):
         g = make_grid(1.0, 64)
         self.assert_same_bits(np.full((64, 64), 2.5 - 1j), grid=g)
