@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -41,7 +42,7 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 13  # sorted values, one cell each, a norm reads at a time
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(32)  # the rule's nodes and weights on [-1, 1]
+_gauss_legendre = cache(lambda: np.polynomial.legendre.leggauss(32))  # imports on first use
 
 
 @dataclass(frozen=True)
@@ -252,7 +253,6 @@ def _log_sum(logs: np.ndarray) -> float:
 def _log_power_int(a, b, alpha):
     """log int_a^b t^{alpha - 1} dt over 0 <= a < b, elementwise in (a, b);
     a = 0 needs alpha > 0."""
-    alpha = float(alpha)
     with np.errstate(divide="ignore"):
         la, lb = np.log(a), np.log(b)
         if alpha == 0.0:
@@ -280,7 +280,7 @@ def _step_logs(a, b, c, D, p, q):
     rest = ~(flat | decay)
     a, b, c, D, lc = a[rest], b[rest], c[rest], D[rest], lc[rest]
     lD = np.log(D)
-    if q == int(q) and q < _GL_X.size:
+    if q == int(q) and q < 32:
         n = int(q)
         for k in range(n + 1):
             yield (math.log(math.comb(n, k)) + _log_power_int(a, b, q / p - k)
@@ -294,9 +294,9 @@ def _step_logs(a, b, c, D, p, q):
         hi[np.cumsum(k) - 1] = b
         mid, rad, c, D = 0.5 * (lo + hi), 0.5 * (hi - lo), c[i], D[i]
         lr = np.log(rad)
-        for x, lw in zip(_GL_X, np.log(_GL_W)):
+        for x, w in zip(*_gauss_legendre()):  # nodes and weights on [-1, 1]
             t = mid + rad * x
-            yield lr + (q / p - 1.0) * np.log(t) + q * np.log(c + D / t) + lw
+            yield lr + (q / p - 1.0) * np.log(t) + q * np.log(c + D / t) + math.log(w)
 
 
 def indicator_norm(measure: float, idx: LorentzIndex) -> float:
