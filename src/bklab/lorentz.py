@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 13  # sorted values, one cell each, a norm reads at a time
-_gauss_legendre = cache(lambda: np.polynomial.legendre.leggauss(32))  # imports on first use
+_gauss_legendre = cache(lambda: np.polynomial.legendre.leggauss(32))  # a lazy import
 
 
 @dataclass(frozen=True)
