@@ -4,7 +4,7 @@ inverse boundary value problem.
 Submodules
 ----------
 grid        uniform grids, masked domains, boundary quadrature, field files
-lorentz     rearrangements and Lorentz / Sobolev-Lorentz / Bessel norms
+lorentz     Lorentz / Sobolev-Lorentz / Bessel norms from rearrangements
 cauchy      Cauchy and Beurling transforms, boundary Cauchy integral
 cutoffs     explicit cut-off weights and annulus kernel norms
 stationary  complex Gaussian kernel and the smoothing operator
@@ -16,8 +16,8 @@ recon       potential reconstruction and the stability experiment
 from .grid import (Grid, PhaseParams, Disk, Polygon, DomainSpec, make_grid,
                    make_domain, boundary_belt, save_field, load_field,
                    save_domain, load_domain)
-from .lorentz import (LorentzIndex, StepRearrangement, rearrange,
-                      lorentz_norm, sobolev_lorentz_norm, bessel_norm)
+from .lorentz import (LorentzIndex, lorentz_norm, sobolev_lorentz_norm,
+                      bessel_norm)
 from .cauchy import (ConvolutionPlan, get_plan, cauchy, conj_cauchy,
                      wirtinger, beurling, boundary_cauchy, ibp_check)
 from .cutoffs import (CutoffBundle, build_h1, build_h2, tune_h2,

@@ -165,11 +165,6 @@ class BukhgeimSolution:
     def contraction(self) -> float:
         return max(self.contraction_ratios) if self.contraction_ratios else 0.0
 
-    @property
-    def sup_bound_ok(self) -> bool:
-        """Discrete surrogate for the 4/3 fixed-point norm control."""
-        return self.sup_f <= (4.0 / 3.0) * 1.10
-
     def u_on_mask(self) -> np.ndarray:
         """u at the masked cells, in `domain.mask` order, from the box
         values alone."""

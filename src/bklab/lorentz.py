@@ -1,5 +1,5 @@
-"""Distribution functions, non-increasing rearrangements, and the Lorentz,
-Sobolev-Lorentz and Bessel-Lorentz norms of discrete fields.
+"""The Lorentz, Sobolev-Lorentz and Bessel-Lorentz norms of discrete fields,
+taken from their non-increasing rearrangements.
 
 A discrete field is a step function: its rearrangement is a finite list of
 non-increasing values over intervals whose lengths are multiples of the
@@ -36,8 +36,7 @@ from .grid import DomainSpec, Grid
 from .util import masked_gradient
 
 __all__ = [
-    "LorentzIndex", "StepRearrangement",
-    "rearrange", "lorentz_norm", "norm_of_rearrangement", "norm_of_sorted",
+    "LorentzIndex", "lorentz_norm", "norm_of_sorted",
     "sobolev_lorentz_norm", "bessel_norm", "indicator_norm",
 ]
 
@@ -61,43 +60,6 @@ class LorentzIndex:
             raise NormError(f"need 1 <= q <= inf, got q={self.q}")
 
 
-@dataclass(frozen=True)
-class StepRearrangement:
-    """Non-increasing rearrangement of |f| as a step function.
-
-    breakpoints: 0 = t_0 < t_1 < ... < t_M (multiples of the cell measure)
-    values:      v_1 >= v_2 >= ... >= v_M >= 0 on the half-open intervals
-    """
-
-    breakpoints: np.ndarray
-    values: np.ndarray
-    cell_measure: float
-
-    @property
-    def total_measure(self) -> float:
-        return float(self.breakpoints[-1]) if self.values.size else 0.0
-
-    def distribution(self, lam: float) -> float:
-        """m(f, lam) = measure of {|f| > lam} = sup{t_i : v_i > lam}."""
-        above = self.values > lam
-        if not above.any():
-            return 0.0
-        return float(self.breakpoints[1:][above].max())
-
-    def f_star(self, s) -> np.ndarray:
-        """Right-continuous rearrangement evaluated pointwise."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        idx = np.searchsorted(self.breakpoints[1:], s, side="right")
-        out = np.zeros_like(s)
-        inside = idx < self.values.size
-        out[inside] = self.values[idx[inside]]
-        return out
-
-    def power_sum(self, r: float) -> float:
-        """int (f*)^r ds; equals h^2 sum |f|^r by equimeasurability."""
-        return float(np.sum(self.values ** r * np.diff(self.breakpoints)))
-
-
 def _where(domain: DomainSpec | None,
            grid: Grid | None) -> tuple[Grid, np.ndarray | None]:
     """The grid a field lives on and the mask it is read on (None: the
@@ -112,27 +74,7 @@ def _where(domain: DomainSpec | None,
     return domain.grid, domain.mask
 
 
-def _sorted_moduli(field: np.ndarray, domain: DomainSpec | None,
-                   grid: Grid | None) -> tuple[np.ndarray, float]:
-    """|field| (restricted to the domain mask if given) sorted ascending in
-    a fresh array, and the cell measure."""
-    grid, mask = _where(domain, grid)
-    field = grid.check_field(np.asarray(field))
-    vals = np.abs(field if mask is None else field[mask]).ravel()
-    vals.sort()  # a fresh array, sorted in place
-    return vals, grid.cell_measure
-
-
-def _check_sorted(s: np.ndarray) -> None:
-    """NormError if the ascending moduli s are empty or not all finite:
-    NaN and +inf sort last, so the last value tells."""
-    if s.size == 0:
-        raise NormError("empty mask: nothing to rearrange")
-    if not np.isfinite(s[-1]):
-        raise NormError("field contains NaN or infinite samples")
-
-
-def _run_starts(v: np.ndarray, before=math.nan) -> np.ndarray:
+def _run_starts(v: np.ndarray, before: float) -> np.ndarray:
     """The index in v of each run of equal values' first element; v[0]
     starts none if it equals `before`, the value just before v."""
     first = np.empty(v.size, dtype=bool)
@@ -141,38 +83,22 @@ def _run_starts(v: np.ndarray, before=math.nan) -> np.ndarray:
     return np.flatnonzero(first)
 
 
-def rearrange(field: np.ndarray, domain: DomainSpec | None = None,
-              grid: Grid | None = None) -> StepRearrangement:
-    """Sort |field| (restricted to the domain mask if given) descending
-    and compress equal runs into steps."""
-    vals, h2 = _sorted_moduli(field, domain, grid)
-    _check_sorted(vals)
-    v = vals[::-1]
-    starts = _run_starts(v)
-    return StepRearrangement(np.append(starts, v.size) * h2, v[starts], h2)
-
-
 def lorentz_norm(field: np.ndarray, idx: LorentzIndex,
                  domain: DomainSpec | None = None,
                  grid: Grid | None = None) -> float:
     """The (p, q) norm of |field| on the domain's mask (or the whole grid):
-    its moduli sorted, then `norm_of_sorted`."""
-    return norm_of_sorted(*_sorted_moduli(field, domain, grid), idx)
-
-
-def norm_of_rearrangement(sr: StepRearrangement, idx: LorentzIndex) -> float:
-    """The (p, q) norm of the step function `sr`: its steps expanded back
-    to cells, ascending, for `norm_of_sorted`."""
-    if sr.values.size == 0:
-        return 0.0
-    counts = np.rint(np.diff(sr.breakpoints) / sr.cell_measure).astype(np.intp)
-    return norm_of_sorted(np.repeat(sr.values, counts)[::-1], sr.cell_measure, idx)
+    its moduli sorted ascending in a fresh array, then `norm_of_sorted`."""
+    grid, mask = _where(domain, grid)
+    field = grid.check_field(np.asarray(field))
+    s = np.abs(field if mask is None else field[mask]).ravel()
+    s.sort()  # a fresh array, sorted in place
+    return norm_of_sorted(s, grid.cell_measure, idx)
 
 
 def norm_of_sorted(s: np.ndarray, cell_measure: float, idx: LorentzIndex) -> float:
     """The (p, q) norm of the step function whose cells of measure h^2 =
     `cell_measure` take the values s, sorted ascending; NormError if s is
-    empty or not all finite, as `rearrange`.
+    empty or not all finite.
 
     s is read from the top a block at a time, scaled by 2^-e, 2^e the
     power of two just above s[-1], so that the running masses int_0^t f*
@@ -184,7 +110,10 @@ def norm_of_sorted(s: np.ndarray, cell_measure: float, idx: LorentzIndex) -> flo
     last run back, so the steps are the runs of the whole; a block the
     held run fills is skipped.  Only the completed steps' values are
     scaled, and the logs of their terms (`_step_logs`) are summed last."""
-    _check_sorted(s)
+    if s.size == 0:
+        raise NormError("empty mask: nothing to rearrange")
+    if not np.isfinite(s[-1]):  # NaN and +inf sort last
+        raise NormError("field contains NaN or infinite samples")
     if s[-1] == 0.0:
         return 0.0
     e = math.frexp(s[-1])[1]
@@ -286,13 +215,15 @@ def _step_logs(a, b, c, D, p, q):
             yield (math.log(math.comb(n, k)) + _log_power_int(a, b, q / p - k)
                    + (n - k) * lc + k * lD)
     else:
-        # cut at 2a, 4a, ... below b: each piece is its width or more from the singular t = 0
-        k = np.ceil(np.log2(b / a)).astype(np.intp)
-        i = np.repeat(np.arange(k.size), k)
-        lo = np.ldexp(a[i], np.arange(i.size) - (np.cumsum(k) - k)[i])
-        hi = 2.0 * lo
-        hi[np.cumsum(k) - 1] = b
-        mid, rad, c, D = 0.5 * (lo + hi), 0.5 * (hi - lo), c[i], D[i]
+        if (b > 2.0 * a).any():
+            # cut at 2a, 4a, ... below b: each piece is its width or more from the singular t = 0
+            k = np.ceil(np.log2(b / a)).astype(np.intp)
+            i = np.repeat(np.arange(k.size), k)
+            lo = np.ldexp(a[i], np.arange(i.size) - (np.cumsum(k) - k)[i])
+            hi = 2.0 * lo
+            hi[np.cumsum(k) - 1] = b
+            a, b, c, D = lo, hi, c[i], D[i]
+        mid, rad = 0.5 * (a + b), 0.5 * (b - a)
         lr = np.log(rad)
         for x, w in zip(*_gauss_legendre()):  # nodes and weights on [-1, 1]
             t = mid + rad * x

@@ -18,7 +18,7 @@ from .grid import Grid
 
 __all__ = [
     "kernel_multiplier", "kernel_samples", "smooth",
-    "kernel_dft_check", "phase_holder_check", "halton_disk",
+    "kernel_dft_check", "phase_holder_check",
 ]
 
 
@@ -103,13 +103,3 @@ def phase_holder_check(s: float, xi: np.ndarray) -> float:
     num = np.abs(1.0 - np.exp(-1j * phase[nz]))
     ratio = num / r[nz] ** s
     return float(ratio.max()) if ratio.size else 0.0
-
-
-def halton_disk(n: int, radius: float) -> np.ndarray:
-    """Deterministic low-discrepancy complex samples in B(0, radius)
-    (area-uniform Halton map)."""
-    from scipy.stats import qmc
-    pts = qmc.Halton(d=2, scramble=False).random(n)
-    r = radius * np.sqrt(pts[:, 0])
-    th = 2 * np.pi * pts[:, 1]
-    return r * np.exp(1j * th)

@@ -6,9 +6,9 @@ import pytest
 from scipy.integrate import quad
 
 from bklab import (Disk, LorentzIndex, bessel_norm, lorentz_norm, make_domain,
-                   make_grid, rearrange, sobolev_lorentz_norm)
+                   make_grid, sobolev_lorentz_norm)
 from bklab.errors import NormError
-from bklab.lorentz import indicator_norm, norm_of_rearrangement, norm_of_sorted
+from bklab.lorentz import indicator_norm, norm_of_sorted
 from bklab.util import masked_gradient
 
 lorentz_module = importlib.import_module("bklab.lorentz")
@@ -26,52 +26,38 @@ def random_field(grid, seed, smooth=False):
 
 
 class TestRearrange:
+    """The rearrangement f*, read through the norms taken from it."""
+
     def test_indicator(self, disk128):
+        # f* = 1 on [0, m(E)) and 0 beyond: the zeros around E add nothing
         g = disk128.grid
         E = (np.abs(g.Z - 0.2) < 0.28)          # m(E) close to 0.25
-        sr = rearrange(E.astype(complex), grid=g)
         mE = g.cell_measure * E.sum()
-        assert np.all(sr.f_star(np.array([0.0, mE * 0.999])) == 1.0)
-        assert np.all(sr.f_star(np.array([mE * 1.001, 2 * mE])) == 0.0)
+        chi = E.astype(complex)
+        assert lorentz_norm(chi, L2W, grid=g) == pytest.approx(math.sqrt(mE), rel=1e-10)
+        assert lorentz_norm(chi, L21, grid=g) == pytest.approx(indicator_norm(mE, L21), rel=1e-8)
 
     def test_constant_on_domain(self, disk128):
+        # only the mask's cells are rearranged
         f = np.full((128, 128), 3.5 + 0j)
-        sr = rearrange(f, domain=disk128)
-        assert sr.values[0] == 3.5
-        assert sr.total_measure == pytest.approx(disk128.measure)
-
-    def test_kernel_rearrangement_analytic(self):
-        # f = 1/(pi |z|) on the unit disk: f*(s) = (pi s)^{-1/2}
-        g = make_grid(1.1, 512)
-        d = make_domain(g, Disk(0j, 1.0))
-        vals = np.zeros_like(g.Z)
-        nz = np.abs(g.Z) > 0
-        vals[nz] = 1.0 / (np.pi * np.abs(g.Z[nz]))
-        sr = rearrange(vals, domain=d)
-        for s in (0.1, 1.0, 2.0):
-            assert sr.f_star(s)[0] == pytest.approx((np.pi * s) ** -0.5, rel=0.02)
+        for idx in (L2W, L21, LorentzIndex(3, 2, normed=False)):
+            expect = 3.5 * indicator_norm(disk128.measure, idx)
+            assert lorentz_norm(f, idx, domain=disk128) == pytest.approx(expect, rel=1e-8)
 
     def test_equimeasurability(self, disk128):
+        # ||f||_{r,r}^r = int (f*)^r dt = h^2 sum |f|^r
         f = random_field(disk128.grid, 7)
-        sr = rearrange(f, domain=disk128)
         h2 = disk128.grid.cell_measure
-        for r in (1.0, 2.0, 3.0):
+        for r in (1.5, 2.0, 3.0):
             direct = h2 * np.sum(np.abs(f[disk128.mask]) ** r)
-            assert sr.power_sum(r) == pytest.approx(direct, rel=1e-12)
-
-    def test_distribution_function(self, disk128):
-        f = random_field(disk128.grid, 8)
-        sr = rearrange(f, domain=disk128)
-        h2 = disk128.grid.cell_measure
-        for lam in (0.5, 1.0, 2.0):
-            direct = h2 * np.sum(np.abs(f[disk128.mask]) > lam)
-            assert sr.distribution(lam) == pytest.approx(direct, abs=1e-12)
+            val = lorentz_norm(f, LorentzIndex(r, r, normed=False), domain=disk128)
+            assert val ** r == pytest.approx(direct, rel=1e-12)
 
     def test_rejects_nan(self, disk128):
         f = np.zeros((128, 128), dtype=complex)
         f[64, 64] = np.nan
-        with pytest.raises(NormError):
-            rearrange(f, domain=disk128)
+        with pytest.raises(NormError, match="^field contains NaN or infinite samples$"):
+            lorentz_norm(f, L2W, domain=disk128)
 
 
 class TestLorentzNorm:
@@ -332,7 +318,6 @@ class TestWeakNormOfSorted:
         g = grid if domain is None else domain.grid
         m = np.ones((g.N, g.N), dtype=bool) if domain is None else domain.mask
         s = np.sort(np.abs(f[m]))
-        sr = rearrange(f, domain, grid)
         h2 = g.cell_measure
         for p in (2.0, 1.5, 3.0):
             for normed in (True, False):
@@ -340,7 +325,6 @@ class TestWeakNormOfSorted:
                     idx = LorentzIndex(p, q, normed)
                     got = norm_of_sorted(s, h2, idx)
                     assert lorentz_norm(f, idx, domain, grid).hex() == got.hex()
-                    assert norm_of_rearrangement(sr, idx).hex() == got.hex()
                     if math.isinf(q):
                         assert got.hex() == cls.per_cell(s, h2, p, normed).hex()
                     else:
@@ -391,7 +375,6 @@ class TestWeakNormOfSorted:
         for idx in (L2W, L21, LorentzIndex(2, 1.5, normed=False)):
             assert norm_of_sorted(np.zeros(4096), g.cell_measure, idx) == 0.0
             assert lorentz_norm(zero, idx, grid=g) == 0.0
-            assert norm_of_rearrangement(rearrange(zero, grid=g), idx) == 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):

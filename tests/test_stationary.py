@@ -3,11 +3,21 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import qmc
 
 from bklab import kernel_dft_check, kernel_multiplier, make_grid, smooth
 from bklab.errors import AliasingGuardError
-from bklab.stationary import halton_disk, kernel_samples, phase_holder_check
+from bklab.stationary import kernel_samples, phase_holder_check
 from bklab.util import fit_loglog
+
+
+def halton_disk(n: int, radius: float) -> np.ndarray:
+    """Deterministic low-discrepancy complex samples in B(0, radius)
+    (area-uniform Halton map)."""
+    pts = qmc.Halton(d=2, scramble=False).random(n)
+    r = radius * np.sqrt(pts[:, 0])
+    th = 2 * np.pi * pts[:, 1]
+    return r * np.exp(1j * th)
 
 
 class TestConvention:
