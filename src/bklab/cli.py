@@ -104,7 +104,7 @@ def _load_field_on(path, domain: DomainSpec | None) -> tuple[np.ndarray, Grid]:
     field, grid = load_field(path)
     if not np.isfinite(field).all():
         raise BklabError(f"{path}: field contains NaN or infinite samples")
-    if domain is not None and (grid.N, grid.L) != (domain.grid.N, domain.grid.L):
+    if domain is not None and grid != domain.grid:
         raise BklabError(f"{path}: field grid does not match the domain grid")
     return field, grid
 

@@ -472,15 +472,16 @@ def _make_polygon(grid: Grid, poly: Polygon) -> DomainSpec:
                          - np.roll(verts, -1).real * verts.imag))
     if abs(area2) < 1e-14:
         raise DomainError("degenerate polygon (zero area)")
+    if np.max(np.abs(np.concatenate([verts.real, verts.imag]))) >= grid.L:
+        raise DomainError("polygon is not strictly inside the grid square")
+    if np.any(verts == np.roll(verts, -1)):
+        raise DomainError("degenerate polygon (repeated vertex)")
+    _check_simple(verts)
     if area2 < 0:  # enforce positive orientation
         verts = verts[::-1]
         poly = Polygon(tuple(verts))
-    if np.max(np.abs(np.concatenate([verts.real, verts.imag]))) >= grid.L:
-        raise DomainError("polygon is not strictly inside the grid square")
     edges = np.stack([verts, np.roll(verts, -1)], axis=1)
     lens = np.abs(edges[:, 1] - edges[:, 0])
-    if np.any(lens == 0):
-        raise DomainError("degenerate polygon (repeated vertex)")
     perimeter = float(lens.sum())
     target = _node_target(grid, perimeter)
     nodes, normals, weights = [], [], []
@@ -498,6 +499,37 @@ def _make_polygon(grid: Grid, poly: Polygon) -> DomainSpec:
     if not mask.any():
         raise DomainError("polygon does not contain any cell center")
     return DomainSpec(grid, poly, mask, verts, nodes, normals, weights)
+
+
+def _turn(u, v) -> np.ndarray:
+    """Sign of the cross product of the plane vectors u and v."""
+    return np.sign(u.real * v.imag - u.imag * v.real)
+
+
+def _check_simple(verts: np.ndarray) -> None:
+    """DomainError naming two edges if two edges of the closed polyline
+    that share no vertex cross or touch.  Edge k runs from vertex k to
+    vertex k + 1 (mod n); each edge is tested against the later ones, so
+    the work is O(n^2) and the memory O(n).  An edge that turns back
+    along its neighbour is rejected too: in a triangle the area is zero,
+    and otherwise its far end lies on the neighbour and starts an edge
+    that shares no vertex with it."""
+    n = len(verts)
+    a, b = verts, np.roll(verts, -1)
+
+    def edge(k):
+        return f"edge {k} ({a[k].real:g}, {a[k].imag:g})-({b[k].real:g}, {b[k].imag:g})"
+    for k in range(n - 2):
+        m = np.arange(k + 2, n if k else n - 1)  # edges n - 1 and 0 share vertex 0
+        d, e = b[k] - a[k], b[m] - a[m]
+        s1, s2 = _turn(d, a[m] - a[k]), _turn(d, b[m] - a[k])
+        meet = (s1 * s2 <= 0) & (_turn(e, a[k] - a[m]) * _turn(e, b[k] - a[m]) <= 0)
+        # collinear edges meet only where their spans along the line overlap
+        t1, t2 = (((p - a[k]) * np.conj(d)).real for p in (a[m], b[m]))
+        meet &= (s1 != 0) | (s2 != 0) | ((np.maximum(t1, t2) >= 0)
+                                         & (np.minimum(t1, t2) <= abs(d) ** 2))
+        if meet.any():
+            raise DomainError(f"polygon is not simple: {edge(k)} meets {edge(m[meet][0])}")
 
 
 def _points_in_polygon(Z: np.ndarray, verts: np.ndarray) -> np.ndarray:

@@ -289,20 +289,6 @@ class TestAlessandrini:
         assert rep.interior == 0.0
         assert abs(rep.boundary) <= 1e-6
 
-    def test_gap_refines(self):
-        from bklab import Polygon
-        gaps = []
-        for N in (64, 128, 256):
-            g = make_grid(1.28, N)
-            sq = make_domain(g, Polygon((0j, 1 + 0j, 1 + 1j, 1j)))
-            qb = sq.restrict(bump_field(g, 0.5 + 0.5j, 0.2, 0.3))
-            P1 = forward_solve(np.zeros((N, N), complex),
-                               lambda z: z.real.astype(complex), sq)
-            P2 = forward_solve(qb, lambda z: (z.real * z.imag).astype(complex), sq)
-            gaps.append(alessandrini_check(P1, P2).gap)
-        order = math.log2(gaps[0] / gaps[2]) / 2
-        assert order >= 1.0
-
     def test_swap_negates_boundary(self, disk_q):
         g, d, q = disk_q
         P1 = forward_solve(_zeros(d), boundary_mode(d, 1), d)

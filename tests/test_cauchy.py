@@ -125,9 +125,15 @@ class TestBeurling:
         assert 0.9 <= ratio <= 1.1
 
 
+@pytest.fixture(scope="module")
+def constant_trace_field(disk256):
+    """boundary_cauchy of the constant trace 1 on disk256: (field, valid)."""
+    return boundary_cauchy(lambda z: np.ones_like(z), disk256)
+
+
 class TestBoundaryCauchy:
-    def test_circle_constant(self, disk256):
-        field, valid = boundary_cauchy(lambda z: np.ones_like(z), disk256)
+    def test_circle_constant(self, disk256, constant_trace_field):
+        field, valid = constant_trace_field
         g = disk256.grid
         inside = (np.abs(g.Z) < 1 - 2 * g.h)
         outside = (np.abs(g.Z) > 1 + 2 * g.h)
@@ -152,8 +158,8 @@ class TestBoundaryCauchy:
             val = lorentz_norm(np.where(valid, field, 0), idx, grid=disk256.grid)
             assert val <= l1 / math.sqrt(np.pi) * 1.05
 
-    def test_indicator_trace_near_sharp(self, disk256):
-        field, valid = boundary_cauchy(lambda z: np.ones_like(z), disk256)
+    def test_indicator_trace_near_sharp(self, disk256, constant_trace_field):
+        field, valid = constant_trace_field
         val = lorentz_norm(np.where(valid, field, 0), LorentzIndex(2, np.inf),
                            grid=disk256.grid)
         # exact field is -chi_ball with weak norm sqrt(pi) = (1/2)/sqrt(pi) * ||g||_1

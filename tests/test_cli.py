@@ -63,6 +63,9 @@ def workspace(tmp_path_factory):
     bad = json.loads(json.dumps(doc))
     del bad["shape"]["center"]
     (ws / "no_center.json").write_text(json.dumps(bad))
+    bad["shape"] = {"type": "polygon",
+                    "vertices": [[-0.8, -0.6], [0.8, 0.7], [0.8, -0.6], [-0.8, 0.5]]}
+    (ws / "bowtie.json").write_text(json.dumps(bad))
     (ws / "latin1.json").write_bytes(json.dumps(doc).encode()[:-1] + b', "r\xe9": 1}')
     (ws / "notjson.json").write_text("domain: disk\n")
     for name, header in (("ff_header", b"\xffBKFLD1 64 1.2"), ("xy_header", b"BKFLD1 x y"),
@@ -287,6 +290,22 @@ class TestInputErrors:
         assert_config_error(r)
         message = json.loads(r.stderr)["error"]["message"]
         assert path in message and "'center'" in message
+
+    @pytest.mark.parametrize("cmd", [
+        ["reconstruct", "--q", "{ws}/q.bkfld", "--tau", "4,8"],
+        ["carleman-sweep", "--a", "one"],
+    ], ids=lambda cmd: cmd[0])
+    def test_self_intersecting_polygon_exit_2(self, workspace, tmp_path, cmd):
+        # a bow-tie's lobes run in opposite directions, so one lobe's
+        # outward normals would point inward
+        out = tmp_path / "out"
+        args = [a.replace("{ws}", str(workspace)) for a in cmd]
+        r = run_cli([*args, "--domain", str(workspace / "bowtie.json"),
+                     "--out-dir", str(out)], timeout=60)
+        assert_config_error(r)
+        assert len(r.stderr.splitlines()) == 1 and r.stdout == ""
+        assert "not simple" in json.loads(r.stderr)["error"]["message"]
+        assert not out.exists()
 
     def test_lorentz_norm_malformed_q_exit_2(self, workspace):
         assert_config_error(run_cli(

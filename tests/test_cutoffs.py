@@ -9,7 +9,6 @@ from bklab.cutoffs import (annulus_kernel_bounds, annulus_kernel_norms,
                            h1_defect_l1, h1_report, h2_scales,
                            mollifier_dbar_l1, tune_h2, _mollify)
 from bklab.errors import BklabError, GridError, MollifierResolutionError
-from bklab.util import fit_loglog
 
 Z0 = 0.1 + 0.05j
 
@@ -112,13 +111,6 @@ class TestTuned:
         assert eps == 1.0 and delta == 1.0
         eps, delta = h2_scales(8.0)
         assert eps == pytest.approx(0.25) and delta == pytest.approx(0.5)
-
-    def test_composite_slope(self):
-        g = make_grid(3.4, 1024)
-        d = make_domain(g, Disk(0j, 3.0))
-        taus = [4.0, 8.0, 16.0, 32.0, 64.0, 128.0]
-        vals = [tune_h2(d, 0.2 + 0.1j, t)[1] for t in taus]
-        assert fit_loglog(taus, vals).slope <= 0.70
 
     def test_zero_set_monotone_inclusion(self, disk256):
         # growing tau shrinks the exact-zero region as a set, not just in

@@ -100,6 +100,27 @@ class TestMakeDomain:
         with pytest.raises(DomainError):
             make_domain(g, Polygon((0j, 0.5 + 0j, 0.25 + 0j)))
 
+    @pytest.mark.parametrize("verts, edges", [
+        # a bow-tie: its lobes run in opposite directions
+        ((-0.8 - 0.6j, 0.8 + 0.7j, 0.8 - 0.6j, -0.8 + 0.5j), (0, 2)),
+        # vertex 3 touches edge 0, which it shares no vertex with
+        ((-0.6 - 0.6j, 0.6 - 0.6j, 0.6 + 0.6j, -0.6j, -0.6 + 0.6j), (0, 2)),
+        # edge 2 turns back along edge 1, so vertex 3 lies on edge 1
+        ((-0.6 - 0.6j, 0.6 - 0.6j, 0.6 + 0.6j, 0.6 + 0j, -0.6 + 0.6j), (1, 3)),
+    ], ids=["bow-tie", "vertex-on-edge", "spike"])
+    def test_self_intersecting_polygon(self, verts, edges):
+        with pytest.raises(DomainError) as info:
+            make_domain(make_grid(1.2, 64), Polygon(verts))
+        for e in edges:
+            assert f"edge {e} " in str(info.value)
+
+    def test_collinear_edges_apart_are_simple(self):
+        # a notched square: edges 2 and 6 lie on the line y = 0.6, apart
+        d = make_domain(make_grid(1.2, 64), Polygon((
+            -0.6 - 0.6j, 0.6 - 0.6j, 0.6 + 0.6j, 0.2 + 0.6j, 0.2 + 0j, -0.2 + 0j,
+            -0.2 + 0.6j, -0.6 + 0.6j)))
+        assert d.measure == pytest.approx(1.44 - 0.24, abs=0.1)
+
     def test_masked_centers_inside_polyline(self, disk128):
         from bklab.grid import _points_in_polygon
         inside = _points_in_polygon(disk128.grid.Z, np.asarray(disk128.vertices))
